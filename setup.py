@@ -3,20 +3,17 @@ from setuptools import Extension, setup
 
 try:
     from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "windgfm._kernel._ode_cy",
-                ["src/windgfm/_kernel/_ode_cy.pyx"],
-                extra_compile_args=["-O3"],
-                include_dirs=[numpy.get_include()],
-            )
-        ],
-        language_level=3,
-    )
 except ImportError:
-    # Cython unavailable: the package falls back to the pure-Python kernel.
-    ext_modules = []
+    # Cython unavailable: build the committed generated C source instead.
+    cythonize = None
+
+ext = Extension(
+    "windgfm._kernel._ode_cy",
+    ["src/windgfm/_kernel/_ode_cy.pyx" if cythonize else
+     "src/windgfm/_kernel/_ode_cy.c"],
+    extra_compile_args=["-O3"],
+    include_dirs=[numpy.get_include()],
+)
+ext_modules = cythonize([ext], language_level=3) if cythonize else [ext]
 
 setup(ext_modules=ext_modules)

@@ -1,10 +1,17 @@
-"""Pure-Python reference kernel: closed-loop derivative and RK4 integrator."""
+"""Pure-Python reference kernel: closed-loop derivative and RK4 integrator.
+
+The derivative wires together the model equations defined once in ``aero``
+and ``control``.  State and parameters are handled as lists of Python
+floats, which the scalar equations evaluate fastest.
+"""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
+from ..aero import _cp_calibrated
+from ..control import limiter_pi, pd_filter_realization, pitch_rate
 from .layout import (
     MODE_GFL_MPPT, N_STATES,
     P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0, P_CPMAX,
@@ -15,128 +22,58 @@ from .layout import (
 
 BACKEND = "python"
 
-_BETZ = 16.0 / 27.0
 
-
-def _cp(p, lam, beta):
-    w = p[P_CP0]
-    D = p[P_CP0 + 1]
-    E = p[P_CP0 + 2]
-    U = p[P_CP0 + 3]
-    q = p[P_CP0 + 4]
-    lam0 = p[P_CP0 + 5]
-    a1 = p[P_CP0 + 6]
-    a2 = p[P_CP0 + 7]
-    a3 = p[P_CP0 + 8]
-    a4 = p[P_CP0 + 9]
-    L = p[P_CP0 + 10]
-    bb = p[P_CP0 + 11]
-    p1 = p[P_CP0 + 12]
-    p2 = p[P_CP0 + 13]
-    r = beta / p2
-    b2 = beta * beta
-    b3 = b2 * beta
-    b4 = b3 * beta
-    lm = lam0 + p1 * beta * math.exp(-(r * r)) - L * (1.0 - math.exp(-beta / bb))
-    u = (lam - lm) / w
-    s = u * u
-    g = (1.0 - D * s / (1.0 + s) - E * s * s / (1.0 + s * s)) * math.exp(-abs(u / U) ** q)
-    h = math.exp(-(a1 * beta + a2 * b2 + a3 * b3 + a4 * b4))
-    v = p[P_CPMAX] * h * g
-    if v < 0.0:
-        return 0.0
-    return v if v < _BETZ else _BETZ
-
-
-def _load(t, base, ev_t, ev_dp):
+def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
     pl = base
     for k in range(len(ev_t)):
         if t >= ev_t[k]:
             pl += ev_dp[k]
-    return pl
-
-
-def _deriv(x, t, p, mode, base, ev_t, ev_dp, out):
-    pl = _load(t, base, ev_t, ev_dp)
-    om_g = x[2]
-    p_g = x[3]
+    (th_gsc, th_g, om_g, p_g, vdc, th_msc, th_r, om_r,
+     xg, xm, beta, isp, ipw) = x
     if mode == MODE_GFL_MPPT:
-        for i in range(N_STATES):
-            out[i] = 0.0
-        out[1] = om_g - 1.0
-        out[2] = (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g)
-        out[3] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG]
-        return
-    th_gsc = x[0]
-    th_g = x[1]
-    vdc = x[4]
-    th_msc = x[5]
-    th_r = x[6]
-    om_r = x[7]
-    xg = x[8]
-    xm = x[9]
-    beta = x[10]
-    isp = x[11]
-    ipw = x[12]
-    tdc = p[P_TDC]
+        return [0.0, om_g - 1.0,
+                (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g),
+                (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG],
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     u = vdc - p[P_VDCS]
-    yg = (p[P_KTG] - p[P_KDG] / tdc) * xg + (p[P_KDG] / tdc) * u
-    ym = (p[P_KTM] - p[P_KDM] / tdc) * xm + (p[P_KDM] / tdc) * u
-    om_gsc = p[P_W0] + yg
-    om_msc = p[P_OMDEL] + ym
+    yg, dxg = pd_filter_realization(p[P_KTG], p[P_KDG], p[P_TDC], xg, u)
+    ym, dxm = pd_filter_realization(p[P_KTM], p[P_KDM], p[P_TDC], xm, u)
     p_pmsg = p[P_BM] * math.sin(th_r - th_msc)
     p_gsc = p[P_BG] * math.sin(th_gsc - th_g)
-    p_wt = p[P_PSCALE] * _cp(p, p[P_LAMC] * om_r, beta)
-    esp = om_r - p[P_OMMAX]
-    usp = p[P_KPLIM] * esp + isp
-    disp = p[P_KILIM] * esp
-    if usp <= 0.0:
-        usp = 0.0
-        if esp < 0.0:
-            disp = p[P_KILIM] * esp if isp > 0.0 else 0.0
-    epw = p_pmsg - p[P_PMAX]
-    upw = p[P_KPLIM] * epw + ipw
-    dipw = p[P_KILIM] * epw
-    if upw <= 0.0:
-        upw = 0.0
-        if epw < 0.0:
-            dipw = p[P_KILIM] * epw if ipw > 0.0 else 0.0
-    bref = p[P_BETADEL] + p[P_KP] * (om_r - p[P_OMDEL]) + usp + upw
-    if bref < p[P_BETAMIN]:
-        bref = p[P_BETAMIN]
-    elif bref > p[P_BETAMAX]:
-        bref = p[P_BETAMAX]
-    dbeta = (bref - beta) / p[P_TSERVO]
-    if dbeta > p[P_RATE]:
-        dbeta = p[P_RATE]
-    elif dbeta < -p[P_RATE]:
-        dbeta = -p[P_RATE]
-    if beta <= p[P_BETAMIN] and dbeta < 0.0:
-        dbeta = 0.0
-    if beta >= p[P_BETAMAX] and dbeta > 0.0:
-        dbeta = 0.0
-    out[0] = om_gsc - 1.0
-    out[1] = om_g - 1.0
-    out[2] = (p_g + p_gsc - pl) / (p[P_JG] * om_g)
-    out[3] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG]
-    out[4] = (p_pmsg - p_gsc) / (p[P_CDC] * vdc)
-    out[5] = om_msc - p[P_OMDEL]
-    out[6] = om_r - p[P_OMDEL]
-    out[7] = (p_wt - p_pmsg) / (p[P_JWT] * om_r)
-    out[8] = (u - xg) / tdc
-    out[9] = (u - xm) / tdc
-    out[10] = dbeta
-    out[11] = disp
-    out[12] = dipw
+    p_wt = p[P_PSCALE] * _cp_calibrated(p[P_LAMC] * om_r, beta, cp_coeffs,
+                                        p[P_CPMAX])
+    u_sp, disp = limiter_pi(p[P_KPLIM], p[P_KILIM], om_r - p[P_OMMAX], isp)
+    u_pw, dipw = limiter_pi(p[P_KPLIM], p[P_KILIM], p_pmsg - p[P_PMAX], ipw)
+    bref = p[P_BETADEL] + p[P_KP] * (om_r - p[P_OMDEL]) + u_sp + u_pw
+    dbeta = pitch_rate(beta, bref, p[P_TSERVO], p[P_RATE], p[P_BETAMIN],
+                       p[P_BETAMAX])
+    # (a + b) - a is kept unsimplified: it is the compiled kernel's order
+    return [(p[P_W0] + yg) - 1.0,
+            om_g - 1.0,
+            (p_g + p_gsc - pl) / (p[P_JG] * om_g),
+            (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG],
+            (p_pmsg - p_gsc) / (p[P_CDC] * vdc),
+            (p[P_OMDEL] + ym) - p[P_OMDEL],
+            om_r - p[P_OMDEL],
+            (p_wt - p_pmsg) / (p[P_JWT] * om_r),
+            dxg, dxm, dbeta, disp, dipw]
+
+
+def _floats(a) -> list:
+    return np.asarray(a, dtype=float).ravel().tolist()
+
+
+def _args(params, mode, base_load, ev_t, ev_dp) -> tuple:
+    """The arguments of _deriv after (x, t)."""
+    p = _floats(params)
+    return (p, p[P_CP0:P_CP0 + 14], int(mode), float(base_load),
+            _floats(ev_t), _floats(ev_dp))
 
 
 def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()):
     """d state/dt for the 13-state closed loop (numpy array out)."""
-    out = np.empty(N_STATES)
-    _deriv(np.asarray(x, dtype=float), t, np.asarray(params, dtype=float),
-           int(mode), float(base_load), np.asarray(ev_t, dtype=float),
-           np.asarray(ev_dp, dtype=float), out)
-    return out
+    return np.array(_deriv(_floats(x), float(t),
+                           *_args(params, mode, base_load, ev_t, ev_dp)))
 
 
 def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()):
@@ -145,39 +82,28 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     Returns an array of shape (n_samples, 1 + N_STATES) with time in col 0.
     Raises FloatingPointError on divergence (any |state| > 1e6).
     """
-    x = [float(v) for v in x0]
-    p = np.asarray(params, dtype=float)
-    ev_t = np.asarray(ev_t, dtype=float)
-    ev_dp = np.asarray(ev_dp, dtype=float)
-    n_samp = 1 + n_steps // stride
-    out = np.empty((n_samp, 1 + N_STATES))
+    x = _floats(x0)
+    args = _args(params, mode, base_load, ev_t, ev_dp)
+    dt = float(dt)
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    out = np.empty((1 + n_steps // stride, 1 + N_STATES))
     out[0, 0] = 0.0
     out[0, 1:] = x
-    k1 = np.empty(N_STATES)
-    k2 = np.empty(N_STATES)
-    k3 = np.empty(N_STATES)
-    k4 = np.empty(N_STATES)
-    xs = np.empty(N_STATES)
-    xa = np.array(x, dtype=float)
     row = 1
     for i in range(n_steps):
         t0 = i * dt
-        _deriv(xa, t0, p, mode, base_load, ev_t, ev_dp, k1)
+        k1 = _deriv(x, t0, *args)
+        k2 = _deriv([a + h2 * b for a, b in zip(x, k1)], t0 + h2, *args)
+        k3 = _deriv([a + h2 * b for a, b in zip(x, k2)], t0 + h2, *args)
+        k4 = _deriv([a + dt * b for a, b in zip(x, k3)], t0 + dt, *args)
+        x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
         for j in range(N_STATES):
-            xs[j] = xa[j] + 0.5 * dt * k1[j]
-        _deriv(xs, t0 + 0.5 * dt, p, mode, base_load, ev_t, ev_dp, k2)
-        for j in range(N_STATES):
-            xs[j] = xa[j] + 0.5 * dt * k2[j]
-        _deriv(xs, t0 + 0.5 * dt, p, mode, base_load, ev_t, ev_dp, k3)
-        for j in range(N_STATES):
-            xs[j] = xa[j] + dt * k3[j]
-        _deriv(xs, t0 + dt, p, mode, base_load, ev_t, ev_dp, k4)
-        for j in range(N_STATES):
-            xa[j] = xa[j] + dt / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            if not abs(xa[j]) <= 1e6:  # also catches NaN
+            if not abs(x[j]) <= 1e6:  # also catches NaN
                 raise FloatingPointError(f"state {j} diverged at t={t0 + dt:.6f}")
         if (i + 1) % stride == 0:
             out[row, 0] = (i + 1) * dt
-            out[row, 1:] = xa
+            out[row, 1:] = x
             row += 1
     return out[:row]

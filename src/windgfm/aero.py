@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,13 +117,25 @@ def _cp_generic(lam: float, beta: float, c) -> float:
 
 
 def _cp_calibrated(lam: float, beta: float, c, cpmax: float) -> float:
+    """Calibrated Cp clamped to [0, Betz limit].
+
+    The simulation kernels evaluate this surface; the compiled kernel
+    repeats it in the same operation order, so the two agree bit for bit.
+    """
     w, D, E, U, q, lam0, a1, a2, a3, a4, L, bb, p1, p2 = c
-    lr = lam0 + p1 * beta * math.exp(-(beta / p2) ** 2) - L * (1.0 - math.exp(-beta / bb))
+    r = beta / p2
+    b2 = beta * beta
+    b3 = b2 * beta
+    b4 = b3 * beta
+    lr = lam0 + p1 * beta * math.exp(-(r * r)) - L * (1.0 - math.exp(-beta / bb))
     u = (lam - lr) / w
     s = u * u
     g = (1.0 - D * s / (1.0 + s) - E * s * s / (1.0 + s * s)) * math.exp(-abs(u / U) ** q)
-    h = math.exp(-(a1 * beta + a2 * beta ** 2 + a3 * beta ** 3 + a4 * beta ** 4))
-    return cpmax * h * g
+    h = math.exp(-(a1 * beta + a2 * b2 + a3 * b3 + a4 * b4))
+    v = cpmax * h * g
+    if v < 0.0:
+        return 0.0
+    return v if v < BETZ else BETZ
 
 
 def _cp_tabulated(lam: float, beta: float, s: CpSurface) -> float:
@@ -144,10 +156,10 @@ def cp(surface: CpSurface, lam: float, beta: float) -> float:
     """Cp(lambda, beta), clamped to [0, Betz limit]."""
     if lam <= 0:
         raise AeroDomainError("lambda must be positive")
+    if surface.variant == "calibrated":
+        return _cp_calibrated(lam, beta, surface.coeffs, surface.cpmax_scale)
     if surface.variant == "generic":
         v = _cp_generic(lam, beta, surface.coeffs)
-    elif surface.variant == "calibrated":
-        v = _cp_calibrated(lam, beta, surface.coeffs, surface.cpmax_scale)
     elif surface.variant == "tabulated":
         v = _cp_tabulated(lam, beta, surface)
     else:
@@ -184,8 +196,8 @@ def cp_partials(surface: CpSurface, lam: float, beta: float) -> tuple[float, flo
     if surface.variant == "generic":
         h = 1e-7
         dl = (cp(surface, lam + h, beta) - cp(surface, lam - h, beta)) / (2 * h)
-        db = (cp(surface, lam, beta + h) - cp(surface, lam, max(beta - h, 0.0))) \
-            / (h if beta - h < 0 else 2 * h)
+        b_lo, b_hi = max(beta - h, 0.0), beta + h
+        db = (cp(surface, lam, b_hi) - cp(surface, lam, b_lo)) / (b_hi - b_lo)
         return dl, db
     hl = float(np.min(np.diff(surface.lam_grid))) * 0.5
     hb = float(np.min(np.diff(surface.beta_grid))) * 0.5

@@ -29,7 +29,6 @@ DEFAULT_CONFIG = {
         "preset": "table3",
         "d_omega_max": None, "d_v_max": 0.02, "msc_floor": 1.0,
         "target_droop": None, "k_d_gsc": 0.0067, "t_dc": 0.005,
-        "k_q_gsc": 0.02, "k_q_msc": 0.05,
     },
     "scenario": {
         "mode": "GFM_FR", "v_w": 8.0, "eta": 0.9,

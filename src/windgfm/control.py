@@ -1,26 +1,22 @@
-"""Dual-port converter controllers, Q-V droop, pitch control, GFL baseline."""
+"""Dual-port converter controllers, pitch control, GFL baseline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .aero import CpSurface, TurbineParams, cp, find_mpp
 
 
 @dataclass(frozen=True)
 class ConverterGains:
-    """One converter channel of the dual-port frequency law plus Q-V droop."""
+    """One converter channel of the dual-port frequency law."""
 
     k_theta: float          # pu-freq / pu-Vdc
     k_d: float = 0.0        # pu-freq*s / pu-Vdc
     t_dc: float = 0.005     # s, DC-filter time constant
-    k_q: float = 0.02       # pu-V / pu-Q
-    t_v: float = 0.05       # s, Q-filter time constant
-    v_star: float = 1.0     # pu
-    q_star: float = 0.0     # pu
 
     def __post_init__(self):
-        if self.k_theta <= 0 or self.t_dc <= 0 or self.t_v <= 0:
-            raise ValueError("k_theta, t_dc, t_v must be positive")
+        if self.k_theta <= 0 or self.t_dc <= 0:
+            raise ValueError("k_theta and t_dc must be positive")
         if self.k_d < 0:
             raise ValueError("k_d must be non-negative")
 
@@ -56,16 +52,18 @@ class ControlGains:
 
     @property
     def theorem1_ratio_ok(self) -> bool:
-        """Whether k_d/k_theta matches between the two converters (1e-9 rel)."""
-        rg = self.gsc.k_d / self.gsc.k_theta
-        rm = self.msc.k_d / self.msc.k_theta
-        scale = max(abs(rg), abs(rm), 1e-30)
-        return abs(rg - rm) / scale < 1e-9 or abs(rg - rm) < 1e-12
+        return ratio_matched(self.gsc.k_theta, self.gsc.k_d,
+                             self.msc.k_theta, self.msc.k_d)
 
-    def with_ratio_condition(self) -> "ControlGains":
-        """Return gains with k_d_msc = k_d_gsc * k_theta_msc / k_theta_gsc."""
-        kdm = self.gsc.k_d * self.msc.k_theta / self.gsc.k_theta
-        return replace(self, msc=replace(self.msc, k_d=kdm))
+
+def ratio_matched(k_theta_gsc: float, k_d_gsc: float, k_theta_msc: float,
+                  k_d_msc: float) -> bool:
+    """Whether k_d/k_theta matches between the two converters (1e-9 rel),
+    the gain condition of Theorem 1."""
+    rg = k_d_gsc / k_theta_gsc
+    rm = k_d_msc / k_theta_msc
+    scale = max(abs(rg), abs(rm), 1e-30)
+    return abs(rg - rm) / scale < 1e-9 or abs(rg - rm) < 1e-12
 
 
 def pd_filter_realization(k_theta: float, k_d: float, t_dc: float,
@@ -79,29 +77,6 @@ def pd_filter_realization(k_theta: float, k_d: float, t_dc: float,
         raise ValueError("t_dc must be positive")
     y = (k_theta - k_d / t_dc) * x + (k_d / t_dc) * u
     return y, (u - x) / t_dc
-
-
-def gsc_frequency(gains: ControlGains, x_gsc: float, v_dc: float) -> float:
-    y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
-                                 gains.gsc.t_dc, x_gsc, v_dc - gains.v_dc_star)
-    return gains.omega_0 + y
-
-
-def msc_frequency(gains: ControlGains, x_msc: float, v_dc: float) -> float:
-    y, _ = pd_filter_realization(gains.msc.k_theta, gains.msc.k_d,
-                                 gains.msc.t_dc, x_msc, v_dc - gains.v_dc_star)
-    return gains.omega_del + y
-
-
-def qv_droop(k_q: float, v_star: float, q_star: float, q_filt: float) -> float:
-    """V = v_star + k_q (q_star - filtered Q)."""
-    return v_star + k_q * (q_star - q_filt)
-
-
-def qv_filter_derivative(t_v: float, q_filt: float, q_meas: float) -> float:
-    if t_v <= 0:
-        raise ValueError("t_v must be positive")
-    return (q_meas - q_filt) / t_v
 
 
 def limiter_pi(kp: float, ki: float, err: float, integ: float) -> tuple[float, float]:
@@ -118,29 +93,25 @@ def limiter_pi(kp: float, ki: float, err: float, integ: float) -> tuple[float, f
     return u, di
 
 
-def pitch_reference(gains: ControlGains, i_speed: float, i_power: float,
-                    omega_r: float, p_msc: float) -> tuple[float, float, float]:
-    """(beta_ref, d i_speed/dt, d i_power/dt).
+def pitch_rate(beta: float, beta_ref: float, t_servo: float, rate_limit: float,
+               beta_min: float, beta_max: float) -> float:
+    """d beta/dt of the pitch servo.
 
-    beta_ref = beta_del + k_p (omega_r - omega_del) + u_speed + u_power with
-    one-sided limiter PIs on rotor overspeed and MSC overpower; result clamped
-    to the pitch range.
+    beta_ref is clamped to [beta_min, beta_max]; the first-order servo is
+    rate-limited to +-rate_limit and held at the range ends.
     """
-    pg = gains.pitch
-    u_sp, di_sp = limiter_pi(pg.kp_lim, pg.ki_lim, omega_r - pg.omega_max, i_speed)
-    u_pw, di_pw = limiter_pi(pg.kp_lim, pg.ki_lim, p_msc - pg.p_max_msc, i_power)
-    beta_ref = pg.beta_del + pg.k_p * (omega_r - gains.omega_del) + u_sp + u_pw
-    beta_ref = min(max(beta_ref, pg.beta_min), pg.beta_max)
-    return beta_ref, di_sp, di_pw
-
-
-def pitch_servo(gains: PitchGains, beta: float, beta_ref: float) -> float:
-    """Rate- and range-limited first-order servo: returns d beta/dt."""
-    d = (beta_ref - beta) / gains.t_servo
-    d = min(max(d, -gains.rate_limit), gains.rate_limit)
-    if beta <= gains.beta_min and d < 0.0:
+    if beta_ref < beta_min:
+        beta_ref = beta_min
+    elif beta_ref > beta_max:
+        beta_ref = beta_max
+    d = (beta_ref - beta) / t_servo
+    if d > rate_limit:
+        d = rate_limit
+    elif d < -rate_limit:
+        d = -rate_limit
+    if beta <= beta_min and d < 0.0:
         d = 0.0
-    if beta >= gains.beta_max and d > 0.0:
+    if beta >= beta_max and d > 0.0:
         d = 0.0
     return d
 

@@ -51,19 +51,6 @@ def _bisect(f, lo: float, hi: float, ftol: float = 1e-12, xtol: float = 1e-13) -
     return 0.5 * (lo + hi)
 
 
-def solve_speed_deload(surface: CpSurface, eta: float, lam_hi: float = 25.0) -> float:
-    """lambda_del > lambda_mpp with Cp(lambda_del, 0) = eta * Cp_max."""
-    if not 0.0 < eta <= 1.0:
-        raise CurtailmentError("eta must be in (0, 1]")
-    lam_mpp, cp_max = find_mpp(surface)
-    if eta == 1.0:
-        return lam_mpp
-    target = eta * cp_max
-    if cp(surface, lam_hi, 0.0) > target:
-        raise CurtailmentError("curtailment unreachable by overspeed alone")
-    return _bisect(lambda l: cp(surface, l, 0.0) - target, lam_mpp, lam_hi)
-
-
 def solve_pitch_deload(surface: CpSurface, lam_capped: float, eta: float,
                        target_cp: float) -> float:
     """beta_del in [0, 30] with Cp(lam_capped, beta_del) = eta * target_cp."""
@@ -83,16 +70,13 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
     """
     lam_mpp, cp_max = find_mpp(surface)
     k3 = params.swept_k * v_w ** 3
-    p_avail = min(cp_max * k3, params.P_rated)
-    target_cp = p_avail / k3                    # Cp equivalent of the clamped target
+    target_cp = min(cp_max, params.P_rated / k3)  # Cp equivalent of the clamped target
     lam_cap = tip_speed_ratio(params.R, params.omega_max * params.omega_nom, v_w)
 
-    lam_del = None
-    if target_cp <= cp_max:  # overspeed branch solvable only below the peak value
-        try:
-            lam_del = solve_speed_deload_target(surface, eta * target_cp, lam_mpp)
-        except CurtailmentError:
-            lam_del = None
+    try:
+        lam_del = solve_speed_deload_target(surface, eta * target_cp, lam_mpp)
+    except CurtailmentError:
+        lam_del = None
     if lam_del is not None and lam_del <= lam_cap:
         om = lam_del * v_w / (params.R * params.omega_nom)
         beta = 0.0

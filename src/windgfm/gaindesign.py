@@ -24,8 +24,6 @@ class DesignSpec:
     target_droop: float | None = None  # pu, optional feasibility target
     k_d_gsc: float = 0.0067
     t_dc: float = 0.005         # s
-    k_q_gsc: float = 0.02
-    k_q_msc: float = 0.05
 
     def __post_init__(self):
         if self.d_omega_max <= 0 or self.d_v_max <= 0:
@@ -103,10 +101,8 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         status = "infeasible"
     kdg = spec.k_d_gsc
     gains = ControlGains(
-        gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc,
-                           k_q=spec.k_q_gsc),
-        msc=ConverterGains(k_theta=ktm, k_d=kdg * ktm / ktg, t_dc=spec.t_dc,
-                           k_q=spec.k_q_msc),
+        gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc),
+        msc=ConverterGains(k_theta=ktm, k_d=kdg * ktm / ktg, t_dc=spec.t_dc),
         pitch=PitchGains(k_p=k_p, beta_del=pt.beta_del),
         omega_del=pt.omega_del)
     return GainDesign(v_w=v_w, eta=eta, gains=gains, m_p=m_p, k_wr=k_wr,
@@ -130,10 +126,8 @@ def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
     ktg = max_gsc_gain(spec)
     kdg = spec.k_d_gsc
     gains = ControlGains(
-        gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc,
-                           k_q=spec.k_q_gsc),
-        msc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc,
-                           k_q=spec.k_q_msc),
+        gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc),
+        msc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc),
         pitch=PitchGains(k_p=0.0, beta_del=beta),
         omega_del=omega_mpp)
     return GainDesign(v_w=v_w, eta=1.0, gains=gains, m_p=math.inf, k_wr=0.0,

@@ -148,9 +148,8 @@ def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
                         beta=np.full(n, gains.pitch.beta_del),
                         p_wt=np.full(n, p_const),
                         p_gsc=np.full(n, p_const), p_g=p_g)
-    u = v - gains.v_dc_star
-    y = (gains.gsc.k_theta - gains.gsc.k_d / gains.gsc.t_dc) * xg \
-        + (gains.gsc.k_d / gains.gsc.t_dc) * u
+    y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
+                                 gains.gsc.t_dc, xg, v - gains.v_dc_star)
     om_gsc = gains.omega_0 + y
     p_gsc = plant.network.b_g * np.sin(states[:, 1] - states[:, 2])
     scale = plant.turbine.swept_k * scenario.v_w ** 3 / plant.turbine.P_rated

@@ -14,7 +14,7 @@ from ._kernel.layout import (
     P_KTM, P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE,
     P_RATE, P_TDC, P_TG, P_TSERVO, P_VDCS, P_W0,
 )
-from .aero import CALIBRATED_COEFFS, CpSurface, TurbineParams, cp, tip_speed_ratio
+from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
 from .control import ControlGains
 
 
@@ -77,13 +77,6 @@ class LoadProfile:
     base: float = 2.0
     events: tuple = ((30.0, 0.4),)
 
-    def value(self, t: float) -> float:
-        pl = self.base
-        for t_ev, dp in self.events:
-            if t >= t_ev:
-                pl += dp
-        return pl
-
     @property
     def ev_times(self) -> tuple:
         return tuple(t for t, _ in self.events)
@@ -103,17 +96,6 @@ class OperatingPoint:
     p_wt0: float        # pu, initial WT power
     p_g0: float         # pu, governor reference
     p_const: float      # pu, GFL constant injection
-
-
-def pmsg_power(b_msc: float, theta_r: float, theta_msc: float) -> float:
-    return b_msc * math.sin(theta_r - theta_msc)
-
-
-def gsc_power(lines, theta_gsc: float) -> float:
-    """Sum of b_k sin(theta_gsc - theta_k) over (b, theta) line tuples."""
-    if not lines:
-        raise ValueError("at least one line required")
-    return sum(b * math.sin(theta_gsc - th) for b, th in lines)
 
 
 def wind_power_pu(params: TurbineParams, surface: CpSurface, v_w: float,

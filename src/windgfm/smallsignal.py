@@ -9,8 +9,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
-from .control import ControlGains
-from .plant import NetworkParams, PlantParams
+from .control import ControlGains, ratio_matched
+from .plant import PlantParams
 
 STATE_LABELS = ("rho_1", "rho_2", "omega_g", "omega_r", "v_dc", "p_g")
 
@@ -121,10 +121,7 @@ def theorem1_conditions(k_theta_gsc: float, k_d_gsc: float,
     """Stiffness non-negativity plus matched derivative-to-proportional ratio."""
     if k_wr + k_b * k_p < 0:
         return False
-    rg = k_d_gsc / k_theta_gsc
-    rm = k_d_msc / k_theta_msc
-    scale = max(abs(rg), abs(rm), 1e-30)
-    return abs(rg - rm) / scale < 1e-9 or abs(rg - rm) < 1e-12
+    return ratio_matched(k_theta_gsc, k_d_gsc, k_theta_msc, k_d_msc)
 
 
 def lasalle_verify(model: SmallSignalModel) -> LaSalleReport:

@@ -11,7 +11,7 @@ import pytest
 
 from windgfm import smallsignal as ss
 from windgfm.aero import CpSurface, TurbineParams, cp, find_mpp
-from windgfm.curtailment import deload_point, solve_speed_deload
+from windgfm.curtailment import deload_point, solve_speed_deload_target
 from windgfm.gaindesign import (
     DesignSpec, design_gains, droop_coefficient, droop_map, max_msc_gain,
     max_pitch_gain,
@@ -112,7 +112,8 @@ def test_criterion_5_curtailment_residuals(turbine, surface):
             resid = abs(cp(surface, pt.lam_del, pt.beta_del) - target)
             assert resid < 1e-9, f"residual {resid:.2e} at ({v_w}, {eta})"
     # lambda_del non-increasing in eta (pure overspeed branch)
-    lams = [solve_speed_deload(surface, e) for e in eta_grid]
+    lams = [solve_speed_deload_target(surface, e * cp_max, lam_mpp)
+            for e in eta_grid]
     assert all(a >= b - 1e-12 for a, b in zip(lams, lams[1:]))
 
 

@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windgfm import aero
@@ -96,19 +94,38 @@ def test_cp_unknown_variant_rejected():
         cp(bad, 7.0, 0.0)
 
 
+def _fd_partials(s, lam, beta, h=1e-6):
+    """Central differences; one-sided in beta at the beta = 0 boundary."""
+    dl = (cp(s, lam + h, beta) - cp(s, lam - h, beta)) / (2 * h)
+    b_lo, b_hi = max(beta - h, 0.0), beta + h
+    db = (cp(s, lam, b_hi) - cp(s, lam, b_lo)) / (b_hi - b_lo)
+    return dl, db
+
+
 @given(lam=st.floats(3.0, 14.0), beta=st.floats(0.0, 25.0))
+@example(lam=8.0, beta=1e-7)
 @settings(max_examples=100, deadline=None)
 def test_calibrated_partials_match_finite_differences(lam, beta):
     s = CpSurface()
     dl, db = cp_partials(s, lam, beta)
-    h = 1e-6
-    dl_fd = (cp(s, lam + h, beta) - cp(s, lam - h, beta)) / (2 * h)
-    db_fd = (cp(s, lam, beta + h) - cp(s, lam, beta + h if beta < h else beta - h))
-    db_fd = (cp(s, lam, beta + h) - cp(s, lam, max(beta - h, 0.0))) \
-        / (h if beta < h else 2 * h)
-    # skip points where the [0, Betz] clamp is active (analytic form unclamped)
+    dl_fd, db_fd = _fd_partials(s, lam, beta)
+    # skip points where the [0, Betz] clamp is active (the partials ignore it)
     raw = aero._cp_calibrated(lam, beta, s.coeffs, s.cpmax_scale)
     if 1e-6 < raw < BETZ - 1e-6:
+        assert dl == pytest.approx(dl_fd, rel=1e-4, abs=1e-7)
+        assert db == pytest.approx(db_fd, rel=1e-4, abs=1e-7)
+
+
+@given(lam=st.floats(3.0, 14.0), beta=st.floats(0.0, 25.0))
+@example(lam=8.0, beta=5e-8)
+@settings(max_examples=100, deadline=None)
+def test_generic_partials_match_finite_differences(lam, beta):
+    s = CpSurface.generic()
+    dl, db = cp_partials(s, lam, beta)
+    dl_fd, db_fd = _fd_partials(s, lam, beta)
+    # skip points within a step of the [0, Betz] clamp
+    raw = aero._cp_generic(lam, beta, s.coeffs)
+    if 1e-5 < raw < BETZ - 1e-5:
         assert dl == pytest.approx(dl_fd, rel=1e-4, abs=1e-7)
         assert db == pytest.approx(db_fd, rel=1e-4, abs=1e-7)
 

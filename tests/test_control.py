@@ -1,22 +1,43 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from windgfm.aero import CpSurface, TurbineParams, find_mpp
+from windgfm import _kernel
+from windgfm._kernel.layout import MODE_GFM_FR, P_BM
+from windgfm.aero import find_mpp
 from windgfm.control import (
-    ControlGains, ConverterGains, PitchGains, gfl_mppt_emulation,
-    gsc_frequency, limiter_pi, msc_frequency, pd_filter_realization,
-    pitch_reference, pitch_servo, qv_droop, qv_filter_derivative,
+    ControlGains, ConverterGains, PitchGains, gfl_mppt_emulation, limiter_pi,
+    pd_filter_realization, pitch_rate,
 )
+from windgfm.plant import pack_params
 
 
 def make_gains(ktg=0.5, kdg=0.0067, ktm=6.6, kp=22.7, beta_del=3.0,
-               omega_del=1.2, t_dc=0.005):
+               omega_del=1.2, t_dc=0.005, **pitch):
     kdm = kdg * ktm / ktg
     return ControlGains(
         gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=t_dc),
         msc=ConverterGains(k_theta=ktm, k_d=kdm, t_dc=t_dc),
-        pitch=PitchGains(k_p=kp, beta_del=beta_del),
+        pitch=PitchGains(k_p=kp, beta_del=beta_del, **pitch),
         omega_del=omega_del)
+
+
+def kernel_rates(plant, surface, gains, beta=0.0, omega_r=1.0, p_msc=0.5,
+                 v_dc=1.0, x_gsc=0.0, x_msc=0.0, i_speed=0.0, i_power=0.0):
+    """Closed-loop derivative from the active kernel at a state with the
+    given MSC power."""
+    p = pack_params(plant, gains, surface, 8.0, 1.5, 0.0)
+    th_r = math.asin(p_msc / p[P_BM])
+    x = [0.0, 0.0, 1.0, 1.5, v_dc, 0.0, th_r, omega_r, x_gsc, x_msc, beta,
+         i_speed, i_power]
+    return _kernel.derivative(x, 0.0, p, MODE_GFM_FR, 2.0)
+
+
+def pitch_rates(plant, surface, gains, **state):
+    """(d beta/dt, d i_speed/dt, d i_power/dt) from the active kernel."""
+    return tuple(kernel_rates(plant, surface, gains, **state)[10:])
 
 
 def test_pd_filter_step_example():
@@ -47,14 +68,16 @@ def test_converter_gains_validation():
         ConverterGains(k_theta=0.5, k_d=-0.1)
 
 
-def test_dual_port_frequencies_at_steady_state():
+def test_dual_port_frequencies_at_steady_state(plant, surface):
     g = make_gains()
     dv = 0.01
-    # x settled at u: both converters sit at setpoint + k_theta * dv
-    assert gsc_frequency(g, dv, 1.0 + dv) == pytest.approx(
-        1.0 + g.gsc.k_theta * dv, abs=1e-12)
-    assert msc_frequency(g, dv, 1.0 + dv) == pytest.approx(
-        g.omega_del + g.msc.k_theta * dv, abs=1e-12)
+    # filters settled at u = dv: both converters sit at setpoint + k_theta * dv
+    d = kernel_rates(plant, surface, g, omega_r=g.omega_del, v_dc=1.0 + dv,
+                     x_gsc=dv, x_msc=dv)
+    assert d[0] == pytest.approx(g.gsc.k_theta * dv, abs=1e-12)  # om_gsc - 1
+    assert d[5] == pytest.approx(g.msc.k_theta * dv, abs=1e-12)  # om_msc - om_del
+    assert d[8] == pytest.approx(0.0, abs=1e-12)
+    assert d[9] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_theorem1_ratio_flag_and_fix():
@@ -64,14 +87,8 @@ def test_theorem1_ratio_flag_and_fix():
                        msc=ConverterGains(k_theta=6.6, k_d=0.0),
                        pitch=g.pitch, omega_del=1.2)
     assert not bad.theorem1_ratio_ok
-    assert bad.with_ratio_condition().theorem1_ratio_ok
-
-
-def test_qv_droop_and_filter():
-    assert qv_droop(0.02, 1.0, 0.0, 0.5) == pytest.approx(0.99, abs=1e-15)
-    assert qv_filter_derivative(0.05, 0.2, 0.3) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        qv_filter_derivative(0.0, 0.2, 0.3)
+    kdm = g.gsc.k_d * bad.msc.k_theta / g.gsc.k_theta
+    assert replace(bad, msc=replace(bad.msc, k_d=kdm)).theorem1_ratio_ok
 
 
 def test_limiter_pi_one_sided_with_freeze():
@@ -97,37 +114,56 @@ def test_limiter_output_never_negative():
         assert u >= 0.0
 
 
-def test_pitch_reference_proportional_law():
+def test_pitch_reference_proportional_law(plant, surface):
     g = make_gains(kp=22.7, beta_del=3.0, omega_del=1.2)
-    # below both limits: pure proportional action, delta_beta = k_p * 0.01
-    ref, di_sp, di_pw = pitch_reference(g, 0.0, 0.0, 1.19, 0.8)
-    assert ref == pytest.approx(3.0 + 22.7 * (-0.01), abs=1e-12)
+    # below both limits: pure proportional action, delta_beta = k_p * -0.01
+    d_beta, di_sp, di_pw = pitch_rates(plant, surface, g, beta=3.0,
+                                       omega_r=1.19, p_msc=0.8)
+    assert d_beta == pytest.approx(22.7 * -0.01 / g.pitch.t_servo, abs=1e-12)
     assert di_sp == 0.0 and di_pw == 0.0
 
 
-def test_pitch_reference_clamped_to_range():
-    g = make_gains(kp=500.0, beta_del=3.0, omega_del=1.2)
-    ref, _, _ = pitch_reference(g, 0.0, 0.0, 1.0, 0.5)
-    assert ref == 0.0
-    ref, _, _ = pitch_reference(g, 0.0, 0.0, 1.3, 0.5)
-    assert ref == 30.0
+def test_pitch_reference_clamped_to_range(plant, surface):
+    # a fast servo, so the clamped reference shows in d beta/dt unlimited
+    g = make_gains(kp=500.0, beta_del=3.0, omega_del=1.2, rate_limit=1e4)
+    d_beta, _, _ = pitch_rates(plant, surface, g, beta=0.1, omega_r=1.0)
+    assert d_beta == pytest.approx((0.0 - 0.1) / g.pitch.t_servo, abs=1e-12)
+    d_beta, _, _ = pitch_rates(plant, surface, g, beta=0.1, omega_r=1.3)
+    assert d_beta == pytest.approx((30.0 - 0.1) / g.pitch.t_servo, abs=1e-12)
 
 
-def test_pitch_reference_limiters_add():
+def test_pitch_reference_limiters_add(plant, surface):
     g = make_gains(kp=0.0, beta_del=0.0, omega_del=1.2)
-    # overspeed by 0.01 above omega_max=1.2 -> kp_lim contribution 0.5 deg
-    ref, di_sp, _ = pitch_reference(g, 0.0, 0.0, 1.21, 0.5)
-    assert ref == pytest.approx(50.0 * 0.01, abs=1e-12)
+    # overspeed by 0.01 above omega_max = 1.2 and overpower by 0.01 above
+    # p_max_msc = 1.05: each adds kp_lim * 0.01 = 0.5 deg
+    d_beta, di_sp, di_pw = pitch_rates(plant, surface, g, omega_r=1.21,
+                                       p_msc=1.06)
+    assert d_beta * g.pitch.t_servo == pytest.approx(1.0, abs=1e-9)
     assert di_sp == pytest.approx(20.0 * 0.01, abs=1e-12)
+    assert di_pw == pytest.approx(20.0 * 0.01, abs=1e-9)
+    # anti-windup: a charged integrator keeps the output on and unwinds;
+    # an empty one with negative error stays frozen
+    d_beta, di_sp, di_pw = pitch_rates(plant, surface, g, omega_r=1.19,
+                                       p_msc=0.5, i_speed=1.0)
+    assert d_beta * g.pitch.t_servo == pytest.approx(50.0 * -0.01 + 1.0, abs=1e-9)
+    assert di_sp == pytest.approx(20.0 * -0.01, abs=1e-12)
+    assert di_pw == 0.0
 
 
-def test_pitch_servo_rate_and_range_limits():
-    pg = PitchGains(rate_limit=8.0, t_servo=0.3)
-    assert pitch_servo(pg, 0.0, 30.0) == 8.0
-    assert pitch_servo(pg, 30.0, 0.0) == -8.0
-    assert pitch_servo(pg, 0.0, -5.0) == 0.0      # held at lower bound
-    assert pitch_servo(pg, 30.0, 40.0) == 0.0     # held at upper bound
-    assert pitch_servo(pg, 2.0, 2.3) == pytest.approx(1.0, abs=1e-12)
+def test_pitch_servo_rate_and_range_limits(plant, surface):
+    def servo(beta, beta_ref):
+        g = make_gains(kp=0.0, beta_del=beta_ref, omega_del=1.1,
+                       rate_limit=8.0, t_servo=0.3)
+        return kernel_rates(plant, surface, g, beta=beta, omega_r=1.1)[10]
+
+    assert servo(0.0, 30.0) == 8.0
+    assert servo(30.0, 0.0) == -8.0
+    assert servo(0.0, -5.0) == 0.0      # held at lower bound
+    assert servo(30.0, 40.0) == 0.0     # held at upper bound
+    assert servo(2.0, 2.3) == pytest.approx(1.0, abs=1e-12)
+    # below the range the servo only drives back in
+    assert pitch_rate(-1.0, -5.0, 0.3, 8.0, 0.0, 30.0) > 0.0
+    assert pitch_rate(31.0, 40.0, 0.3, 8.0, 0.0, 30.0) < 0.0
 
 
 def test_pitch_gains_validation():

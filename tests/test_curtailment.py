@@ -6,28 +6,31 @@ from hypothesis import strategies as st
 from windgfm.aero import CpSurface, TurbineParams, cp, find_mpp
 from windgfm.curtailment import (
     CurtailmentError, build_table, deload_point, lookup, solve_pitch_deload,
-    solve_speed_deload, table_to_csv,
+    solve_speed_deload_target, table_to_csv,
 )
 
 
 def test_full_power_returns_mpp(surface):
-    lam_mpp, _ = find_mpp(surface)
-    assert solve_speed_deload(surface, 1.0) == lam_mpp
+    lam_mpp, cp_max = find_mpp(surface)
+    assert solve_speed_deload_target(surface, cp_max, lam_mpp) == lam_mpp
+    # a target above the peak also stays at the MPP
+    assert solve_speed_deload_target(surface, 1.2 * cp_max, lam_mpp) == lam_mpp
 
 
 def test_speed_deload_residual(surface):
     lam_mpp, cp_max = find_mpp(surface)
     for eta in (0.7, 0.8, 0.9, 0.95):
-        lam = solve_speed_deload(surface, eta)
+        lam = solve_speed_deload_target(surface, eta * cp_max, lam_mpp)
         assert lam > lam_mpp
         assert cp(surface, lam, 0.0) == pytest.approx(eta * cp_max, abs=1e-9)
 
 
 def test_speed_deload_rejects_bad_eta(surface):
-    with pytest.raises(CurtailmentError):
-        solve_speed_deload(surface, 0.0)
-    with pytest.raises(CurtailmentError):
-        solve_speed_deload(surface, 1.2)
+    # Cp(25, 0) = 0.122: deeper curtailment is out of reach of overspeed
+    lam_mpp, cp_max = find_mpp(surface)
+    for eta in (0.0, 0.2):
+        with pytest.raises(CurtailmentError):
+            solve_speed_deload_target(surface, eta * cp_max, lam_mpp)
 
 
 def test_pitch_deload_residual(surface):
@@ -72,6 +75,19 @@ def test_deload_point_power_matches_target(turbine, surface):
             k3 = turbine.swept_k * v_w ** 3
             p_target = eta * min(cp_max * k3, turbine.P_rated) / turbine.P_rated
             assert pt.p_wt_del == pytest.approx(p_target, rel=5e-3)
+
+
+def test_default_table_power_matches_target(turbine, surface):
+    # every row of the default table, including the near-MPP ones at 7.5
+    # and 8.5 m/s where Cp_max k3 / k3 rounds above Cp_max
+    _, cp_max = find_mpp(surface)
+    table = build_table(turbine, surface)
+    assert len(table.points) == 147
+    for pt in table.points:
+        k3 = turbine.swept_k * pt.v_w ** 3
+        p_target = pt.eta * min(cp_max * k3, turbine.P_rated) / turbine.P_rated
+        assert pt.p_wt_del == pytest.approx(p_target, abs=1e-7), \
+            f"({pt.v_w}, {pt.eta})"
 
 
 @given(v_w=st.floats(5.0, 13.0), e1=st.floats(0.72, 0.88))

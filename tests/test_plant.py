@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from windgfm.harness import gains_for_scenario, Scenario
+from windgfm import _kernel
 from windgfm.plant import (
     LoadProfile, Mode, NetworkParams, PlantError, SgParams, closed_loop_derivative,
-    find_equilibrium, gsc_power, pmsg_power, rk4_step, simulate, step_rk4,
-    wind_power_pu,
+    find_equilibrium, rk4_step, simulate, step_rk4, wind_power_pu,
 )
 from windgfm._kernel.layout import P_BG, P_BM, P_CDC
 
@@ -19,26 +19,32 @@ def equilibrium(plant, surface, v_w=8.0, eta=0.9, mode=Mode.GFM_FR,
     return design, find_equilibrium(plant, design.gains, surface, v_w, load, mode)
 
 
-def test_pmsg_power_example():
-    assert pmsg_power(1.5, 0.1, 0.0) == pytest.approx(0.14975, abs=1e-5)
+def test_pmsg_power_example(plant, surface):
+    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    p = p_arr.copy()
+    p[P_BM] = 1.5
+    x = x0.copy()
+    x[5], x[6] = 0.0, 0.1       # theta_r - theta_msc = 0.1
+    x[0] = x[1]                 # no GSC power
+    d = _kernel.derivative(x, 0.0, p, int(Mode.GFM_FR), 2.0)
+    p_pmsg = p[P_CDC] * x[4] * d[4]
+    assert p_pmsg == pytest.approx(0.14975, abs=1e-5)
 
 
-def test_gsc_power_two_line_example():
-    # angle differences (0.1, -0.05) with b = (1, 2)
-    p = gsc_power(((1.0, -0.1), (2.0, 0.05)), 0.0)
-    assert p == pytest.approx(math.sin(0.1) - 2.0 * math.sin(0.05), abs=1e-12)
-    assert p == pytest.approx(-0.00013, abs=5e-5)
+def test_gsc_power_antisymmetry(plant, surface):
+    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    p = p_arr.copy()
+    p[P_BG] = 1.3
 
+    def p_gsc(th_gsc, th_g):
+        x = x0.copy()
+        x[0], x[1] = th_gsc, th_g
+        x[5] = x[6]             # no machine-side power
+        d = _kernel.derivative(x, 0.0, p, int(Mode.GFM_FR), 2.0)
+        return -p[P_CDC] * x[4] * d[4]
 
-def test_gsc_power_antisymmetry():
-    lines = ((1.3, 0.2),)
-    assert gsc_power(lines, 0.5) == pytest.approx(
-        -gsc_power(((1.3, 0.5),), 0.2), abs=1e-15)
-
-
-def test_gsc_power_requires_lines():
-    with pytest.raises(ValueError):
-        gsc_power((), 0.0)
+    assert p_gsc(0.5, 0.2) == pytest.approx(1.3 * math.sin(0.3), abs=1e-14)
+    assert p_gsc(0.5, 0.2) == pytest.approx(-p_gsc(0.2, 0.5), abs=1e-15)
 
 
 def test_sg_per_unit_conversion():
@@ -54,13 +60,17 @@ def test_parameter_validation():
         NetworkParams(b_g=-1.0)
 
 
-def test_load_profile_steps():
+def test_load_profile_steps(plant, surface):
     load = LoadProfile(base=2.0, events=((30.0, 0.4), (45.0, -0.1)))
-    assert load.value(0.0) == 2.0
-    assert load.value(30.0) == 2.4
-    assert load.value(50.0) == pytest.approx(2.3)
     assert load.ev_times == (30.0, 45.0)
     assert load.ev_steps == (0.4, -0.1)
+    # the SG swing row sees base + every event at or before t
+    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    j_g = plant.sg.j_g(plant.network.s_base)
+    for t, dp in ((0.0, 0.0), (29.999, 0.0), (30.0, 0.4), (50.0, 0.3)):
+        d = _kernel.derivative(x0, t, p_arr, int(Mode.GFM_FR), load.base,
+                               load.ev_times, load.ev_steps)
+        assert d[2] == pytest.approx(-dp / j_g, abs=1e-12), t
 
 
 def test_rk4_linear_oracle():
@@ -82,7 +92,7 @@ def test_equilibrium_residual_is_tiny(plant, surface):
 
 def test_equilibrium_angles_match_power(plant, surface):
     _, (x0, p_arr, op) = equilibrium(plant, surface)
-    assert pmsg_power(p_arr[P_BM], x0[6], x0[5]) == pytest.approx(
+    assert p_arr[P_BM] * math.sin(x0[6] - x0[5]) == pytest.approx(
         op.p_wt0, abs=1e-12)
     assert p_arr[P_BG] * math.sin(x0[0] - x0[1]) == pytest.approx(
         op.p_wt0, abs=1e-12)
