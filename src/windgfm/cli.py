@@ -15,6 +15,7 @@ from .config import (
     make_surface, make_turbine,
 )
 from .harness import HarnessAssertionError
+from .plant import PlantError
 
 
 def _add_common(sub):
@@ -80,15 +81,14 @@ def cmd_deload_table(args) -> int:
 
 def cmd_gain_design(args) -> int:
     cfg = _cfg(args)
-    sc = cfg["scenario"]
     plant = make_plant(cfg)
     surface = make_surface(cfg)
-    spec = make_design_spec(cfg)
-    if float(sc["eta"]) >= 1.0:
-        d = gaindesign.mppt_gains(plant.turbine, surface, float(sc["v_w"]), spec)
+    sc = harness.scenario_from_config(cfg)
+    if sc.eta >= 1.0:
+        d = gaindesign.mppt_gains(plant.turbine, surface, sc.v_w, sc.spec)
     else:
-        d = gaindesign.design_gains(plant.turbine, surface, float(sc["v_w"]),
-                                    float(sc["eta"]), spec)
+        d = gaindesign.design_gains(plant.turbine, surface, sc.v_w, sc.eta,
+                                    sc.spec)
     out = {
         "v_w": float(d.v_w), "eta": float(d.eta), "status": d.status,
         "m_p": None if math.isinf(d.m_p) else float(d.m_p),
@@ -172,6 +172,9 @@ def main(argv=None) -> int:
         return 3
     except (HarnessAssertionError, AssertionError) as e:
         print(f"assertion failure: {e}", file=sys.stderr)
+        return 2
+    except PlantError as e:
+        print(f"simulation failure: {e}", file=sys.stderr)
         return 2
 
 

@@ -30,6 +30,8 @@ class DesignSpec:
             raise ValueError("excursion limits must be positive")
         if self.msc_floor < 0:
             raise ValueError("msc_floor must be non-negative")
+        if not self.t_dc > 0:
+            raise ValueError("t_dc must be positive")
 
 
 # presets per the two published operating assumptions

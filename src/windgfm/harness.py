@@ -1,7 +1,6 @@
 """Scenario runner, frequency metrics, mode comparison, and CSV emission."""
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +20,10 @@ from .plant import (
 
 TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
                  "P_wt", "P_gsc", "P_g")
+# Trace samples handled per block when P_wt is rebuilt and when rows are
+# written: large enough to amortise the per-block numpy calls, small enough
+# that no block-sized copy shows in peak memory.
+BLOCK = 512
 
 
 class HarnessAssertionError(AssertionError):
@@ -41,6 +44,10 @@ class Scenario:
     def __post_init__(self):
         if self.duration <= 0 or self.dt <= 0:
             raise ValueError("duration and dt must be positive")
+        if not self.v_w > 0:
+            raise ValueError("v_w must be positive")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError("eta must lie in (0, 1]")
         for t_ev, _ in self.load.events:
             if not 0.0 < t_ev < self.duration:
                 raise ValueError("events must fall inside the run")
@@ -54,6 +61,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
                         duration=float(sc["duration"]), dt=float(sc["dt"]),
                         sample_dt=float(sc["sample_dt"]),
                         spec=make_design_spec(cfg))
+    except ConfigError:
+        raise
     except (ValueError, KeyError) as e:
         raise ConfigError(f"scenario: {e}") from e
 
@@ -154,8 +163,13 @@ def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
     p_gsc = plant.network.b_g * np.sin(states[:, 1] - states[:, 2])
     scale = plant.turbine.swept_k * scenario.v_w ** 3 / plant.turbine.P_rated
     lam_c = plant.turbine.R * plant.turbine.omega_nom / scenario.v_w
-    p_wt = np.array([scale * cp(surface, lam_c * o, b)
-                     for o, b in zip(om_r, beta)])
+    # One scalar cp call per sample, on Python floats, so that the Cp
+    # equation keeps its single definition in aero.
+    p_wt = np.empty(t.size)
+    for i in range(0, t.size, BLOCK):
+        p_wt[i:i + BLOCK] = [scale * cp(surface, lam_c * o, b) for o, b in
+                             zip(om_r[i:i + BLOCK].tolist(),
+                                 beta[i:i + BLOCK].tolist())]
     return SimTrace(t=t, f_g=f_base * om_g, f_gsc=f_base * om_gsc,
                     v_dc=v, omega_r=om_r, beta=beta, p_wt=p_wt,
                     p_gsc=p_gsc, p_g=p_g)
@@ -276,12 +290,15 @@ def compare_modes(plant: PlantParams, surface: CpSurface,
 
 
 def trace_to_csv(trace: SimTrace) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(TRACE_COLUMNS) + "\n")
+    """CSV text of a trace; every value is written with %.17g, so it reads
+    back bit for bit.  Each block of rows is one %-format of a flat tuple."""
     cols = [trace.column(c) for c in TRACE_COLUMNS]
-    for i in range(trace.t.size):
-        buf.write(",".join(f"{c[i]:.17g}" for c in cols) + "\n")
-    return buf.getvalue()
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    parts = [",".join(TRACE_COLUMNS) + "\n"]
+    for i in range(0, trace.t.size, BLOCK):
+        block = np.column_stack([c[i:i + BLOCK] for c in cols])
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def trace_from_csv(text: str) -> SimTrace:

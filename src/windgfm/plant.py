@@ -110,6 +110,9 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     """Flat parameter vector for the simulation kernels (calibrated surface)."""
     if surface.variant != "calibrated":
         raise PlantError("kernels require the calibrated analytic surface")
+    if gains.gsc.t_dc != gains.msc.t_dc:
+        raise ValueError("kernels take one DC-filter time constant: "
+                         f"gsc.t_dc={gains.gsc.t_dc} != msc.t_dc={gains.msc.t_dc}")
     tb, sg, nw = plant.turbine, plant.sg, plant.network
     p = np.zeros(N_PARAMS)
     p[P_JG] = sg.j_g(nw.s_base)

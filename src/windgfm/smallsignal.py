@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
 from .control import ControlGains, ratio_matched
@@ -163,24 +162,6 @@ def lasalle_function(model: SmallSignalModel, x6: np.ndarray) -> float:
     S_tr = np.diag([model.b_g, model.b_msc, 1.0, 1.0, 1.0, 1.0])
     z = S_tr @ np.asarray(x6, dtype=float)
     return float(z @ rep.M @ z)
-
-
-def linear_response(model: SmallSignalModel, d_p_l: float, horizon: float,
-                    dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate T x' = A x + E dP_L from rest; returns (t, X)."""
-    Asys = system_matrix(model)
-    b = np.linalg.solve(model.T, model.E) * d_p_l
-    n = int(round(horizon / dt))
-    Phi = expm(Asys * dt)
-    # exact step response of the affine system over one sample
-    x_inf = np.linalg.solve(Asys, -b)
-    t = np.arange(n + 1) * dt
-    X = np.empty((n + 1, 6))
-    x = np.zeros(6)
-    for i in range(n + 1):
-        X[i] = x
-        x = x_inf + Phi @ (x - x_inf)
-    return t, X
 
 
 def steady_state(model: SmallSignalModel, d_p_l: float) -> np.ndarray:

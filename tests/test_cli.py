@@ -105,3 +105,21 @@ def test_compare_subcommand(tmp_path, capsys):
     assert doc["GFM_FR"]["nadir_hz"] > doc["GFL_MPPT"]["nadir_hz"]
     for name in doc:
         assert (tmp_path / f"cmp_{name}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "gain-design"])
+@pytest.mark.parametrize("override, codes", [
+    ("scenario.v_w=0", {"simulate": 3, "gain-design": 3}),
+    ("scenario.eta=0", {"simulate": 3, "gain-design": 3}),
+    ("control.t_dc=0", {"simulate": 3, "gain-design": 3}),
+    ("scenario.eta=1.5", {"simulate": 3, "gain-design": 3}),
+    # gain-design never integrates, so only simulate sees the divergence
+    ("scenario.dt=0.3", {"simulate": 2, "gain-design": 0}),
+])
+def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
+    rc = cli.main([command, "--set", override])
+    err = capsys.readouterr().err
+    assert rc == codes[command]
+    assert "Traceback" not in err
+    if rc == 3:
+        assert err.startswith("config error:") and err.count("\n") == 1

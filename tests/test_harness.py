@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from windgfm import harness
+from windgfm import aero, harness
 from windgfm.harness import (
-    HarnessAssertionError, Scenario, SimTrace, compute_metrics,
+    BLOCK, HarnessAssertionError, Scenario, SimTrace, compute_metrics,
     gains_for_scenario, run_scenario, scenario_from_config, trace_from_csv,
     trace_to_csv,
 )
-from windgfm.plant import LoadProfile, Mode
+from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
 
 
 def synthetic_trace(dt=1e-3, t_end=40.0, t_ev=10.0, nadir=49.644,
@@ -62,6 +64,77 @@ def test_trace_csv_round_trip_exact():
         np.testing.assert_array_equal(tr.column(name), back.column(name))
 
 
+def per_row_csv(trace):
+    """Reference writer: one f-string per value, one line per row."""
+    cols = [trace.column(c) for c in harness.TRACE_COLUMNS]
+    lines = [",".join(harness.TRACE_COLUMNS)]
+    lines += [",".join(f"{c[i]:.17g}" for c in cols) for i in range(trace.t.size)]
+    return "\n".join(lines) + "\n"
+
+
+CSV_SPECIALS = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 0.1]
+
+
+@given(n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+       pool=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=16),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_trace_csv_matches_per_row_writer(n, pool, seed):
+    values = np.array(CSV_SPECIALS + pool)
+    rng = np.random.default_rng(seed)
+    cells = values[rng.integers(0, values.size, size=len(harness.TRACE_COLUMNS) * n)]
+    cells[:len(CSV_SPECIALS)] = CSV_SPECIALS
+    cols = cells.reshape(len(harness.TRACE_COLUMNS), n)
+    tr = SimTrace(**{name.lower(): cols[k]
+                     for k, name in enumerate(harness.TRACE_COLUMNS)})
+    got, want = trace_to_csv(tr), per_row_csv(tr)
+    # No bare assert: pytest's diff of two long texts is slow enough to
+    # stall Hypothesis's shrinking of a failure.
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                 min(len(got), len(want)))
+        lo = max(i - 40, 0)
+        pytest.fail(f"first difference at character {i}: "
+                    f"{got[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+
+
+def short_run(plant, surface, mode, v_w):
+    """Sampled states of a 2 s run with a load step at 1 s."""
+    eta = 0.9 if mode == Mode.GFM_FR else 1.0
+    sc = Scenario(mode=mode, v_w=v_w, eta=eta, duration=2.0,
+                  load=LoadProfile(events=((1.0, 0.4),)))
+    gains = gains_for_scenario(plant, surface, sc).gains
+    x0, p_arr, op = find_equilibrium(plant, gains, surface, v_w, sc.load, mode)
+    states = simulate(x0, p_arr, mode, sc.load, sc.duration, sc.dt,
+                      sc.sample_dt)
+    return sc, gains, states, op
+
+
+@pytest.mark.parametrize("mode", [Mode.GFM_FR, Mode.GFM_MPPT])
+@pytest.mark.parametrize("v_w", [8.0, 12.0])
+def test_trace_p_wt_bit_identical_to_scalar_cp(plant, surface, mode, v_w):
+    sc, gains, states, op = short_run(plant, surface, mode, v_w)
+    tr = harness._trace_from_states(plant, surface, gains, sc, states, op)
+    tb = plant.turbine
+    scale = tb.swept_k * v_w ** 3 / tb.P_rated
+    lam_c = tb.R * tb.omega_nom / v_w
+    want = np.array([scale * aero.cp(surface, lam_c * o, b)
+                     for o, b in zip(states[:, 8], states[:, 11])])
+    assert tr.p_wt.size > 2 * BLOCK
+    assert tr.p_wt.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row, omega_r", [(0, 0.0), (BLOCK + 1, -0.5),
+                                          (-1, 0.0)])
+def test_trace_rejects_nonpositive_rotor_speed(plant, surface, row, omega_r):
+    sc, gains, states, op = short_run(plant, surface, Mode.GFM_FR, 8.0)
+    states = states.copy()
+    states[row, 8] = omega_r
+    with pytest.raises(aero.AeroDomainError):
+        harness._trace_from_states(plant, surface, gains, sc, states, op)
+
+
 def test_trace_csv_header_checked():
     with pytest.raises(ValueError):
         trace_from_csv("a,b,c\n1,2,3\n")
@@ -80,6 +153,10 @@ def test_trace_validation_rejects_nonfinite():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(duration=-1.0)
+    for bad in ({"v_w": 0.0}, {"v_w": float("nan")}, {"eta": 0.0},
+                {"eta": 1.5}):
+        with pytest.raises(ValueError):
+            Scenario(**bad)
     with pytest.raises(ValueError):
         Scenario(duration=10.0, load=LoadProfile(events=((30.0, 0.4),)))
 
