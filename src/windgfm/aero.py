@@ -1,6 +1,7 @@
 """Aerodynamic power-coefficient surface, mechanical power, and sensitivities."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,43 +47,13 @@ class AeroDomainError(ValueError):
 class CpSurface:
     """Power-coefficient surface Cp(lambda, beta)."""
 
-    variant: str = "calibrated"  # "calibrated" | "generic" | "tabulated"
+    variant: str = "calibrated"  # "calibrated" | "generic"
     coeffs: tuple = CALIBRATED_COEFFS
     cpmax_scale: float = CALIBRATED_CPMAX
-    # tabulated variant
-    lam_grid: np.ndarray | None = None
-    beta_grid: np.ndarray | None = None
-    cp_grid: np.ndarray | None = None
 
     @staticmethod
     def generic(coeffs: tuple = GENERIC_COEFFS) -> "CpSurface":
         return CpSurface(variant="generic", coeffs=coeffs)
-
-    @staticmethod
-    def tabulated(lam_grid, beta_grid, cp_grid) -> "CpSurface":
-        lam_grid = np.asarray(lam_grid, dtype=float)
-        beta_grid = np.asarray(beta_grid, dtype=float)
-        cp_grid = np.asarray(cp_grid, dtype=float)
-        if np.any(np.diff(lam_grid) <= 0) or np.any(np.diff(beta_grid) <= 0):
-            raise AeroDomainError("table axes must be strictly increasing")
-        if cp_grid.shape != (lam_grid.size, beta_grid.size):
-            raise AeroDomainError("cp grid shape mismatch")
-        return CpSurface(variant="tabulated", lam_grid=lam_grid,
-                         beta_grid=beta_grid, cp_grid=cp_grid)
-
-    @staticmethod
-    def from_csv(path) -> "CpSurface":
-        """Read a tabulated surface (header ``lambda,beta_deg,cp``, lambda-outer)."""
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        lam = np.unique(raw["lambda"])
-        beta = np.unique(raw["beta_deg"])
-        cp_grid = np.full((lam.size, beta.size), np.nan)
-        li = np.searchsorted(lam, raw["lambda"])
-        bi = np.searchsorted(beta, raw["beta_deg"])
-        cp_grid[li, bi] = raw["cp"]
-        if np.any(np.isnan(cp_grid)):
-            raise AeroDomainError("incomplete cp table")
-        return CpSurface.tabulated(lam, beta, cp_grid)
 
 
 @dataclass(frozen=True)
@@ -138,20 +109,6 @@ def _cp_calibrated(lam: float, beta: float, c, cpmax: float) -> float:
     return v if v < BETZ else BETZ
 
 
-def _cp_tabulated(lam: float, beta: float, s: CpSurface) -> float:
-    lg, bg, cg = s.lam_grid, s.beta_grid, s.cp_grid
-    if not (lg[0] <= lam <= lg[-1]) or not (bg[0] <= beta <= bg[-1]):
-        raise AeroDomainError(f"({lam}, {beta}) outside table domain")
-    i = min(int(np.searchsorted(lg, lam, side="right")) - 1, lg.size - 2)
-    j = min(int(np.searchsorted(bg, beta, side="right")) - 1, bg.size - 2)
-    i = max(i, 0)
-    j = max(j, 0)
-    tx = (lam - lg[i]) / (lg[i + 1] - lg[i])
-    ty = (beta - bg[j]) / (bg[j + 1] - bg[j])
-    return float((1 - tx) * (1 - ty) * cg[i, j] + tx * (1 - ty) * cg[i + 1, j]
-                 + (1 - tx) * ty * cg[i, j + 1] + tx * ty * cg[i + 1, j + 1])
-
-
 def cp(surface: CpSurface, lam: float, beta: float) -> float:
     """Cp(lambda, beta), clamped to [0, Betz limit]."""
     if lam <= 0:
@@ -160,19 +117,14 @@ def cp(surface: CpSurface, lam: float, beta: float) -> float:
         return _cp_calibrated(lam, beta, surface.coeffs, surface.cpmax_scale)
     if surface.variant == "generic":
         v = _cp_generic(lam, beta, surface.coeffs)
-    elif surface.variant == "tabulated":
-        v = _cp_tabulated(lam, beta, surface)
     else:
         raise AeroDomainError(f"unknown surface variant {surface.variant!r}")
     return min(max(v, 0.0), BETZ)
 
 
 def cp_partials(surface: CpSurface, lam: float, beta: float) -> tuple[float, float]:
-    """(dCp/dlambda, dCp/dbeta).
-
-    Closed form for the analytic variants; central differences at grid
-    scale for the tabulated variant.
-    """
+    """(dCp/dlambda, dCp/dbeta): closed form for the calibrated surface,
+    central differences (one-sided at beta = 0) for the generic one."""
     if surface.variant == "calibrated":
         w, D, E, U, q, lam0, a1, a2, a3, a4, L, bb, p1, p2 = surface.coeffs
         eb = math.exp(-(beta / p2) ** 2)
@@ -199,11 +151,7 @@ def cp_partials(surface: CpSurface, lam: float, beta: float) -> tuple[float, flo
         b_lo, b_hi = max(beta - h, 0.0), beta + h
         db = (cp(surface, lam, b_hi) - cp(surface, lam, b_lo)) / (b_hi - b_lo)
         return dl, db
-    hl = float(np.min(np.diff(surface.lam_grid))) * 0.5
-    hb = float(np.min(np.diff(surface.beta_grid))) * 0.5
-    dl = (cp(surface, lam + hl, beta) - cp(surface, lam - hl, beta)) / (2 * hl)
-    db = (cp(surface, lam, beta + hb) - cp(surface, lam, beta - hb)) / (2 * hb)
-    return dl, db
+    raise AeroDomainError(f"unknown surface variant {surface.variant!r}")
 
 
 def tip_speed_ratio(R: float, omega_r: float, v_w: float) -> float:
@@ -222,12 +170,21 @@ def wind_power(params: TurbineParams, surface: CpSurface, v_w: float,
     return params.n_agg * params.swept_k * c * v_w ** 3
 
 
+@functools.lru_cache(maxsize=None)
 def find_mpp(surface: CpSurface, lam_lo: float = 2.0, lam_hi: float = 15.0) -> tuple[float, float]:
-    """(lam_mpp, cp_max) of Cp(., 0): coarse grid scan + golden-section refine."""
+    """(lam_mpp, cp_max) of Cp(., 0): coarse grid scan + golden-section refine.
+
+    Memoized: a surface is a frozen dataclass, so each distinct surface is
+    solved once per process.  A raised error is not cached.
+    """
     grid = np.arange(lam_lo, lam_hi, 1e-2)
     vals = np.array([cp(surface, l, 0.0) for l in grid])
     i = int(np.argmax(vals))
-    if vals[i] - np.median(vals) < 1e-9:
+    # Median without np.median, whose first call imports numpy.ma.
+    srt = np.sort(vals)
+    mid = srt.size // 2
+    median = srt[mid] if srt.size % 2 else 0.5 * (srt[mid - 1] + srt[mid])
+    if vals[i] - median < 1e-9:
         raise AeroDomainError("Cp(.,0) is flat; no distinct maximum")
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, grid.size - 1)]
@@ -261,7 +218,7 @@ def power_sensitivities(params: TurbineParams, surface: CpSurface, v_w: float,
         lam = tip_speed_ratio(params.R, om_pu * params.omega_nom, v_w)
         return params.swept_k * cp(surface, lam, b) * v_w ** 3 / p_base
 
-    if method == "analytic" and surface.variant in ("calibrated", "generic"):
+    if method == "analytic":
         lam = tip_speed_ratio(params.R, omega_del * params.omega_nom, v_w)
         dl, db = cp_partials(surface, lam, beta_del)
         scale = params.swept_k * v_w ** 3 / p_base

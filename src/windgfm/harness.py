@@ -24,6 +24,10 @@ TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
 # written: large enough to amortise the per-block numpy calls, small enough
 # that no block-sized copy shows in peak memory.
 BLOCK = 512
+# Smallest steady-state |ΔP_wt| (pu) a measured droop is computed from.
+# Where P_wt is held (GFL_MPPT, GFM_MPPT below rated) ΔP_wt is numerical
+# noise, 4e-5 pu and less, and compute_metrics reports no droop.
+DROOP_DP_FLOOR = 1e-4
 
 
 class HarnessAssertionError(AssertionError):
@@ -42,8 +46,9 @@ class Scenario:
     spec: DesignSpec = DesignSpec()
 
     def __post_init__(self):
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
+        for name in ("duration", "dt", "sample_dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not self.v_w > 0:
             raise ValueError("v_w must be positive")
         if not 0.0 < self.eta <= 1.0:
@@ -105,7 +110,7 @@ class FrequencyMetrics:
     rocof_hz_per_s: float
     f_ss_hz: float
     dv_dc_ss_pu: float
-    droop_measured: float
+    droop_measured: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -247,7 +252,7 @@ def compute_metrics(trace: SimTrace, t_event: float,
     rocof = float(df.max() / (w * dt_s))
     d_p_wt = float(trace.p_wt[tail].mean() - trace.p_wt[pre].mean())
     d_om = (f_ss - float(trace.f_g[pre].mean())) / f_base
-    droop = -d_om / d_p_wt if abs(d_p_wt) > 1e-9 else 0.0
+    droop = -d_om / d_p_wt if abs(d_p_wt) >= DROOP_DP_FLOOR else None
     return FrequencyMetrics(nadir_hz=float(f_post[i_nadir]),
                             t_nadir_s=float(t_post[i_nadir]),
                             rocof_hz_per_s=rocof, f_ss_hz=f_ss,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from windgfm import aero
+from windgfm import aero, curtailment, gaindesign
 from windgfm.aero import (
     BETZ, AeroDomainError, CpSurface, TurbineParams, cp, cp_partials,
     find_mpp, power_sensitivities, tip_speed_ratio, wind_power,
@@ -67,10 +67,32 @@ def test_find_mpp_first_order_condition(surface):
 
 
 def test_find_mpp_flat_surface_raises():
-    flat = CpSurface.tabulated([2.0, 8.0, 15.0], [0.0, 10.0],
-                               np.full((3, 2), 0.3))
+    flat = CpSurface.generic((0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
     with pytest.raises(AeroDomainError):
         find_mpp(flat)
+    # a failure is not memoized: the second call solves and raises again
+    with pytest.raises(AeroDomainError):
+        find_mpp(flat)
+
+
+def test_find_mpp_solves_once_per_surface(monkeypatch, turbine, surface):
+    v_grid = np.linspace(5.0, 14.0, 10)
+    eta_grid = np.array([0.7, 0.8, 0.9, 0.95, 1.0])
+
+    def outputs():
+        table = curtailment.build_table(turbine, surface)
+        m, status = gaindesign.droop_map(turbine, surface, v_grid, eta_grid)
+        return (curtailment.table_to_csv(table),
+                gaindesign.droop_map_to_csv(v_grid, eta_grid, m, status))
+
+    find_mpp.cache_clear()
+    cached = outputs()
+    info = find_mpp.cache_info()
+    assert info.misses == 1 and info.hits > 100
+    for mod in (curtailment, gaindesign):
+        monkeypatch.setattr(mod, "find_mpp", find_mpp.__wrapped__)
+    assert outputs() == cached
+    assert find_mpp.cache_info() == info
 
 
 @given(lam=st.floats(0.5, 20.0), beta=st.floats(0.0, 30.0))
@@ -128,48 +150,6 @@ def test_generic_partials_match_finite_differences(lam, beta):
     if 1e-5 < raw < BETZ - 1e-5:
         assert dl == pytest.approx(dl_fd, rel=1e-4, abs=1e-7)
         assert db == pytest.approx(db_fd, rel=1e-4, abs=1e-7)
-
-
-def test_tabulated_bilinear_identity():
-    lam_g = np.linspace(2.0, 14.0, 25)
-    beta_g = np.linspace(0.0, 30.0, 16)
-    s0 = CpSurface()
-    grid = np.array([[cp(s0, l, b) for b in beta_g] for l in lam_g])
-    tab = CpSurface.tabulated(lam_g, beta_g, grid)
-    # exact at the nodes
-    for i in (0, 7, 24):
-        for j in (0, 5, 15):
-            assert cp(tab, lam_g[i], beta_g[j]) == pytest.approx(
-                grid[i, j], abs=1e-14)
-    # bilinear at a cell midpoint
-    lm = 0.5 * (lam_g[3] + lam_g[4])
-    bm = 0.5 * (beta_g[2] + beta_g[3])
-    expect = 0.25 * (grid[3, 2] + grid[4, 2] + grid[3, 3] + grid[4, 3])
-    assert cp(tab, lm, bm) == pytest.approx(expect, abs=1e-14)
-
-
-def test_tabulated_domain_and_shape_errors():
-    with pytest.raises(AeroDomainError):
-        CpSurface.tabulated([1.0, 1.0], [0.0, 1.0], np.zeros((2, 2)))
-    with pytest.raises(AeroDomainError):
-        CpSurface.tabulated([1.0, 2.0], [0.0, 1.0], np.zeros((3, 2)))
-    tab = CpSurface.tabulated([2.0, 10.0], [0.0, 10.0], np.full((2, 2), 0.3))
-    with pytest.raises(AeroDomainError):
-        cp(tab, 12.0, 0.0)
-
-
-def test_from_csv_round_trip(tmp_path):
-    lam_g = [4.0, 8.0, 12.0]
-    beta_g = [0.0, 5.0]
-    s0 = CpSurface()
-    lines = ["lambda,beta_deg,cp"]
-    for l in lam_g:
-        for b in beta_g:
-            lines.append(f"{l},{b},{cp(s0, l, b):.17g}")
-    path = tmp_path / "cp.csv"
-    path.write_text("\n".join(lines) + "\n")
-    tab = CpSurface.from_csv(path)
-    assert cp(tab, 8.0, 5.0) == pytest.approx(cp(s0, 8.0, 5.0), abs=1e-14)
 
 
 def test_sensitivities_zero_at_mpp(turbine, surface):

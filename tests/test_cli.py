@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import windgfm
 from windgfm import cli
 from windgfm.harness import trace_from_csv
 
@@ -115,6 +120,11 @@ def test_compare_subcommand(tmp_path, capsys):
     ("scenario.eta=1.5", {"simulate": 3, "gain-design": 3}),
     # gain-design never integrates, so only simulate sees the divergence
     ("scenario.dt=0.3", {"simulate": 2, "gain-design": 0}),
+    ("scenario.dt=nan", {"simulate": 3, "gain-design": 3}),
+    ("scenario.sample_dt=nan", {"simulate": 3, "gain-design": 3}),
+    ("scenario.duration=inf", {"simulate": 3, "gain-design": 3}),
+    ("scenario.sample_dt=0", {"simulate": 3, "gain-design": 3}),
+    ("scenario.sample_dt=-0.5", {"simulate": 3, "gain-design": 3}),
 ])
 def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     rc = cli.main([command, "--set", override])
@@ -123,3 +133,16 @@ def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     assert "Traceback" not in err
     if rc == 3:
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_gain_design_does_not_import_numpy_ma():
+    # numpy.ma costs ~10 ms of import; the design chain must not load it
+    src = str(Path(windgfm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys; from windgfm.cli import main; "
+            "assert main(['gain-design']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

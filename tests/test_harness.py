@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,18 @@ def test_metrics_on_synthetic_trace():
     # droop = -(delta f / f_base) / delta P_wt
     assert m.droop_measured == pytest.approx((50.0 - 49.724) / 50.0 / 0.05,
                                              rel=1e-6)
+
+
+@pytest.mark.parametrize("dp", [0.0, 5.6e-17, -6.9e-6, 9.9e-5, 1.01e-4])
+def test_metrics_droop_null_when_power_step_is_noise(dp):
+    tr = synthetic_trace()
+    p_wt = np.where(tr.t >= 10.0, 0.7 + dp, 0.7)
+    m = compute_metrics(dataclasses.replace(tr, p_wt=p_wt), 10.0)
+    droop = json.loads(harness.metrics_to_json({"X": m}))["X"]["droop_measured"]
+    if abs(dp) < 1e-4:  # pu, the noise floor of the steady-state power step
+        assert m.droop_measured is None and droop is None
+    else:
+        assert droop == pytest.approx((50.0 - 49.724) / 50.0 / dp, rel=1e-6)
 
 
 def test_metrics_rejects_short_trace():
