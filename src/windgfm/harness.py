@@ -22,7 +22,10 @@ TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
                  "P_wt", "P_gsc", "P_g")
 # Trace samples handled per block when P_wt is rebuilt and when rows are
 # written: large enough to amortise the per-block numpy calls, small enough
-# that no block-sized copy shows in peak memory.
+# that no block-sized copy shows in peak memory.  Before the first load step
+# the trace sits on an exact fixed point of the RK4 step, so there a column
+# holds one value, bit for bit, across whole blocks; such a column is
+# handled once per block.
 BLOCK = 512
 # Smallest steady-state |ΔP_wt| (pu) a measured droop is computed from.
 # Where P_wt is held (GFL_MPPT, GFM_MPPT below rated) ΔP_wt is numerical
@@ -145,6 +148,12 @@ def run_scenario(plant: PlantParams, surface: CpSurface, scenario: Scenario,
     return result
 
 
+def _constant(a: np.ndarray) -> bool:
+    """True if every value of a has the same bits (0.0 and -0.0 differ)."""
+    bits = a.view(np.int64)
+    return bits.min() == bits.max()
+
+
 def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
     f_base = plant.network.f_hz
     t = states[:, 0]
@@ -168,13 +177,18 @@ def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
     p_gsc = plant.network.b_g * np.sin(states[:, 1] - states[:, 2])
     scale = plant.turbine.swept_k * scenario.v_w ** 3 / plant.turbine.P_rated
     lam_c = plant.turbine.R * plant.turbine.omega_nom / scenario.v_w
-    # One scalar cp call per sample, on Python floats, so that the Cp
-    # equation keeps its single definition in aero.
+    # Scalar cp calls on Python floats, so that the Cp equation keeps its
+    # single definition in aero: one per block where omega_r and beta are
+    # block-constant, one per sample elsewhere.
     p_wt = np.empty(t.size)
     for i in range(0, t.size, BLOCK):
-        p_wt[i:i + BLOCK] = [scale * cp(surface, lam_c * o, b) for o, b in
-                             zip(om_r[i:i + BLOCK].tolist(),
-                                 beta[i:i + BLOCK].tolist())]
+        o, b = om_r[i:i + BLOCK], beta[i:i + BLOCK]
+        if _constant(o) and _constant(b):
+            p_wt[i:i + BLOCK] = scale * cp(surface, lam_c * float(o[0]),
+                                           float(b[0]))
+        else:
+            p_wt[i:i + BLOCK] = [scale * cp(surface, lam_c * ok, bk)
+                                 for ok, bk in zip(o.tolist(), b.tolist())]
     return SimTrace(t=t, f_g=f_base * om_g, f_gsc=f_base * om_gsc,
                     v_dc=v, omega_r=om_r, beta=beta, p_wt=p_wt,
                     p_gsc=p_gsc, p_g=p_g)
@@ -296,23 +310,27 @@ def compare_modes(plant: PlantParams, surface: CpSurface,
 
 def trace_to_csv(trace: SimTrace) -> str:
     """CSV text of a trace; every value is written with %.17g, so it reads
-    back bit for bit.  Each block of rows is one %-format of a flat tuple."""
+    back bit for bit.  Each block of rows is one %-format of a flat tuple of
+    its varying columns; a block-constant column is formatted once, into the
+    block's row template."""
     cols = [trace.column(c) for c in TRACE_COLUMNS]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    parts = [",".join(TRACE_COLUMNS) + "\n"]
+    # One growing buffer, not a list of block strings joined at the end: the
+    # list's freed blocks stay resident and raise the peak RSS.
+    buf = bytearray((",".join(TRACE_COLUMNS) + "\n").encode())
     for i in range(0, trace.t.size, BLOCK):
-        block = np.column_stack([c[i:i + BLOCK] for c in cols])
-        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
-
-
-def trace_from_csv(text: str) -> SimTrace:
-    lines = text.strip().split("\n")
-    if lines[0].split(",") != list(TRACE_COLUMNS):
-        raise ValueError("unexpected CSV header")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    kw = {name.lower(): data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
-    return SimTrace(**kw)
+        fields, varying = [], []
+        for c in cols:
+            c = c[i:i + BLOCK]
+            if _constant(c):
+                fields.append("%.17g" % float(c[0]))
+            else:
+                fields.append("%.17g")
+                varying.append(c)
+        rows = (",".join(fields) + "\n") * min(BLOCK, trace.t.size - i)
+        if varying:
+            rows %= tuple(np.column_stack(varying).ravel().tolist())
+        buf += rows.encode()
+    return buf.decode()
 
 
 def metrics_to_json(metrics: dict) -> str:

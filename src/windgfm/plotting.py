@@ -24,10 +24,14 @@ def _panel(title, t, series, labels, y0):
     for v in (lo + pad, hi - pad):
         lines.append(f'<text x="{_ML - 5}" y="{y_of(v):.1f}" font-size="10" '
                      f'text-anchor="end" font-family="sans-serif">{v:.4g}</text>')
+    step = max(len(t) // 2000, 1)
+    # x_of and y_of on whole strided arrays: per point, the same float
+    # operations in the same order as on scalars.
+    xy = np.empty((len(t[::step]), 2))
+    xy[:, 0] = x_of(t[::step])
     for k, (y, lab) in enumerate(zip(series, labels)):
-        step = max(len(t) // 2000, 1)
-        pts = " ".join(f"{x_of(t[i]):.2f},{y_of(y[i]):.2f}"
-                       for i in range(0, len(t), step))
+        xy[:, 1] = y_of(y[::step])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         color = _COLORS[k % len(_COLORS)]
         lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1"/>')

@@ -8,7 +8,8 @@ import pytest
 
 import windgfm
 from windgfm import cli
-from windgfm.harness import trace_from_csv
+
+from test_trace_csv import trace_from_csv
 
 FAST = ["--set", "scenario.duration=40",
         "--set", "scenario.events=[[10.0,0.4]]"]

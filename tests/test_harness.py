@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from windgfm import aero, harness
 from windgfm.harness import (
     BLOCK, HarnessAssertionError, Scenario, SimTrace, compute_metrics,
-    gains_for_scenario, run_scenario, scenario_from_config, trace_from_csv,
-    trace_to_csv,
+    gains_for_scenario, run_scenario, scenario_from_config, trace_to_csv,
 )
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
 
@@ -72,13 +71,6 @@ def test_metrics_to_dict_fields():
                       "dv_dc_ss_pu", "droop_measured"}
 
 
-def test_trace_csv_round_trip_exact():
-    tr = synthetic_trace(dt=0.01, t_end=15.0)
-    back = trace_from_csv(trace_to_csv(tr))
-    for name in harness.TRACE_COLUMNS:
-        np.testing.assert_array_equal(tr.column(name), back.column(name))
-
-
 def per_row_csv(trace):
     """Reference writer: one f-string per value, one line per row."""
     cols = [trace.column(c) for c in harness.TRACE_COLUMNS]
@@ -88,6 +80,17 @@ def per_row_csv(trace):
 
 
 CSV_SPECIALS = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 0.1]
+
+
+def assert_same_text(got, want):
+    # No bare assert: pytest's diff of two long texts is slow enough to
+    # stall Hypothesis's shrinking of a failure.
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                 min(len(got), len(want)))
+        lo = max(i - 40, 0)
+        pytest.fail(f"first difference at character {i}: "
+                    f"{got[lo:i + 40]!r} != {want[lo:i + 40]!r}")
 
 
 @given(n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
@@ -103,15 +106,48 @@ def test_trace_csv_matches_per_row_writer(n, pool, seed):
     cols = cells.reshape(len(harness.TRACE_COLUMNS), n)
     tr = SimTrace(**{name.lower(): cols[k]
                      for k, name in enumerate(harness.TRACE_COLUMNS)})
-    got, want = trace_to_csv(tr), per_row_csv(tr)
-    # No bare assert: pytest's diff of two long texts is slow enough to
-    # stall Hypothesis's shrinking of a failure.
-    if got != want:
-        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                 min(len(got), len(want)))
-        lo = max(i - 40, 0)
-        pytest.fail(f"first difference at character {i}: "
-                    f"{got[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+    assert_same_text(trace_to_csv(tr), per_row_csv(tr))
+
+
+def block_runs(rng, n, pool):
+    """n values in runs of one value each; run lengths around BLOCK make
+    runs start, end and cross block boundaries."""
+    lengths = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK]
+    out, size = [], 0
+    while size < n:
+        k = int(rng.choice(lengths))
+        out.append(np.full(k, pool[rng.integers(0, pool.size)]))
+        size += k
+    return np.concatenate(out)[:n]
+
+
+def signed_zero_blocks(rng, n):
+    """Only 0.0 and -0.0: equal under ==, but every block holds both bit
+    patterns, so no block of this column may be written as constant."""
+    col = np.array([0.0, -0.0])[rng.integers(0, 2, size=n)]
+    col[0::BLOCK] = 0.0
+    col[1::BLOCK] = -0.0
+    return col
+
+
+@given(n=st.sampled_from([1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]),
+       pool=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=4),
+       order=st.permutations(range(len(harness.TRACE_COLUMNS))),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_trace_csv_block_constant_columns_match_per_row_writer(n, pool, order,
+                                                               seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(CSV_SPECIALS + [0.0] + pool)
+    # Every example has one column of each kind besides runs.
+    makers = [lambda: np.full(n, values[rng.integers(0, values.size)]),
+              lambda: signed_zero_blocks(rng, n),
+              lambda: np.full(n, -0.0)]
+    makers += [lambda: block_runs(rng, n, values)] * (len(order) - len(makers))
+    tr = SimTrace(**{name.lower(): makers[order[k]]()
+                     for k, name in enumerate(harness.TRACE_COLUMNS)})
+    assert_same_text(trace_to_csv(tr), per_row_csv(tr))
 
 
 def short_run(plant, surface, mode, v_w):
@@ -126,33 +162,62 @@ def short_run(plant, surface, mode, v_w):
     return sc, gains, states, op
 
 
+def scalar_p_wt(plant, surface, v_w, states):
+    """Reference P_wt: one scalar cp call per sampled row."""
+    tb = plant.turbine
+    scale = tb.swept_k * v_w ** 3 / tb.P_rated
+    lam_c = tb.R * tb.omega_nom / v_w
+    return np.array([scale * aero.cp(surface, lam_c * o, b)
+                     for o, b in zip(states[:, 8], states[:, 11])])
+
+
 @pytest.mark.parametrize("mode", [Mode.GFM_FR, Mode.GFM_MPPT])
 @pytest.mark.parametrize("v_w", [8.0, 12.0])
 def test_trace_p_wt_bit_identical_to_scalar_cp(plant, surface, mode, v_w):
     sc, gains, states, op = short_run(plant, surface, mode, v_w)
     tr = harness._trace_from_states(plant, surface, gains, sc, states, op)
-    tb = plant.turbine
-    scale = tb.swept_k * v_w ** 3 / tb.P_rated
-    lam_c = tb.R * tb.omega_nom / v_w
-    want = np.array([scale * aero.cp(surface, lam_c * o, b)
-                     for o, b in zip(states[:, 8], states[:, 11])])
     assert tr.p_wt.size > 2 * BLOCK
-    assert tr.p_wt.tobytes() == want.tobytes()
+    assert tr.p_wt.tobytes() == scalar_p_wt(plant, surface, v_w,
+                                            states).tobytes()
 
 
-@pytest.mark.parametrize("row, omega_r", [(0, 0.0), (BLOCK + 1, -0.5),
-                                          (-1, 0.0)])
+def test_trace_p_wt_calls_cp_once_per_constant_block(plant, surface,
+                                                      monkeypatch):
+    sc = Scenario()
+    gains = gains_for_scenario(plant, surface, sc).gains
+    x0, p_arr, op = find_equilibrium(plant, gains, surface, sc.v_w, sc.load,
+                                     sc.mode)
+    states = simulate(x0, p_arr, sc.mode, sc.load, sc.duration, sc.dt,
+                      sc.sample_dt)
+    calls = []
+
+    def counting_cp(*args):
+        calls.append(1)
+        return aero.cp(*args)
+
+    monkeypatch.setattr(harness, "cp", counting_cp)
+    tr = harness._trace_from_states(plant, surface, gains, sc, states, op)
+    # The load step at 30 s is row 30,000: the 58 full blocks before it sit
+    # on the equilibrium and take one call each; the other 30,305 rows one
+    # call per row.
+    assert states.shape[0] == 60_001
+    assert len(calls) == 58 + (60_001 - 58 * BLOCK) == 30_363
+    assert tr.p_wt.tobytes() == scalar_p_wt(plant, surface, sc.v_w,
+                                            states).tobytes()
+
+
+@pytest.mark.parametrize("row, omega_r", [
+    (0, 0.0), (BLOCK + 1, -0.5), (-1, 0.0),
+    pytest.param(slice(0, BLOCK), 0.0, id="block0-0.0")])
 def test_trace_rejects_nonpositive_rotor_speed(plant, surface, row, omega_r):
     sc, gains, states, op = short_run(plant, surface, Mode.GFM_FR, 8.0)
     states = states.copy()
     states[row, 8] = omega_r
+    if isinstance(row, slice):  # the block takes the one-call path
+        assert harness._constant(states[row, 8])
+        assert harness._constant(states[row, 11])
     with pytest.raises(aero.AeroDomainError):
         harness._trace_from_states(plant, surface, gains, sc, states, op)
-
-
-def test_trace_csv_header_checked():
-    with pytest.raises(ValueError):
-        trace_from_csv("a,b,c\n1,2,3\n")
 
 
 def test_trace_validation_rejects_nonfinite():

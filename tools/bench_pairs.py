@@ -12,8 +12,9 @@ the working tree.  Pair ``i`` runs ``perfbench/run.py --seed SEED+i`` once on
 each side for the run length set in ``BENCHMARK.json``, alternating which
 side runs first, so that the host's slow drift in CPU speed falls on both
 sides alike.  For each end-to-end metric the output gives both sides'
-median and quartiles and the number of pairs the change wins.  ``--traced``
-adds one ``--trace 1`` run per side with the per-layer metrics.
+median and quartiles, the number of pairs the change wins, and whether the
+change's median is within the metric's bound in ``BENCHMARK.json``.
+``--traced`` adds one ``--trace 1`` run per side with the per-layer metrics.
 """
 from __future__ import annotations
 
@@ -85,8 +86,9 @@ def quartiles(xs: list) -> dict:
 
 
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Per metric: each side's quartiles, the change's wins and its median
-    change against the parent's interquartile range."""
+    """Per metric: each side's quartiles, the change's wins, its median
+    change against the parent's interquartile range, and whether the change's
+    median stays within the metric's bound from ``BENCHMARK.json``."""
     out = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -99,12 +101,18 @@ def summarize(runs: list, end_to_end: list) -> dict:
         change = quartiles([c for _, c in pairs])
         sign = 1.0 if spec["better"] == "lower" else -1.0
         gain = sign * (base["median"] - change["median"])
+        bound = spec["bound"]
+        if spec["better"] == "lower":
+            within = change["median"] <= base["median"] * (1.0 + bound)
+        else:
+            within = change["median"] >= base["median"] * (1.0 - bound)
         out[name] = {
             "unit": spec["unit"], "better": spec["better"],
             "base": base, "change": change,
             "wins": sum(sign * (b - c) > 0 for b, c in pairs), "pairs": len(pairs),
             "median_change": change["median"] / base["median"] - 1.0,
             "gain_exceeds_base_iqr": gain > base["q3"] - base["q1"],
+            "bound": bound, "within_bound": within,
         }
     return out
 
