@@ -1,5 +1,7 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
+The compiled kernel is the hand-written C extension ``_ode_cy.c``; it mirrors
+``_ode_py`` operation for operation, so the two give bit-identical results.
 Set WINDGFM_PURE=1 to force the pure-Python kernel.
 """
 import os

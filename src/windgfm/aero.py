@@ -9,9 +9,6 @@ import numpy as np
 
 BETZ = 16.0 / 27.0
 
-# Generic exponential Cp family, common in the turbine literature.
-GENERIC_COEFFS = (0.5176, 116.0, 0.4, 5.0, 21.0, 0.0068)
-
 # Calibrated surface: Cp = cpmax * h(beta) * g(u) with
 #   u      = (lambda - lam_ridge(beta)) / w
 #   g(u)   = (1 - D u^2/(1+u^2) - E u^4/(1+u^4)) * exp(-|u/U|^q)
@@ -45,15 +42,10 @@ class AeroDomainError(ValueError):
 
 @dataclass(frozen=True)
 class CpSurface:
-    """Power-coefficient surface Cp(lambda, beta)."""
+    """Calibrated power-coefficient surface Cp(lambda, beta)."""
 
-    variant: str = "calibrated"  # "calibrated" | "generic"
     coeffs: tuple = CALIBRATED_COEFFS
     cpmax_scale: float = CALIBRATED_CPMAX
-
-    @staticmethod
-    def generic(coeffs: tuple = GENERIC_COEFFS) -> "CpSurface":
-        return CpSurface(variant="generic", coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -78,13 +70,6 @@ class TurbineParams:
     def swept_k(self) -> float:
         """0.5*rho*pi*R^2, the swept-area factor of the power equation."""
         return 0.5 * self.rho * math.pi * self.R ** 2
-
-
-def _cp_generic(lam: float, beta: float, c) -> float:
-    c1, c2, c3, c4, c5, c6 = c
-    denom = 1.0 / (lam + 0.08 * beta) - 0.035 / (beta ** 3 + 1.0)
-    lam_i = 1.0 / max(denom, 1e-9)
-    return c1 * (c2 / lam_i - c3 * beta - c4) * math.exp(-c5 / lam_i) + c6 * lam
 
 
 def _cp_calibrated(lam: float, beta: float, c, cpmax: float) -> float:
@@ -113,45 +98,30 @@ def cp(surface: CpSurface, lam: float, beta: float) -> float:
     """Cp(lambda, beta), clamped to [0, Betz limit]."""
     if lam <= 0:
         raise AeroDomainError("lambda must be positive")
-    if surface.variant == "calibrated":
-        return _cp_calibrated(lam, beta, surface.coeffs, surface.cpmax_scale)
-    if surface.variant == "generic":
-        v = _cp_generic(lam, beta, surface.coeffs)
-    else:
-        raise AeroDomainError(f"unknown surface variant {surface.variant!r}")
-    return min(max(v, 0.0), BETZ)
+    return _cp_calibrated(lam, beta, surface.coeffs, surface.cpmax_scale)
 
 
 def cp_partials(surface: CpSurface, lam: float, beta: float) -> tuple[float, float]:
-    """(dCp/dlambda, dCp/dbeta): closed form for the calibrated surface,
-    central differences (one-sided at beta = 0) for the generic one."""
-    if surface.variant == "calibrated":
-        w, D, E, U, q, lam0, a1, a2, a3, a4, L, bb, p1, p2 = surface.coeffs
-        eb = math.exp(-(beta / p2) ** 2)
-        lr = lam0 + p1 * beta * eb - L * (1.0 - math.exp(-beta / bb))
-        dlr = p1 * eb * (1.0 - 2.0 * beta * beta / (p2 * p2)) \
-            - L * (-1.0 / bb) * math.exp(-beta / bb) * (-1.0)
-        u = (lam - lr) / w
-        s = u * u
-        G = 1.0 - D * s / (1.0 + s) - E * s * s / (1.0 + s * s)
-        dG = -D * 2.0 * u / (1.0 + s) ** 2 - E * 4.0 * s * u / (1.0 + s * s) ** 2
-        au = abs(u / U)
-        Eq = math.exp(-au ** q)
-        dEq = 0.0 if u == 0.0 else -Eq * (q / U) * au ** (q - 1.0) * math.copysign(1.0, u)
-        g = G * Eq
-        dg = dG * Eq + G * dEq
-        poly = a1 * beta + a2 * beta ** 2 + a3 * beta ** 3 + a4 * beta ** 4
-        h = math.exp(-poly)
-        dh = -h * (a1 + 2 * a2 * beta + 3 * a3 * beta ** 2 + 4 * a4 * beta ** 3)
-        cpm = surface.cpmax_scale
-        return cpm * h * dg / w, cpm * (dh * g + h * dg * (-dlr / w))
-    if surface.variant == "generic":
-        h = 1e-7
-        dl = (cp(surface, lam + h, beta) - cp(surface, lam - h, beta)) / (2 * h)
-        b_lo, b_hi = max(beta - h, 0.0), beta + h
-        db = (cp(surface, lam, b_hi) - cp(surface, lam, b_lo)) / (b_hi - b_lo)
-        return dl, db
-    raise AeroDomainError(f"unknown surface variant {surface.variant!r}")
+    """(dCp/dlambda, dCp/dbeta) in closed form."""
+    w, D, E, U, q, lam0, a1, a2, a3, a4, L, bb, p1, p2 = surface.coeffs
+    eb = math.exp(-(beta / p2) ** 2)
+    lr = lam0 + p1 * beta * eb - L * (1.0 - math.exp(-beta / bb))
+    dlr = p1 * eb * (1.0 - 2.0 * beta * beta / (p2 * p2)) \
+        - L * (-1.0 / bb) * math.exp(-beta / bb) * (-1.0)
+    u = (lam - lr) / w
+    s = u * u
+    G = 1.0 - D * s / (1.0 + s) - E * s * s / (1.0 + s * s)
+    dG = -D * 2.0 * u / (1.0 + s) ** 2 - E * 4.0 * s * u / (1.0 + s * s) ** 2
+    au = abs(u / U)
+    Eq = math.exp(-au ** q)
+    dEq = 0.0 if u == 0.0 else -Eq * (q / U) * au ** (q - 1.0) * math.copysign(1.0, u)
+    g = G * Eq
+    dg = dG * Eq + G * dEq
+    poly = a1 * beta + a2 * beta ** 2 + a3 * beta ** 3 + a4 * beta ** 4
+    h = math.exp(-poly)
+    dh = -h * (a1 + 2 * a2 * beta + 3 * a3 * beta ** 2 + 4 * a4 * beta ** 3)
+    cpm = surface.cpmax_scale
+    return cpm * h * dg / w, cpm * (dh * g + h * dg * (-dlr / w))
 
 
 def tip_speed_ratio(R: float, omega_r: float, v_w: float) -> float:

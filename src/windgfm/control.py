@@ -12,11 +12,10 @@ class ConverterGains:
 
     k_theta: float          # pu-freq / pu-Vdc
     k_d: float = 0.0        # pu-freq*s / pu-Vdc
-    t_dc: float = 0.005     # s, DC-filter time constant
 
     def __post_init__(self):
-        if self.k_theta <= 0 or self.t_dc <= 0:
-            raise ValueError("k_theta and t_dc must be positive")
+        if self.k_theta <= 0:
+            raise ValueError("k_theta must be positive")
         if self.k_d < 0:
             raise ValueError("k_d must be non-negative")
 
@@ -49,6 +48,11 @@ class ControlGains:
     v_dc_star: float = 1.0
     omega_0: float = 1.0    # pu, GSC frequency setpoint
     omega_del: float = 1.0  # pu, MSC (rotor) frequency setpoint
+    t_dc: float = 0.005     # s, DC-filter time constant of both converters
+
+    def __post_init__(self):
+        if not self.t_dc > 0:
+            raise ValueError("t_dc must be positive")
 
     @property
     def theorem1_ratio_ok(self) -> bool:
@@ -97,8 +101,8 @@ def pitch_rate(beta: float, beta_ref: float, t_servo: float, rate_limit: float,
                beta_min: float, beta_max: float) -> float:
     """d beta/dt of the pitch servo.
 
-    beta_ref is clamped to [beta_min, beta_max]; the first-order servo is
-    rate-limited to +-rate_limit and held at the range ends.
+    beta_ref is clamped to [beta_min, beta_max] and the first-order servo
+    is rate-limited to +-rate_limit, so beta is driven back into the range.
     """
     if beta_ref < beta_min:
         beta_ref = beta_min
@@ -109,10 +113,6 @@ def pitch_rate(beta: float, beta_ref: float, t_servo: float, rate_limit: float,
         d = rate_limit
     elif d < -rate_limit:
         d = -rate_limit
-    if beta <= beta_min and d < 0.0:
-        d = 0.0
-    if beta >= beta_max and d > 0.0:
-        d = 0.0
     return d
 
 

@@ -103,10 +103,10 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         status = "infeasible"
     kdg = spec.k_d_gsc
     gains = ControlGains(
-        gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc),
-        msc=ConverterGains(k_theta=ktm, k_d=kdg * ktm / ktg, t_dc=spec.t_dc),
+        gsc=ConverterGains(k_theta=ktg, k_d=kdg),
+        msc=ConverterGains(k_theta=ktm, k_d=kdg * ktm / ktg),
         pitch=PitchGains(k_p=k_p, beta_del=pt.beta_del),
-        omega_del=pt.omega_del)
+        omega_del=pt.omega_del, t_dc=spec.t_dc)
     return GainDesign(v_w=v_w, eta=eta, gains=gains, m_p=m_p, k_wr=k_wr,
                       k_b=k_b, omega_del=pt.omega_del, beta_del=pt.beta_del,
                       omega_mpp=omega_mpp, status=status)
@@ -128,10 +128,10 @@ def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
     ktg = max_gsc_gain(spec)
     kdg = spec.k_d_gsc
     gains = ControlGains(
-        gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc),
-        msc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=spec.t_dc),
+        gsc=ConverterGains(k_theta=ktg, k_d=kdg),
+        msc=ConverterGains(k_theta=ktg, k_d=kdg),
         pitch=PitchGains(k_p=0.0, beta_del=beta),
-        omega_del=omega_mpp)
+        omega_del=omega_mpp, t_dc=spec.t_dc)
     return GainDesign(v_w=v_w, eta=1.0, gains=gains, m_p=math.inf, k_wr=0.0,
                       k_b=0.0, omega_del=omega_mpp, beta_del=beta,
                       omega_mpp=omega_mpp, status="no-droop")

@@ -172,7 +172,7 @@ def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
                         p_wt=np.full(n, p_const),
                         p_gsc=np.full(n, p_const), p_g=p_g)
     y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
-                                 gains.gsc.t_dc, xg, v - gains.v_dc_star)
+                                 gains.t_dc, xg, v - gains.v_dc_star)
     om_gsc = gains.omega_0 + y
     p_gsc = plant.network.b_g * np.sin(states[:, 1] - states[:, 2])
     scale = plant.turbine.swept_k * scenario.v_w ** 3 / plant.turbine.P_rated
@@ -210,9 +210,9 @@ def run_checks(result: RunResult) -> None:
     beta = tail[:, 11].mean()
     u = v - gains.v_dc_star
     yg, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
-                                  gains.gsc.t_dc, xg, u)
+                                  gains.t_dc, xg, u)
     ym, _ = pd_filter_realization(gains.msc.k_theta, gains.msc.k_d,
-                                  gains.msc.t_dc, xm, u)
+                                  gains.t_dc, xm, u)
     om_gsc = gains.omega_0 + yg
     om_msc = gains.omega_del + ym
     dv = v - gains.v_dc_star

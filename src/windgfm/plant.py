@@ -107,12 +107,7 @@ def wind_power_pu(params: TurbineParams, surface: CpSurface, v_w: float,
 
 def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
                 v_w: float, p_g0: float, p_const: float) -> np.ndarray:
-    """Flat parameter vector for the simulation kernels (calibrated surface)."""
-    if surface.variant != "calibrated":
-        raise PlantError("kernels require the calibrated analytic surface")
-    if gains.gsc.t_dc != gains.msc.t_dc:
-        raise ValueError("kernels take one DC-filter time constant: "
-                         f"gsc.t_dc={gains.gsc.t_dc} != msc.t_dc={gains.msc.t_dc}")
+    """Flat parameter vector for the simulation kernels."""
     tb, sg, nw = plant.turbine, plant.sg, plant.network
     p = np.zeros(N_PARAMS)
     p[P_JG] = sg.j_g(nw.s_base)
@@ -122,7 +117,7 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     p[P_BM] = nw.b_msc
     p[P_JWT] = tb.n_agg * tb.J_wt * tb.omega_nom ** 2 / nw.s_base
     p[P_CDC] = nw.c_dc
-    p[P_TDC] = gains.gsc.t_dc
+    p[P_TDC] = gains.t_dc
     p[P_KDG] = gains.gsc.k_d
     p[P_KTG] = gains.gsc.k_theta
     p[P_KDM] = gains.msc.k_d

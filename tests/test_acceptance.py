@@ -137,10 +137,10 @@ def test_criterion_6_closed_loop_steady_state(plant, surface):
         xm = tail[:, 10].mean()
         dv = v - 1.0
         # both converters settled: filter state equals its input
-        yg = (gains.gsc.k_theta - gains.gsc.k_d / gains.gsc.t_dc) * xg \
-            + (gains.gsc.k_d / gains.gsc.t_dc) * dv
-        ym = (gains.msc.k_theta - gains.msc.k_d / gains.msc.t_dc) * xm \
-            + (gains.msc.k_d / gains.msc.t_dc) * dv
+        yg = (gains.gsc.k_theta - gains.gsc.k_d / gains.t_dc) * xg \
+            + (gains.gsc.k_d / gains.t_dc) * dv
+        ym = (gains.msc.k_theta - gains.msc.k_d / gains.t_dc) * xm \
+            + (gains.msc.k_d / gains.t_dc) * dv
         om_gsc = 1.0 + yg
         om_msc = gains.omega_del + ym
         # dual-port proportionalities

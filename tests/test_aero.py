@@ -39,12 +39,6 @@ def test_wind_power_rejects_bad_inputs(turbine, surface):
         wind_power(turbine, surface, 8.0, 0.0, 0.0)
 
 
-def test_generic_mpp_location():
-    lam, cpm = find_mpp(CpSurface.generic())
-    assert lam == pytest.approx(8.1, abs=0.1)
-    assert cpm == pytest.approx(0.48, abs=0.01)
-
-
 def test_calibrated_mpp_location(surface):
     lam, cpm = find_mpp(surface)
     assert 9.0 <= lam <= 9.5
@@ -67,7 +61,7 @@ def test_find_mpp_first_order_condition(surface):
 
 
 def test_find_mpp_flat_surface_raises():
-    flat = CpSurface.generic((0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
+    flat = CpSurface(cpmax_scale=0.0)
     with pytest.raises(AeroDomainError):
         find_mpp(flat)
     # a failure is not memoized: the second call solves and raises again
@@ -98,9 +92,8 @@ def test_find_mpp_solves_once_per_surface(monkeypatch, turbine, surface):
 @given(lam=st.floats(0.5, 20.0), beta=st.floats(0.0, 30.0))
 @settings(max_examples=200, deadline=None)
 def test_cp_respects_betz_limit(lam, beta):
-    for s in (CpSurface(), CpSurface.generic()):
-        v = cp(s, lam, beta)
-        assert 0.0 <= v <= BETZ
+    v = cp(CpSurface(), lam, beta)
+    assert 0.0 <= v <= BETZ
 
 
 def test_cp_rejects_nonpositive_lambda(surface):
@@ -108,12 +101,6 @@ def test_cp_rejects_nonpositive_lambda(surface):
         cp(surface, 0.0, 0.0)
     with pytest.raises(AeroDomainError):
         cp(surface, -1.0, 0.0)
-
-
-def test_cp_unknown_variant_rejected():
-    bad = CpSurface(variant="nope")
-    with pytest.raises(AeroDomainError):
-        cp(bad, 7.0, 0.0)
 
 
 def _fd_partials(s, lam, beta, h=1e-6):
@@ -134,20 +121,6 @@ def test_calibrated_partials_match_finite_differences(lam, beta):
     # skip points where the [0, Betz] clamp is active (the partials ignore it)
     raw = aero._cp_calibrated(lam, beta, s.coeffs, s.cpmax_scale)
     if 1e-6 < raw < BETZ - 1e-6:
-        assert dl == pytest.approx(dl_fd, rel=1e-4, abs=1e-7)
-        assert db == pytest.approx(db_fd, rel=1e-4, abs=1e-7)
-
-
-@given(lam=st.floats(3.0, 14.0), beta=st.floats(0.0, 25.0))
-@example(lam=8.0, beta=5e-8)
-@settings(max_examples=100, deadline=None)
-def test_generic_partials_match_finite_differences(lam, beta):
-    s = CpSurface.generic()
-    dl, db = cp_partials(s, lam, beta)
-    dl_fd, db_fd = _fd_partials(s, lam, beta)
-    # skip points within a step of the [0, Betz] clamp
-    raw = aero._cp_generic(lam, beta, s.coeffs)
-    if 1e-5 < raw < BETZ - 1e-5:
         assert dl == pytest.approx(dl_fd, rel=1e-4, abs=1e-7)
         assert db == pytest.approx(db_fd, rel=1e-4, abs=1e-7)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from windgfm.aero import CpSurface
 from windgfm.config import (
     ConfigError, DEFAULT_CONFIG, apply_overrides, load_config,
     make_design_spec, make_load, make_mode, make_plant, make_surface,
@@ -66,7 +67,7 @@ def test_factories(cfg):
     load = make_load(cfg)
     assert load.base == 2.0 and load.events == ((30.0, 0.4),)
     assert make_mode("GFM_FR") == Mode.GFM_FR
-    assert make_surface(cfg).variant == "calibrated"
+    assert make_surface(cfg) == CpSurface()
 
 
 def test_preset_selects_excursion_budget(cfg):

@@ -18,10 +18,10 @@ def make_gains(ktg=0.5, kdg=0.0067, ktm=6.6, kp=22.7, beta_del=3.0,
                omega_del=1.2, t_dc=0.005, **pitch):
     kdm = kdg * ktm / ktg
     return ControlGains(
-        gsc=ConverterGains(k_theta=ktg, k_d=kdg, t_dc=t_dc),
-        msc=ConverterGains(k_theta=ktm, k_d=kdm, t_dc=t_dc),
+        gsc=ConverterGains(k_theta=ktg, k_d=kdg),
+        msc=ConverterGains(k_theta=ktm, k_d=kdm),
         pitch=PitchGains(k_p=kp, beta_del=beta_del, **pitch),
-        omega_del=omega_del)
+        omega_del=omega_del, t_dc=t_dc)
 
 
 def kernel_rates(plant, surface, gains, beta=0.0, omega_r=1.0, p_msc=0.5,

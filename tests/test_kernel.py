@@ -1,43 +1,15 @@
-import importlib.util
 import os
-import shutil
 import subprocess
 import sys
-import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import windgfm
 from windgfm._kernel import _ode_py
+from windgfm._kernel.layout import N_PARAMS, N_STATES, P_TG
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import find_equilibrium
-
-
-@pytest.fixture(scope="module")
-def ode_cy(tmp_path_factory):
-    """The compiled kernel: the built extension if importable, else the
-    committed _ode_cy.c compiled with the system C compiler."""
-    try:
-        from windgfm._kernel import _ode_cy
-        return _ode_cy
-    except ImportError:
-        pass
-    cc = shutil.which(os.environ.get("CC", "cc"))
-    if cc is None:
-        pytest.skip("compiled kernel not built and no C compiler found")
-    so = tmp_path_factory.mktemp("kernel") / (
-        "_ode_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-O3", "-fPIC", "-shared", "-DNDEBUG", "-w",
-                    f"-I{sysconfig.get_paths()['include']}",
-                    f"-I{np.get_include()}",
-                    str(Path(_ode_py.__file__).with_name("_ode_cy.c")),
-                    "-o", str(so)], check=True, capture_output=True)
-    spec = importlib.util.spec_from_file_location("windgfm._kernel._ode_cy", so)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def equilibrium(plant, surface, sc):
@@ -83,6 +55,33 @@ def test_simulate_backends_bit_identical(plant, surface, ode_cy):
             assert sp.tobytes() == sc.tobytes()
 
 
+def test_derivative_bit_identical_on_random_parameter_vectors(ode_cy):
+    # every entry drawn on its own, so a parameter index that differs
+    # between layout.py and the compiled kernel changes the result; the
+    # draws reach both sides of the Cp clamp, the limiters and the pitch
+    # range and rate limits
+    rng = np.random.default_rng(11)
+    lo = [-1, -1, 0.9, 0.5, 0.8, -1, -1, 0.5, -1, -1, -5, -1, -1]
+    hi = [1, 1, 1.1, 2.0, 1.2, 1, 1, 1.5, 1, 1, 35, 1, 1]
+    for _ in range(200):
+        p = rng.uniform(0.5, 2.0, size=N_PARAMS)
+        x = rng.uniform(lo, hi)
+        t = rng.uniform(0.0, 60.0)
+        for mode in (0, 1, 2):
+            dp = _ode_py.derivative(x, t, p, mode, 2.0, (30.0,), (0.4,))
+            dc = ode_cy.derivative(x, t, p, mode, 2.0, (30.0,), (0.4,))
+            assert dp.tobytes() == dc.tobytes()
+
+
+@pytest.mark.parametrize("n_steps, stride", [(0, 1), (0, 5), (3, 7), (7, 3)])
+def test_simulate_sample_counts_match(packed, ode_cy, n_steps, stride):
+    x0, p_arr = packed
+    args = (x0, p_arr, 2, 5e-4, n_steps, stride, 2.0, (0.0,), (0.4,))
+    sp, sc = _ode_py.simulate(*args), ode_cy.simulate(*args)
+    assert sp.shape == sc.shape == (1 + n_steps // stride, 1 + N_STATES)
+    assert sp.tobytes() == sc.tobytes()
+
+
 def test_simulate_sampling_layout(packed):
     x0, p_arr = packed
     out = _ode_py.simulate(x0, p_arr, 2, 1e-3, 100, 10, 2.0, (), ())
@@ -100,12 +99,24 @@ def test_repeat_runs_byte_identical(packed):
 
 
 def test_python_kernel_divergence_guard(packed):
-    from windgfm._kernel.layout import P_TG
     x0, p_arr = packed
     bad = p_arr.copy()
     bad[P_TG] = -0.01  # unstable governor: exponential blow-up
     with pytest.raises(FloatingPointError):
         _ode_py.simulate(x0, bad, 2, 5e-4, 40000, 2, 2.0, (0.5,), (0.4,))
+
+
+def test_compiled_kernel_divergence_guard_matches_python(packed, ode_cy):
+    x0, p_arr = packed
+    bad = p_arr.copy()
+    bad[P_TG] = -0.01
+    args = (x0, bad, 2, 5e-4, 40000, 2, 2.0, (0.5,), (0.4,))
+    with pytest.raises(FloatingPointError) as ep:
+        _ode_py.simulate(*args)
+    with pytest.raises(FloatingPointError) as ec:
+        ode_cy.simulate(*args)
+    assert str(ec.value) == str(ep.value)
+    assert str(ep.value).startswith("state ")
 
 
 def test_pure_python_env_forces_fallback():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from windgfm.harness import gains_for_scenario, Scenario
 from windgfm import _kernel
 from windgfm.plant import (
     LoadProfile, Mode, NetworkParams, PlantError, SgParams, closed_loop_derivative,
-    find_equilibrium, pack_params, rk4_step, simulate, step_rk4, wind_power_pu,
+    find_equilibrium, rk4_step, simulate, step_rk4, wind_power_pu,
 )
 from windgfm._kernel.layout import P_BG, P_BM, P_CDC
 
@@ -186,13 +185,3 @@ def test_wind_power_pu_consistency(plant, surface):
         / plant.network.s_base
     assert p == pytest.approx(expect, rel=1e-12)
 
-
-def test_pack_params_rejects_per_converter_t_dc(plant, surface):
-    # The kernels carry one DC-filter time constant for both converters.
-    design, (_, _, op) = equilibrium(plant, surface)
-    gains = design.gains
-    pack_params(plant, gains, surface, 8.0, op.p_g0, op.p_const)
-    msc = dataclasses.replace(gains.msc, t_dc=2.0 * gains.gsc.t_dc)
-    with pytest.raises(ValueError, match="t_dc"):
-        pack_params(plant, dataclasses.replace(gains, msc=msc), surface, 8.0,
-                    op.p_g0, op.p_const)
