@@ -1,4 +1,4 @@
-"""Aerodynamic power-coefficient surface, mechanical power, and sensitivities."""
+"""Aerodynamic power-coefficient surface and its sensitivities."""
 from __future__ import annotations
 
 import functools
@@ -56,11 +56,10 @@ class TurbineParams:
     omega_nom: float = 1.37     # rad/s mech, per-unit base for omega_r
     omega_max: float = 1.2      # pu
     P_rated: float = 5e6        # W, one turbine
-    v_rated: float = 11.23      # m/s
     n_agg: int = 10             # aggregated turbine count
 
     def __post_init__(self):
-        for name in ("rho", "R", "J_wt", "omega_nom", "P_rated", "v_rated"):
+        for name in ("rho", "R", "J_wt", "omega_nom", "P_rated"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_agg < 1:
@@ -130,16 +129,6 @@ def tip_speed_ratio(R: float, omega_r: float, v_w: float) -> float:
     return R * omega_r / v_w
 
 
-def wind_power(params: TurbineParams, surface: CpSurface, v_w: float,
-               omega_r: float, beta: float, cp_override: float | None = None) -> float:
-    """Aggregated mechanical power in W for rotor speed omega_r (rad/s mech)."""
-    if v_w <= 0 or omega_r <= 0:
-        raise AeroDomainError("v_w and omega_r must be positive")
-    c = cp_override if cp_override is not None \
-        else cp(surface, tip_speed_ratio(params.R, omega_r, v_w), beta)
-    return params.n_agg * params.swept_k * c * v_w ** 3
-
-
 @functools.lru_cache(maxsize=None)
 def find_mpp(surface: CpSurface, lam_lo: float = 2.0, lam_hi: float = 15.0) -> tuple[float, float]:
     """(lam_mpp, cp_max) of Cp(., 0): coarse grid scan + golden-section refine.
@@ -173,8 +162,7 @@ def find_mpp(surface: CpSurface, lam_lo: float = 2.0, lam_hi: float = 15.0) -> t
 
 
 def power_sensitivities(params: TurbineParams, surface: CpSurface, v_w: float,
-                        omega_del: float, beta_del: float,
-                        method: str = "analytic") -> tuple[float, float]:
+                        omega_del: float, beta_del: float) -> tuple[float, float]:
     """(K_omega_r, K_beta): negated sensitivities of per-unit P_wt at the
     operating point, in pu/pu-speed and pu/degree.
 
@@ -182,23 +170,11 @@ def power_sensitivities(params: TurbineParams, surface: CpSurface, v_w: float,
     deloaded branch.  Values with |K_omega_r| < 1e-4, or small-negative
     above -1e-3 (numerical noise at the MPP), are reported as 0.
     """
-    p_base = params.P_rated  # per-turbine pu
-
-    def p_pu(om_pu: float, b: float) -> float:
-        lam = tip_speed_ratio(params.R, om_pu * params.omega_nom, v_w)
-        return params.swept_k * cp(surface, lam, b) * v_w ** 3 / p_base
-
-    if method == "analytic":
-        lam = tip_speed_ratio(params.R, omega_del * params.omega_nom, v_w)
-        dl, db = cp_partials(surface, lam, beta_del)
-        scale = params.swept_k * v_w ** 3 / p_base
-        k_wr = -scale * dl * (params.R * params.omega_nom / v_w)
-        k_b = -scale * db
-    else:
-        h = 1e-4
-        k_wr = -(p_pu(omega_del + h, beta_del) - p_pu(omega_del - h, beta_del)) / (2 * h)
-        hb = 1e-3
-        k_b = -(p_pu(omega_del, beta_del + hb) - p_pu(omega_del, beta_del - hb)) / (2 * hb)
+    lam = tip_speed_ratio(params.R, omega_del * params.omega_nom, v_w)
+    dl, db = cp_partials(surface, lam, beta_del)
+    scale = params.swept_k * v_w ** 3 / params.P_rated  # per-turbine pu
+    k_wr = -scale * dl * (params.R * params.omega_nom / v_w)
+    k_b = -scale * db
     if abs(k_wr) < 1e-4 or -1e-3 < k_wr < 0.0:
         k_wr = 0.0
     return k_wr, k_b

@@ -16,7 +16,7 @@ class ConfigError(ValueError):
 DEFAULT_CONFIG = {
     "turbine": {
         "rho": 1.225, "R": 63.0, "J_wt": 35.328e6, "omega_nom": 1.37,
-        "omega_max": 1.2, "P_rated": 5e6, "v_rated": 11.23, "n_agg": 10,
+        "omega_max": 1.2, "P_rated": 5e6, "n_agg": 10,
     },
     "sg": {
         "h_g": 4.0, "t_g": 0.5, "droop": 0.05, "rating": 210e6,

@@ -1,9 +1,7 @@
-"""Dual-port converter controllers, pitch control, GFL baseline."""
+"""Dual-port converter controllers and pitch control."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .aero import CpSurface, TurbineParams, cp, find_mpp
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class PitchGains:
     kp_lim: float = 50.0    # limiter PI proportional gain (both channels)
     ki_lim: float = 20.0    # limiter PI integral gain
     p_max_msc: float = 1.05  # pu
-    omega_max: float = 1.2  # pu
     t_servo: float = 0.3    # s
     rate_limit: float = 8.0  # deg/s
     beta_min: float = 0.0
@@ -115,16 +112,3 @@ def pitch_rate(beta: float, beta_ref: float, t_servo: float, rate_limit: float,
         d = -rate_limit
     return d
 
-
-def gfl_mppt_emulation(params: TurbineParams, surface: CpSurface,
-                       v_w: float) -> tuple[float, float]:
-    """Constant-power GFL baseline: (P_gsc pu on aggregate rating, v_dc pu).
-
-    Injects min(P_mpp(v_w), rated) with the DC link pinned at 1 pu and no
-    frequency response.
-    """
-    lam_mpp, cp_max = find_mpp(surface)
-    omega_max_rad = params.omega_max * params.omega_nom
-    lam = min(lam_mpp, params.R * omega_max_rad / v_w)
-    p_pu = params.swept_k * cp(surface, lam, 0.0) * v_w ** 3 / params.P_rated
-    return min(p_pu, 1.0), 1.0

@@ -112,31 +112,6 @@ def build_table(params: TurbineParams, surface: CpSurface,
     return DeloadTable(v_grid=v_grid, eta_grid=eta_grid, points=pts)
 
 
-def lookup(table: DeloadTable, v_w: float, eta: float) -> DeloadPoint:
-    """Bilinear interpolation of omega_del and beta_del."""
-    vg, eg = table.v_grid, table.eta_grid
-    if not (vg[0] <= v_w <= vg[-1]) or not (eg[0] <= eta <= eg[-1]):
-        raise CurtailmentError("query outside table grid")
-    i = min(int(np.searchsorted(vg, v_w, side="right")) - 1, vg.size - 2)
-    j = min(int(np.searchsorted(eg, eta, side="right")) - 1, eg.size - 2)
-    i, j = max(i, 0), max(j, 0)
-    tx = (v_w - vg[i]) / (vg[i + 1] - vg[i])
-    ty = (eta - eg[j]) / (eg[j + 1] - eg[j])
-
-    def cell(ii, jj):
-        return table.points[ii * eg.size + jj]
-
-    def blend(attr):
-        return ((1 - tx) * (1 - ty) * getattr(cell(i, j), attr)
-                + tx * (1 - ty) * getattr(cell(i + 1, j), attr)
-                + (1 - tx) * ty * getattr(cell(i, j + 1), attr)
-                + tx * ty * getattr(cell(i + 1, j + 1), attr))
-
-    return DeloadPoint(v_w=v_w, eta=eta, lam_del=blend("lam_del"),
-                       omega_del=blend("omega_del"), beta_del=blend("beta_del"),
-                       p_wt_del=blend("p_wt_del"))
-
-
 def table_to_csv(table: DeloadTable) -> str:
     buf = io.StringIO()
     buf.write("v_w,eta,lambda_del,omega_del_pu,beta_del_deg\n")

@@ -28,8 +28,8 @@ class DesignSpec:
     def __post_init__(self):
         if self.d_omega_max <= 0 or self.d_v_max <= 0:
             raise ValueError("excursion limits must be positive")
-        if self.msc_floor < 0:
-            raise ValueError("msc_floor must be non-negative")
+        if not self.msc_floor > 0:
+            raise ValueError("msc_floor must be positive")
         if not self.t_dc > 0:
             raise ValueError("t_dc must be positive")
 

@@ -12,7 +12,7 @@ from .config import (
     ConfigError, make_design_spec, make_load, make_mode, make_plant,
     make_surface,
 )
-from .control import gfl_mppt_emulation, pd_filter_realization
+from .control import pd_filter_realization
 from .gaindesign import DesignSpec, GainDesign, design_gains, mppt_gains
 from .plant import (
     LoadProfile, Mode, PlantParams, find_equilibrium, simulate,
@@ -164,13 +164,15 @@ def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
     xg = states[:, 9]
     beta = states[:, 11]
     if scenario.mode == Mode.GFL_MPPT:
-        p_const, vdc = gfl_mppt_emulation(plant.turbine, surface, scenario.v_w)
+        # The constant injection the kernel integrates, DC link held at its
+        # setpoint, WT at its pre-disturbance point.
         n = t.size
         return SimTrace(t=t, f_g=f_base * om_g, f_gsc=f_base * om_g,
-                        v_dc=np.full(n, vdc), omega_r=np.full(n, op.omega_del),
+                        v_dc=np.full(n, gains.v_dc_star),
+                        omega_r=np.full(n, op.omega_del),
                         beta=np.full(n, gains.pitch.beta_del),
-                        p_wt=np.full(n, p_const),
-                        p_gsc=np.full(n, p_const), p_g=p_g)
+                        p_wt=np.full(n, op.p_const),
+                        p_gsc=np.full(n, op.p_const), p_g=p_g)
     y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
                                  gains.t_dc, xg, v - gains.v_dc_star)
     om_gsc = gains.omega_0 + y
@@ -207,7 +209,6 @@ def run_checks(result: RunResult) -> None:
     om_r = tail[:, 8].mean()
     xg = tail[:, 9].mean()
     xm = tail[:, 10].mean()
-    beta = tail[:, 11].mean()
     u = v - gains.v_dc_star
     yg, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
                                   gains.t_dc, xg, u)

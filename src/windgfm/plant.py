@@ -130,7 +130,7 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     p[P_KPLIM] = gains.pitch.kp_lim
     p[P_KILIM] = gains.pitch.ki_lim
     p[P_PMAX] = gains.pitch.p_max_msc
-    p[P_OMMAX] = gains.pitch.omega_max
+    p[P_OMMAX] = tb.omega_max
     p[P_W0] = gains.omega_0
     p[P_VDCS] = gains.v_dc_star
     p[P_PG0] = p_g0
@@ -152,27 +152,6 @@ def closed_loop_derivative(x, t: float, p_arr: np.ndarray, mode: Mode,
         raise PlantError(f"invalid state: v_dc={x[4]}, omega_r={x[7]}")
     return _kernel.derivative(x, t, p_arr, int(mode), load.base,
                               load.ev_times, load.ev_steps)
-
-
-def rk4_step(f, x, t: float, dt: float):
-    """Classical RK4 step for a generic vector field f(x, t)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    k1 = np.asarray(f(x, t))
-    k2 = np.asarray(f(x + 0.5 * dt * k1, t + 0.5 * dt))
-    k3 = np.asarray(f(x + 0.5 * dt * k2, t + 0.5 * dt))
-    k4 = np.asarray(f(x + dt * k3, t + dt))
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step_rk4(x, t: float, dt: float, p_arr: np.ndarray, mode: Mode,
-             load: LoadProfile) -> np.ndarray:
-    out = rk4_step(lambda z, tt: closed_loop_derivative(z, tt, p_arr, mode, load),
-                   x, t, dt)
-    if np.any(np.abs(out) > 1e6):
-        raise PlantError("state divergence detected")
-    return out
 
 
 def find_equilibrium(plant: PlantParams, gains: ControlGains,

@@ -2,12 +2,10 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
 from .control import ControlGains, ratio_matched
 from .plant import PlantParams
 
@@ -154,73 +152,6 @@ def lasalle_verify(model: SmallSignalModel) -> LaSalleReport:
         max_eig_S=float(np.linalg.eigvalsh(S).max()),
         max_dev_S_plus_V=float(np.abs(S + 0.5 * (V + V.T)).max()),
         m_positive_definite=bool(eigM.min() > 0))
-
-
-def lasalle_function(model: SmallSignalModel, x6: np.ndarray) -> float:
-    """V(x) = x' M x in certificate coordinates, for a model-coordinate state."""
-    rep = lasalle_verify(model)
-    S_tr = np.diag([model.b_g, model.b_msc, 1.0, 1.0, 1.0, 1.0])
-    z = S_tr @ np.asarray(x6, dtype=float)
-    return float(z @ rep.M @ z)
-
-
-def steady_state(model: SmallSignalModel, d_p_l: float) -> np.ndarray:
-    """Equilibrium of the disturbed linear system: solves A x = -E dP_L."""
-    return np.linalg.solve(model.A, -model.E * d_p_l)
-
-
-def reduced_rhs(model: SmallSignalModel, params: TurbineParams,
-                surface: CpSurface, v_w: float, omega_del: float,
-                beta_del: float, k_p: float):
-    """Nonlinear reduced closed loop whose linearization at 0 is T^-1 A.
-
-    Deviation coordinates; the sine nonlinearity is retained on both links
-    and WT power enters through the full Cp surface with the proportional
-    pitch law beta = beta_del + k_p * omega_r_dev (no DC-filter lag, no
-    servo).
-    """
-    bg, bm = model.b_g, model.b_msc
-    ktg, ktm = model.k_theta_gsc, model.k_theta_msc
-    kdg, kdm = model.k_d_gsc, model.k_d_msc
-    jg, jwt, cdc, tg, kg = model.j_g, model.j_wt, model.c_dc, model.t_g, model.k_g
-    scale = params.swept_k * v_w ** 3 / params.P_rated
-
-    def p_wt_dev(om_dev: float) -> float:
-        om = (omega_del + om_dev) * params.omega_nom
-        beta = max(beta_del + k_p * om_dev, 0.0)
-        lam = tip_speed_ratio(params.R, om, v_w)
-        base = tip_speed_ratio(params.R, omega_del * params.omega_nom, v_w)
-        return scale * (cp(surface, lam, beta) - cp(surface, base, beta_del))
-
-    def f(x: np.ndarray) -> np.ndarray:
-        r1, r2, og, orr, v, pg = x
-        p_gsc = bg * math.sin(r1)
-        p_pm = -bm * math.sin(r2)
-        dv = (p_pm - p_gsc) / cdc
-        return np.array([
-            ktg * v + kdg / cdc * (p_pm - p_gsc) - og,
-            ktm * v + kdm / cdc * (p_pm - p_gsc) - orr,
-            (p_gsc + pg) / jg,
-            (p_wt_dev(orr) + bm * math.sin(r2)) / jwt,
-            dv,
-            (-kg * og - pg) / tg])
-
-    return f
-
-
-def numerical_jacobian(f, x0: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    """Richardson-extrapolated central differences (order h^4)."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    m = f(x0).size
-    J = np.empty((m, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        d1 = (f(x0 + h * e) - f(x0 - h * e)) / (2 * h)
-        d2 = (f(x0 + 2 * h * e) - f(x0 - 2 * h * e)) / (4 * h)
-        J[:, j] = (4.0 * d1 - d2) / 3.0
-    return J
 
 
 def model_to_json(model: SmallSignalModel) -> str:

@@ -20,6 +20,8 @@ from windgfm.harness import Scenario, compare_modes, run_scenario, trace_to_csv
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
 from windgfm._kernel.layout import P_BG, P_BM, P_CDC
 
+from test_smallsignal import numerical_jacobian, reduced_rhs
+
 
 # --------------------------------------------------------------------------
 # 1. droop formula reproduces the published design table
@@ -90,9 +92,9 @@ def test_criterion_4_linearization_consistency(plant, surface):
     for v_w in (8.0, 10.0, 12.0):
         d = design_gains(plant.turbine, surface, v_w, 0.9)
         model = ss.model_from_params(plant, d.gains, d.k_wr, d.k_b)
-        f = ss.reduced_rhs(model, plant.turbine, surface, v_w,
-                           d.omega_del, d.beta_del, d.gains.pitch.k_p)
-        J = ss.numerical_jacobian(f, np.zeros(6))
+        f = reduced_rhs(model, plant.turbine, surface, v_w,
+                        d.omega_del, d.beta_del, d.gains.pitch.k_p)
+        J = numerical_jacobian(f, np.zeros(6))
         Asys = ss.system_matrix(model)
         assert np.max(np.abs(J - Asys)) < 1e-8, f"mismatch at {v_w} m/s"
 

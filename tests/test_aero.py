@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from windgfm import aero, curtailment, gaindesign
 from windgfm.aero import (
     BETZ, AeroDomainError, CpSurface, TurbineParams, cp, cp_partials,
-    find_mpp, power_sensitivities, tip_speed_ratio, wind_power,
+    find_mpp, power_sensitivities, tip_speed_ratio,
 )
 
 
@@ -17,26 +17,6 @@ def test_tip_speed_ratio_example():
 def test_tip_speed_ratio_rejects_nonpositive_wind():
     with pytest.raises(AeroDomainError):
         tip_speed_ratio(63.0, 1.22, 0.0)
-
-
-def test_wind_power_forced_cp_example(turbine, surface):
-    # single turbine, forced Cp = 0.45 at 8 m/s
-    p = wind_power(TurbineParams(n_agg=1), surface, 8.0, 1.0, 0.0,
-                   cp_override=0.45)
-    assert p == pytest.approx(1.7598e6, rel=1e-3)
-
-
-def test_wind_power_scales_with_aggregation(surface):
-    one = wind_power(TurbineParams(n_agg=1), surface, 8.0, 1.1, 0.0)
-    ten = wind_power(TurbineParams(n_agg=10), surface, 8.0, 1.1, 0.0)
-    assert ten == pytest.approx(10.0 * one, rel=1e-14)
-
-
-def test_wind_power_rejects_bad_inputs(turbine, surface):
-    with pytest.raises(AeroDomainError):
-        wind_power(turbine, surface, -1.0, 1.0, 0.0)
-    with pytest.raises(AeroDomainError):
-        wind_power(turbine, surface, 8.0, 0.0, 0.0)
 
 
 def test_calibrated_mpp_location(surface):
@@ -179,13 +159,19 @@ def test_sensitivities_agree_with_secant_oracle(v_w, eta):
 
 
 def test_sensitivities_fd_method_matches_analytic(turbine, surface):
+    # central difference of per-unit P_wt in omega_r, step 1e-4 pu
     from windgfm.curtailment import deload_point
     pt = deload_point(turbine, surface, 8.0, 0.9)
-    a = power_sensitivities(turbine, surface, 8.0, pt.omega_del, pt.beta_del,
-                            method="analytic")
-    f = power_sensitivities(turbine, surface, 8.0, pt.omega_del, pt.beta_del,
-                            method="fd")
-    assert a[0] == pytest.approx(f[0], rel=1e-4)
+    a = power_sensitivities(turbine, surface, 8.0, pt.omega_del, pt.beta_del)
+
+    def p_pu(om):
+        lam = tip_speed_ratio(turbine.R, om * turbine.omega_nom, 8.0)
+        return (turbine.swept_k * cp(surface, lam, pt.beta_del) * 8.0 ** 3
+                / turbine.P_rated)
+
+    h = 1e-4
+    fd = -(p_pu(pt.omega_del + h) - p_pu(pt.omega_del - h)) / (2 * h)
+    assert a[0] == pytest.approx(fd, rel=1e-4)
 
 
 def test_turbine_params_validation():

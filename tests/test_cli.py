@@ -126,6 +126,9 @@ def test_compare_subcommand(tmp_path, capsys):
     ("scenario.duration=inf", {"simulate": 3, "gain-design": 3}),
     ("scenario.sample_dt=0", {"simulate": 3, "gain-design": 3}),
     ("scenario.sample_dt=-0.5", {"simulate": 3, "gain-design": 3}),
+    # a zero MSC gain floor breaks the design wherever headroom vanishes
+    ("control.msc_floor=0", {"simulate": 3, "gain-design": 3}),
+    ("turbine.v_rated=11.23", {"simulate": 3, "gain-design": 3}),
 ])
 def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     rc = cli.main([command, "--set", override])

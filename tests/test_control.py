@@ -8,10 +8,11 @@ from windgfm import _kernel
 from windgfm._kernel.layout import MODE_GFM_FR, P_BM
 from windgfm.aero import find_mpp
 from windgfm.control import (
-    ControlGains, ConverterGains, PitchGains, gfl_mppt_emulation, limiter_pi,
-    pd_filter_realization, pitch_rate,
+    ControlGains, ConverterGains, PitchGains, limiter_pi, pd_filter_realization,
+    pitch_rate,
 )
-from windgfm.plant import pack_params
+from windgfm.harness import Scenario, gains_for_scenario
+from windgfm.plant import LoadProfile, Mode, find_equilibrium, pack_params
 
 
 def make_gains(ktg=0.5, kdg=0.0067, ktm=6.6, kp=22.7, beta_del=3.0,
@@ -173,21 +174,38 @@ def test_pitch_gains_validation():
         PitchGains(beta_min=5.0, beta_max=5.0)
 
 
-def test_gfl_emulation_below_rated(turbine, surface):
-    p, vdc = gfl_mppt_emulation(turbine, surface, 8.0)
+def gfl_injection(plant, surface, v_w):
+    """Operating point of a GFL_MPPT run: op.p_const is the constant power
+    the kernel injects."""
+    sc = Scenario(mode=Mode.GFL_MPPT, v_w=v_w, eta=1.0)
+    gains = gains_for_scenario(plant, surface, sc).gains
+    return find_equilibrium(plant, gains, surface, v_w, LoadProfile(),
+                            Mode.GFL_MPPT)[2]
+
+
+def test_gfl_emulation_below_rated(plant, surface):
+    tb = plant.turbine
+    op = gfl_injection(plant, surface, 8.0)
     lam_mpp, cp_max = find_mpp(surface)
-    expect = turbine.swept_k * cp_max * 8.0 ** 3 / turbine.P_rated
-    assert vdc == 1.0
-    assert p == pytest.approx(expect, rel=1e-9)
-    assert p < 1.0
+    expect = tb.swept_k * cp_max * 8.0 ** 3 / tb.P_rated
+    assert op.p_const == op.p_wt0
+    assert op.p_const == pytest.approx(expect, rel=1e-9)
+    assert op.p_const < 1.0
 
 
-def test_gfl_emulation_clamps_at_rated(turbine, surface):
-    p, _ = gfl_mppt_emulation(turbine, surface, 14.0)
-    assert p == 1.0
+def test_gfl_emulation_clamps_at_rated(plant, surface):
+    # Above rated the MPPT design pitches to rated power by bisection on Cp,
+    # to |Cp - target| < 1e-12, so the injection is 1 pu to within that
+    # residual scaled to power, not exactly 1.
+    tb = plant.turbine
+    for v_w in (14.0, 20.0):
+        op = gfl_injection(plant, surface, v_w)
+        assert op.p_const == min(op.p_wt0, 1.0)
+        tol = 1e-12 * tb.swept_k * v_w ** 3 / tb.P_rated
+        assert abs(op.p_const - 1.0) < tol, v_w
 
 
-def test_gfl_emulation_monotone_below_rated(turbine, surface):
-    powers = [gfl_mppt_emulation(turbine, surface, v)[0]
+def test_gfl_emulation_monotone_below_rated(plant, surface):
+    powers = [gfl_injection(plant, surface, v).p_const
               for v in (6.0, 7.0, 8.0, 9.0, 10.0)]
     assert all(b > a for a, b in zip(powers, powers[1:]))

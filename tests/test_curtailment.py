@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from windgfm.aero import CpSurface, TurbineParams, cp, find_mpp
 from windgfm.curtailment import (
-    CurtailmentError, build_table, deload_point, lookup, solve_pitch_deload,
+    CurtailmentError, build_table, deload_point, solve_pitch_deload,
     solve_speed_deload_target, table_to_csv,
 )
 
@@ -117,28 +117,10 @@ def test_build_table_shape_and_lookup_identity(turbine, surface):
     e_g = np.array([0.8, 0.9, 1.0])
     table = build_table(turbine, surface, v_g, e_g)
     assert len(table.points) == 9
-    # lookup at a node reproduces the node
-    pt = lookup(table, 8.0, 0.9)
-    ref = deload_point(turbine, surface, 8.0, 0.9)
-    assert pt.omega_del == pytest.approx(ref.omega_del, abs=1e-12)
-    assert pt.beta_del == pytest.approx(ref.beta_del, abs=1e-12)
-
-
-def test_lookup_bilinear_midpoint(turbine, surface):
-    v_g = np.array([8.0, 10.0])
-    e_g = np.array([0.8, 0.9])
-    table = build_table(turbine, surface, v_g, e_g)
-    mid = lookup(table, 9.0, 0.85)
-    expect = 0.25 * sum(p.omega_del for p in table.points)
-    assert mid.omega_del == pytest.approx(expect, abs=1e-12)
-
-
-def test_lookup_outside_grid_raises(turbine, surface):
-    table = build_table(turbine, surface, [8.0, 10.0], [0.8, 0.9])
-    with pytest.raises(CurtailmentError):
-        lookup(table, 3.0, 0.85)
-    with pytest.raises(CurtailmentError):
-        lookup(table, 9.0, 0.5)
+    # row-major (v, eta): the point at node (8.0, 0.9) is index 1 * 3 + 1
+    pt = table.points[1 * e_g.size + 1]
+    assert (pt.v_w, pt.eta) == (8.0, 0.9)
+    assert pt == deload_point(turbine, surface, 8.0, 0.9)
 
 
 def test_table_csv_format(turbine, surface):

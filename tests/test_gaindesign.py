@@ -18,6 +18,8 @@ def test_design_spec_validation():
         DesignSpec(d_omega_max=0.0)
     with pytest.raises(ValueError):
         DesignSpec(msc_floor=-1.0)
+    with pytest.raises(ValueError):
+        DesignSpec(msc_floor=0.0)
 
 
 def test_presets():

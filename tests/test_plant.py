@@ -3,13 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from windgfm.harness import gains_for_scenario, Scenario
+from windgfm.config import apply_overrides, make_plant
+from windgfm.harness import gains_for_scenario, run_from_config, Scenario
 from windgfm import _kernel
 from windgfm.plant import (
     LoadProfile, Mode, NetworkParams, PlantError, SgParams, closed_loop_derivative,
-    find_equilibrium, rk4_step, simulate, step_rk4, wind_power_pu,
+    find_equilibrium, simulate, wind_power_pu,
 )
-from windgfm._kernel.layout import P_BG, P_BM, P_CDC
+from windgfm._kernel.layout import P_BG, P_BM, P_CDC, P_OMMAX
+from windgfm.aero import cp, tip_speed_ratio
+
+
+def rk4_step(f, x, t: float, dt: float):
+    """Classical RK4 step for a generic vector field f(x, t)."""
+    x = np.asarray(x, dtype=float)
+    k1 = np.asarray(f(x, t))
+    k2 = np.asarray(f(x + 0.5 * dt * k1, t + 0.5 * dt))
+    k3 = np.asarray(f(x + 0.5 * dt * k2, t + 0.5 * dt))
+    k4 = np.asarray(f(x + dt * k3, t + dt))
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def equilibrium(plant, surface, v_w=8.0, eta=0.9, mode=Mode.GFM_FR,
@@ -77,8 +89,6 @@ def test_rk4_linear_oracle():
     # x' = -x over t = 0.1 in one step: e^-0.1 to RK4 truncation accuracy
     x = rk4_step(lambda x, t: -x, np.array([1.0]), 0.0, 0.1)
     assert x[0] == pytest.approx(math.exp(-0.1), abs=1e-7)
-    with pytest.raises(ValueError):
-        rk4_step(lambda x, t: -x, np.array([1.0]), 0.0, 0.0)
 
 
 def test_equilibrium_residual_is_tiny(plant, surface):
@@ -143,7 +153,9 @@ def test_step_rk4_matches_kernel_simulate(plant, surface):
     dt = 5e-4
     x = x0.copy()
     for i in range(40):
-        x = step_rk4(x, i * dt, dt, p_arr, Mode.GFM_FR, load)
+        x = rk4_step(lambda z, tt: closed_loop_derivative(z, tt, p_arr,
+                                                          Mode.GFM_FR, load),
+                     x, i * dt, dt)
     states = simulate(x0, p_arr, Mode.GFM_FR, load, 40 * dt, dt, sample_dt=dt)
     np.testing.assert_allclose(states[-1, 1:], x, rtol=0, atol=1e-13)
 
@@ -178,10 +190,22 @@ def test_gfl_mode_freezes_wt_states(plant, surface):
 
 
 def test_wind_power_pu_consistency(plant, surface):
+    # system pu on the aggregate base: n_agg * 0.5 rho pi R^2 * Cp * v^3
     tb = plant.turbine
     p = wind_power_pu(tb, surface, 8.0, 1.1, 0.0)
-    from windgfm.aero import wind_power
-    expect = wind_power(tb, surface, 8.0, 1.1 * tb.omega_nom, 0.0) \
-        / plant.network.s_base
-    assert p == pytest.approx(expect, rel=1e-12)
+    lam = tip_speed_ratio(tb.R, 1.1 * tb.omega_nom, 8.0)
+    expect = tb.n_agg * tb.swept_k * cp(surface, lam, 0.0) * 8.0 ** 3
+    assert p * plant.network.s_base == pytest.approx(expect, rel=1e-12)
 
+
+def test_speed_limit_is_the_turbine_omega_max(cfg, surface):
+    # the kernel's speed limiter and the design chain use one omega_max: a
+    # -0.4 pu step at 10 m/s overspeeds the rotor into the limiter, which
+    # pulls it back to 1.1 (it settled at 1.1135 when the limiter sat at 1.2)
+    cfg = apply_overrides(cfg, ["turbine.omega_max=1.1", "scenario.v_w=10",
+                                "scenario.events=[[30.0,-0.4]]"])
+    plant = make_plant(cfg)
+    _, (_, p_arr, _) = equilibrium(plant, surface, v_w=10.0)
+    assert p_arr[P_OMMAX] == plant.turbine.omega_max == 1.1
+    res = run_from_config(cfg, check=False)
+    assert res.states[-1, 8] < 1.108

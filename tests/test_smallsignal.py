@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from windgfm import smallsignal as ss
+from windgfm.aero import cp, tip_speed_ratio
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
 
@@ -24,6 +27,71 @@ def linear_response(model, d_p_l, horizon, dt):
         X[i] = x
         x = x_inf + Phi @ (x - x_inf)
     return t, X
+
+
+def steady_state(model, d_p_l):
+    """Equilibrium of the disturbed linear system: solves A x = -E dP_L."""
+    return np.linalg.solve(model.A, -model.E * d_p_l)
+
+
+def lasalle_function(model, x6):
+    """V(x) = x' M x in certificate coordinates, for a model-coordinate state."""
+    rep = ss.lasalle_verify(model)
+    S_tr = np.diag([model.b_g, model.b_msc, 1.0, 1.0, 1.0, 1.0])
+    z = S_tr @ np.asarray(x6, dtype=float)
+    return float(z @ rep.M @ z)
+
+
+def reduced_rhs(model, params, surface, v_w, omega_del, beta_del, k_p):
+    """Nonlinear reduced closed loop whose linearization at 0 is T^-1 A.
+
+    Deviation coordinates; the sine nonlinearity is retained on both links
+    and WT power enters through the full Cp surface with the proportional
+    pitch law beta = beta_del + k_p * omega_r_dev (no DC-filter lag, no
+    servo).
+    """
+    bg, bm = model.b_g, model.b_msc
+    ktg, ktm = model.k_theta_gsc, model.k_theta_msc
+    kdg, kdm = model.k_d_gsc, model.k_d_msc
+    jg, jwt, cdc, tg, kg = model.j_g, model.j_wt, model.c_dc, model.t_g, model.k_g
+    scale = params.swept_k * v_w ** 3 / params.P_rated
+
+    def p_wt_dev(om_dev):
+        om = (omega_del + om_dev) * params.omega_nom
+        beta = max(beta_del + k_p * om_dev, 0.0)
+        lam = tip_speed_ratio(params.R, om, v_w)
+        base = tip_speed_ratio(params.R, omega_del * params.omega_nom, v_w)
+        return scale * (cp(surface, lam, beta) - cp(surface, base, beta_del))
+
+    def f(x):
+        r1, r2, og, orr, v, pg = x
+        p_gsc = bg * math.sin(r1)
+        p_pm = -bm * math.sin(r2)
+        dv = (p_pm - p_gsc) / cdc
+        return np.array([
+            ktg * v + kdg / cdc * (p_pm - p_gsc) - og,
+            ktm * v + kdm / cdc * (p_pm - p_gsc) - orr,
+            (p_gsc + pg) / jg,
+            (p_wt_dev(orr) + bm * math.sin(r2)) / jwt,
+            dv,
+            (-kg * og - pg) / tg])
+
+    return f
+
+
+def numerical_jacobian(f, x0, h=1e-7):
+    """Richardson-extrapolated central differences (order h^4)."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    m = f(x0).size
+    J = np.empty((m, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        d1 = (f(x0 + h * e) - f(x0 - h * e)) / (2 * h)
+        d2 = (f(x0 + 2 * h * e) - f(x0 - 2 * h * e)) / (4 * h)
+        J[:, j] = (4.0 * d1 - d2) / 3.0
+    return J
 
 
 def default_model(plant, surface, v_w=8.0, eta=0.9):
@@ -105,17 +173,17 @@ def test_lasalle_function_decreases_along_response(plant, surface):
     x = np.array([0.001, 0.002, 0.001, -0.001, 0.003, -0.002])
     Asys = ss.system_matrix(model)
     Phi = expm(Asys * 0.01)
-    v_prev = ss.lasalle_function(model, x)
+    v_prev = lasalle_function(model, x)
     for _ in range(200):
         x = Phi @ x
-        v = ss.lasalle_function(model, x)
+        v = lasalle_function(model, x)
         assert v <= v_prev + 1e-15
         v_prev = v
 
 
 def test_steady_state_satisfies_dual_port_relations(plant, surface):
     model, _ = default_model(plant, surface)
-    xs = ss.steady_state(model, 0.01)
+    xs = steady_state(model, 0.01)
     assert abs(xs[2] - model.k_theta_gsc * xs[4]) < 1e-12
     assert abs(xs[3] - model.k_theta_msc * xs[4]) < 1e-12
     # residual of the linear equation itself
@@ -142,7 +210,7 @@ def test_linear_response_matches_nonlinear_small_step(plant, surface):
 def test_linear_response_converges_to_steady_state(plant, surface):
     model, _ = default_model(plant, surface)
     t, X = linear_response(model, 0.01, 200.0, 0.01)
-    np.testing.assert_allclose(X[-1], ss.steady_state(model, 0.01), atol=1e-8)
+    np.testing.assert_allclose(X[-1], steady_state(model, 0.01), atol=1e-8)
 
 
 @given(k_theta_msc=st.floats(0.5, 15.0), k_wt=st.floats(0.01, 3.0))
@@ -163,7 +231,7 @@ def test_numerical_jacobian_quadratic_oracle():
     def f(x):
         return np.array([x[0] ** 2 + 3.0 * x[1], np.sin(x[0]) * x[1]])
 
-    J = ss.numerical_jacobian(f, np.array([0.3, -0.7]))
+    J = numerical_jacobian(f, np.array([0.3, -0.7]))
     expect = np.array([[0.6, 3.0],
                        [-0.7 * np.cos(0.3), np.sin(0.3)]])
     np.testing.assert_allclose(J, expect, atol=1e-9)
