@@ -59,10 +59,11 @@ class TurbineParams:
     n_agg: int = 10             # aggregated turbine count
 
     def __post_init__(self):
-        for name in ("rho", "R", "J_wt", "omega_nom", "P_rated"):
-            if getattr(self, name) <= 0:
+        # written `not x > 0` so that NaN is rejected too
+        for name in ("rho", "R", "J_wt", "omega_nom", "omega_max", "P_rated"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_agg < 1:
+        if not self.n_agg >= 1:
             raise ValueError("n_agg must be >= 1")
 
     @property
@@ -130,13 +131,13 @@ def tip_speed_ratio(R: float, omega_r: float, v_w: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def find_mpp(surface: CpSurface, lam_lo: float = 2.0, lam_hi: float = 15.0) -> tuple[float, float]:
+def find_mpp(surface: CpSurface) -> tuple[float, float]:
     """(lam_mpp, cp_max) of Cp(., 0): coarse grid scan + golden-section refine.
 
     Memoized: a surface is a frozen dataclass, so each distinct surface is
     solved once per process.  A raised error is not cached.
     """
-    grid = np.arange(lam_lo, lam_hi, 1e-2)
+    grid = np.arange(2.0, 15.0, 1e-2)
     vals = np.array([cp(surface, l, 0.0) for l in grid])
     i = int(np.argmax(vals))
     # Median without np.median, whose first call imports numpy.ma.

@@ -83,12 +83,8 @@ def cmd_gain_design(args) -> int:
     cfg = _cfg(args)
     plant = make_plant(cfg)
     surface = make_surface(cfg)
-    sc = harness.scenario_from_config(cfg)
-    if sc.eta >= 1.0:
-        d = gaindesign.mppt_gains(plant.turbine, surface, sc.v_w, sc.spec)
-    else:
-        d = gaindesign.design_gains(plant.turbine, surface, sc.v_w, sc.eta,
-                                    sc.spec)
+    d = harness.gains_for_scenario(plant, surface,
+                                   harness.scenario_from_config(cfg))
     out = {
         "v_w": float(d.v_w), "eta": float(d.eta), "status": d.status,
         "m_p": None if math.isinf(d.m_p) else float(d.m_p),

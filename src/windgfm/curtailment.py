@@ -30,8 +30,8 @@ class DeloadTable:
     points: tuple  # row-major (v, eta) tuple of DeloadPoint
 
 
-def _bisect(f, lo: float, hi: float, ftol: float = 1e-12, xtol: float = 1e-13) -> float:
-    """Plain bisection; f(lo) and f(hi) must bracket a root."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisection to |f| < 1e-12 or a 1e-13 bracket; f(lo), f(hi) bracket a root."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -42,7 +42,7 @@ def _bisect(f, lo: float, hi: float, ftol: float = 1e-12, xtol: float = 1e-13) -
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) < ftol or hi - lo < xtol:
+        if abs(fm) < 1e-12 or hi - lo < 1e-13:
             return mid
         if flo * fm <= 0:
             hi, fhi = mid, fm
@@ -90,13 +90,13 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
 
 
 def solve_speed_deload_target(surface: CpSurface, target: float,
-                              lam_mpp: float, lam_hi: float = 25.0) -> float:
-    """Overspeed solve against an absolute Cp target (clamped-power variant)."""
+                              lam_mpp: float) -> float:
+    """Overspeed solve, lambda in [lam_mpp, 25], against an absolute Cp target."""
     if target >= cp(surface, lam_mpp, 0.0):
         return lam_mpp
-    if cp(surface, lam_hi, 0.0) > target:
+    if cp(surface, 25.0, 0.0) > target:
         raise CurtailmentError("curtailment unreachable by overspeed alone")
-    return _bisect(lambda l: cp(surface, l, 0.0) - target, lam_mpp, lam_hi)
+    return _bisect(lambda l: cp(surface, l, 0.0) - target, lam_mpp, 25.0)
 
 
 def build_table(params: TurbineParams, surface: CpSurface,

@@ -26,12 +26,12 @@ class DesignSpec:
     t_dc: float = 0.005         # s
 
     def __post_init__(self):
-        if self.d_omega_max <= 0 or self.d_v_max <= 0:
-            raise ValueError("excursion limits must be positive")
-        if not self.msc_floor > 0:
-            raise ValueError("msc_floor must be positive")
-        if not self.t_dc > 0:
-            raise ValueError("t_dc must be positive")
+        # written `not x > 0` so that NaN is rejected too
+        for name in ("d_omega_max", "d_v_max", "msc_floor", "t_dc"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.k_d_gsc >= 0:
+            raise ValueError("k_d_gsc must be non-negative")
 
 
 # presets per the two published operating assumptions
@@ -114,27 +114,18 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
 
 def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
                spec: DesignSpec = DesignSpec()) -> GainDesign:
-    """MPPT fallback gain set (eta = 1): matched converter gains, no pitch droop."""
-    from .curtailment import solve_pitch_deload  # local to avoid cycle at import
-    lam_mpp, cp_max = find_mpp(surface)
-    omega_mpp = min(lam_mpp * v_w / (params.R * params.omega_nom),
-                    params.omega_max)
-    k3 = params.swept_k * v_w ** 3
-    beta = 0.0
-    if cp_max * k3 > params.P_rated:
-        lam_cap = params.R * params.omega_max * params.omega_nom / v_w
-        beta = solve_pitch_deload(surface, lam_cap, 1.0,
-                                  params.P_rated / k3)
+    """MPPT gain set at the eta = 1 deload point: matched gains, no pitch droop."""
+    pt = deload_point(params, surface, v_w, 1.0)
     ktg = max_gsc_gain(spec)
     kdg = spec.k_d_gsc
     gains = ControlGains(
         gsc=ConverterGains(k_theta=ktg, k_d=kdg),
         msc=ConverterGains(k_theta=ktg, k_d=kdg),
-        pitch=PitchGains(k_p=0.0, beta_del=beta),
-        omega_del=omega_mpp, t_dc=spec.t_dc)
+        pitch=PitchGains(k_p=0.0, beta_del=pt.beta_del),
+        omega_del=pt.omega_del, t_dc=spec.t_dc)
     return GainDesign(v_w=v_w, eta=1.0, gains=gains, m_p=math.inf, k_wr=0.0,
-                      k_b=0.0, omega_del=omega_mpp, beta_del=beta,
-                      omega_mpp=omega_mpp, status="no-droop")
+                      k_b=0.0, omega_del=pt.omega_del, beta_del=pt.beta_del,
+                      omega_mpp=pt.omega_del, status="no-droop")
 
 
 def droop_map(params: TurbineParams, surface: CpSurface, v_grid, eta_grid,

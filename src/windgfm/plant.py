@@ -38,8 +38,9 @@ class SgParams:
     rating: float = 210e6   # VA
 
     def __post_init__(self):
-        if min(self.h_g, self.t_g, self.droop, self.rating) <= 0:
-            raise ValueError("SG parameters must be positive")
+        for name in ("h_g", "t_g", "droop", "rating"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"SG {name} must be positive")
 
     def j_g(self, s_base: float) -> float:
         return 2.0 * self.h_g * self.rating / s_base
@@ -59,8 +60,9 @@ class NetworkParams:
     f_hz: float = 50.0          # Hz
 
     def __post_init__(self):
-        if min(self.b_g, self.b_msc, self.c_dc, self.s_base, self.f_hz) <= 0:
-            raise ValueError("network parameters must be positive")
+        for name in ("b_g", "b_msc", "c_dc", "s_base", "f_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"network {name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ import numpy as np
 _W, _H = 640, 200
 _ML, _MR, _MT, _MB = 60, 10, 20, 30
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_TRACE_PANELS = (("Grid / GSC frequency (Hz)", ("f_g", "f_gsc")),
+                 ("DC-link voltage (pu)", ("v_dc",)),
+                 ("Rotor speed (pu) / pitch (deg)", ("omega_r", "beta")),
+                 ("Power (pu)", ("P_wt", "P_gsc", "P_g")))
 
 
 def _panel(title, t, series, labels, y0):
@@ -41,23 +45,18 @@ def _panel(title, t, series, labels, y0):
     return lines
 
 
-def trace_svg(trace, panels=None) -> str:
+def trace_svg(trace) -> str:
     """Stacked line panels for a SimTrace; deterministic output text."""
-    if panels is None:
-        panels = [("Grid / GSC frequency (Hz)", ("f_g", "f_gsc")),
-                  ("DC-link voltage (pu)", ("v_dc",)),
-                  ("Rotor speed (pu) / pitch (deg)", ("omega_r", "beta")),
-                  ("Power (pu)", ("P_wt", "P_gsc", "P_g"))]
     body = []
-    for i, (title, cols) in enumerate(panels):
+    for i, (title, cols) in enumerate(_TRACE_PANELS):
         series = [trace.column(c) for c in cols]
         body += _panel(title, trace.t, series, cols, i * _H)
-    h = len(panels) * _H
+    h = len(_TRACE_PANELS) * _H
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
             f'height="{h}">\n' + "\n".join(body) + "\n</svg>\n")
 
 
-def heatmap_svg(v_grid, eta_grid, values, title="droop map") -> str:
+def heatmap_svg(v_grid, eta_grid, values) -> str:
     """Grid heat map; infinite cells rendered grey."""
     values = np.asarray(values, dtype=float)
     finite = values[np.isfinite(values)]
@@ -69,7 +68,7 @@ def heatmap_svg(v_grid, eta_grid, values, title="droop map") -> str:
            f'width="{x0 + cw * len(eta_grid) + 20}" '
            f'height="{y0 + ch * len(v_grid) + 20}">',
            f'<text x="{x0}" y="20" font-size="12" '
-           f'font-family="sans-serif">{title}</text>']
+           f'font-family="sans-serif">droop map</text>']
     for i, v in enumerate(v_grid):
         out.append(f'<text x="{x0 - 6}" y="{y0 + ch * i + 16}" font-size="10" '
                    f'text-anchor="end" font-family="sans-serif">{v:g}</text>')

@@ -179,3 +179,8 @@ def test_turbine_params_validation():
         TurbineParams(R=-1.0)
     with pytest.raises(ValueError):
         TurbineParams(n_agg=0)
+    for bad in ({"omega_max": 0.0}, {"omega_max": -1.0},
+                {"omega_max": np.nan}, {"R": np.nan}, {"rho": np.nan},
+                {"n_agg": np.nan}):
+        with pytest.raises(ValueError):
+            TurbineParams(**bad)

@@ -8,6 +8,10 @@ import pytest
 
 import windgfm
 from windgfm import cli
+from windgfm.config import (
+    apply_overrides, load_config, make_plant, make_surface,
+)
+from windgfm.harness import gains_for_scenario, scenario_from_config
 
 from test_trace_csv import trace_from_csv
 
@@ -74,11 +78,22 @@ def test_gain_design_json(capsys):
 
 
 def test_gain_design_mppt_branch(capsys):
-    rc = cli.main(["gain-design", "--set", "scenario.eta=1.0"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["status"] == "no-droop"
-    assert doc["m_p"] is None
+    # gain-design prints the design that simulate runs for the same config:
+    # the MPPT one at eta = 1 and in either MPPT mode at the default eta
+    for override in ("scenario.eta=1.0", "scenario.mode=GFM_MPPT",
+                     "scenario.mode=GFL_MPPT"):
+        rc = cli.main(["gain-design", "--set", override])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "no-droop"
+        assert doc["m_p"] is None
+        cfg = apply_overrides(load_config(None), [override])
+        d = gains_for_scenario(make_plant(cfg), make_surface(cfg),
+                               scenario_from_config(cfg))
+        assert doc["eta"] == d.eta == 1.0
+        assert doc["omega_del_pu"] == d.omega_del
+        assert doc["k_theta_msc"] == d.gains.msc.k_theta
+        assert doc["k_p"] == d.gains.pitch.k_p == 0.0
 
 
 def test_droop_map_csv(tmp_path, capsys):
@@ -129,6 +144,17 @@ def test_compare_subcommand(tmp_path, capsys):
     # a zero MSC gain floor breaks the design wherever headroom vanishes
     ("control.msc_floor=0", {"simulate": 3, "gain-design": 3}),
     ("turbine.v_rated=11.23", {"simulate": 3, "gain-design": 3}),
+    ("control.k_d_gsc=-1", {"simulate": 3, "gain-design": 3}),
+    ("turbine.omega_max=0", {"simulate": 3, "gain-design": 3}),
+    ("turbine.omega_max=-1", {"simulate": 3, "gain-design": 3}),
+    ("turbine.omega_max=NaN", {"simulate": 3, "gain-design": 3}),
+    ("turbine.R=NaN", {"simulate": 3, "gain-design": 3}),
+    ("scenario.events=5", {"simulate": 3, "gain-design": 3}),
+    # NaN passed a `x <= 0` check: gain-design printed "m_p": NaN
+    ("turbine.rho=NaN", {"simulate": 3, "gain-design": 3}),
+    ("control.d_v_max=NaN", {"simulate": 3, "gain-design": 3}),
+    ("sg.h_g=NaN", {"simulate": 3, "gain-design": 3}),
+    ("network.b_g=NaN", {"simulate": 3, "gain-design": 3}),
 ])
 def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     rc = cli.main([command, "--set", override])

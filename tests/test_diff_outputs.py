@@ -1,0 +1,71 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+spec = importlib.util.spec_from_file_location(
+    "diff_outputs", Path(__file__).resolve().parent.parent / "tools" / "diff_outputs.py")
+diff_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(diff_outputs)
+
+
+def side(root: Path, files: dict) -> Path:
+    """A synthetic side: relative path -> bytes, as run_probes lays it out."""
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    return root
+
+
+BASE = {"simulate/exit_code": b"0\n", "simulate/stdout": b'{"a": 1}\n',
+        "simulate/files/sim.csv": b"t,f_g\n0,50\n0.001,49.9\n"}
+
+
+def test_identical_sides_have_no_difference(tmp_path):
+    assert diff_outputs.compare_dirs(side(tmp_path / "b", BASE),
+                                     side(tmp_path / "c", BASE)) == []
+
+
+def test_differing_file_reports_first_differing_line(tmp_path):
+    change = dict(BASE)
+    change["simulate/files/sim.csv"] = b"t,f_g\n0,50\n0.001,49.8\n"
+    diffs = diff_outputs.compare_dirs(side(tmp_path / "b", BASE),
+                                      side(tmp_path / "c", change))
+    assert diffs == [("simulate/files/sim.csv",
+                      "line 3: base '0.001,49.9' | change '0.001,49.8'")]
+
+
+@pytest.mark.parametrize("drop, where", [("base", "missing on the base side"),
+                                         ("change", "missing on the change side")])
+def test_file_on_one_side_only(tmp_path, drop, where):
+    short = {k: v for k, v in BASE.items() if not k.endswith(".csv")}
+    sides = {"base": BASE, "change": BASE, drop: short}
+    diffs = diff_outputs.compare_dirs(side(tmp_path / "b", sides["base"]),
+                                      side(tmp_path / "c", sides["change"]))
+    assert diffs == [("simulate/files/sim.csv", where)]
+
+
+def test_differing_exit_code(tmp_path):
+    change = dict(BASE, **{"simulate/exit_code": b"2\n"})
+    diffs = diff_outputs.compare_dirs(side(tmp_path / "b", BASE),
+                                      side(tmp_path / "c", change))
+    assert diffs == [("simulate/exit_code", "line 1: base '0' | change '2'")]
+
+
+def test_first_difference_of_unequal_line_counts_and_long_lines():
+    assert diff_outputs.first_difference(b"a\n", b"a\nb\n") == \
+        "line 2: base '' | change 'b'"
+    assert diff_outputs.first_difference(b"a", b"a\nb") == \
+        "line 2: base has no such line"
+    long_a, long_b = b"x" * 500 + b"1" + b"y" * 500, b"x" * 500 + b"2" + b"y" * 500
+    out = diff_outputs.first_difference(long_a, long_b)
+    assert out.startswith("line 1: base '...") and "x1y" in out and "x2y" in out
+    assert len(out) < 300
+
+
+def test_probe_list_covers_every_mode_and_the_pure_kernel():
+    probes = diff_outputs.probes(["simulate", "--set", "scenario.dt=0.001"])
+    for mode in ("GFL_MPPT", "GFM_MPPT", "GFM_FR"):
+        assert probes[f"gain-design-{mode}"][0][-1] == f"scenario.mode={mode}"
+    assert [k for k, (_, pure) in probes.items() if pure] == ["pure_fallback"]
+    assert probes["pure_fallback"][0][-2:] == ["--out", "pure.csv"]

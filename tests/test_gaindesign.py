@@ -1,16 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windgfm import smallsignal as ss
 from windgfm.aero import CpSurface, TurbineParams
+from windgfm.curtailment import deload_point
 from windgfm.gaindesign import (
     PRESETS, DesignSpec, ZeroStiffnessError, design_gains, droop_coefficient,
     droop_map, droop_map_to_csv, max_gsc_gain, max_msc_gain, max_pitch_gain,
     mppt_gains,
 )
+from windgfm.plant import wind_power_pu
 
 
 def test_design_spec_validation():
@@ -20,6 +23,12 @@ def test_design_spec_validation():
         DesignSpec(msc_floor=-1.0)
     with pytest.raises(ValueError):
         DesignSpec(msc_floor=0.0)
+    for bad in ({"k_d_gsc": -1.0}, {"k_d_gsc": math.nan},
+                {"d_v_max": math.nan}, {"d_omega_max": math.nan},
+                {"t_dc": math.nan}):
+        with pytest.raises(ValueError):
+            DesignSpec(**bad)
+    assert DesignSpec(k_d_gsc=0.0).k_d_gsc == 0.0
 
 
 def test_presets():
@@ -140,8 +149,27 @@ def test_mppt_gains_above_rated_pitch(turbine, surface):
     assert d.omega_del == pytest.approx(turbine.omega_max, abs=1e-12)
 
 
+@pytest.mark.parametrize("variant", [
+    {}, {"P_rated": 4e6}, {"R": 70.0}, {"omega_max": 1.1}])
+def test_mppt_gains_is_the_eta_1_deload_point(variant, surface):
+    # Turbines whose MPP speed stays below omega_max above rated wind: the
+    # MPPT design must not run the rotor at the MPP speed with the pitch
+    # solved for omega_max, which puts p_wt above rated.
+    tb = TurbineParams(**variant)
+    for v_w in np.arange(3.0, 25.01, 0.25):
+        v_w = float(v_w)
+        d = mppt_gains(tb, surface, v_w)
+        pt = deload_point(tb, surface, v_w, 1.0)
+        assert (d.omega_del, d.beta_del) == (pt.omega_del, pt.beta_del), v_w
+        assert d.gains.omega_del == pt.omega_del
+        assert d.gains.pitch.beta_del == pt.beta_del
+        # the bisection's Cp tolerance, scaled to power
+        tol = 1e-12 * tb.swept_k * v_w ** 3 / tb.P_rated
+        p = wind_power_pu(tb, surface, v_w, d.omega_del, d.beta_del)
+        assert p <= 1.0 + tol, v_w
+
+
 def test_droop_map_csv(turbine, surface):
-    import numpy as np
     v_g = np.array([8.0, 10.0])
     e_g = np.array([0.9, 1.0])
     m, status = droop_map(turbine, surface, v_g, e_g)

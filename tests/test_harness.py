@@ -254,6 +254,11 @@ def test_gains_for_scenario_dispatch(plant, surface):
     mp = gains_for_scenario(plant, surface,
                             Scenario(mode=Mode.GFM_MPPT, eta=1.0))
     assert mp.status == "no-droop"
+    # the MPPT modes run the MPPT design whatever the configured eta
+    for mode in (Mode.GFM_MPPT, Mode.GFL_MPPT):
+        d = gains_for_scenario(plant, surface, Scenario(mode=mode, eta=0.9))
+        assert d == mp
+        assert d.eta == 1.0 and d.gains.pitch.k_p == 0.0
 
 
 def test_short_fr_run_passes_checks(plant, surface):

@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Byte-for-byte comparison of the CLI's outputs against a base revision.
+
+Usage (from the root of a windgfm checkout):
+
+    python3 tools/diff_outputs.py [--base HEAD] [--keep DIR]
+
+The base side is the committed tree of ``--base``, exported with
+``git archive``; the change side is the working tree.  Each side's package
+is staged with its own ``perfbench/build.py`` (compiled kernel, nothing
+written under ``src/``), and the fixed list of ``probes`` runs on both, each
+probe in an empty directory.  A probe's exit code, its stdout and every file
+it writes are compared byte for byte.  For each artefact that differs the
+first differing line is printed; the exit status is 1 if any differs, else
+0.  ``--keep DIR`` keeps both sides' outputs under ``DIR/base`` and
+``DIR/change``.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import itertools
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from bench_pairs import export_tree  # noqa: E402
+
+def probes(pure_args: list) -> dict:
+    """Probe name -> (CLI arguments, whether it runs on the pure-Python
+    kernel); pure_args is the benchmark's pure_fallback config."""
+    return {
+        "simulate": (["simulate", "--out", "sim.csv", "--plot", "sim.svg"], False),
+        "compare": (["compare", "--out", "cmp.csv", "--plot", "cmp.svg"], False),
+        "deload-table": (["deload-table", "--out", "deload.csv"], False),
+        "droop-map": (["droop-map", "--out", "map.csv", "--plot", "map.svg"],
+                      False),
+        "gain-design": (["gain-design"], False),
+        "smallsignal": (["smallsignal"], False),
+        **{f"gain-design-{m}": (["gain-design", "--set", f"scenario.mode={m}"],
+                                False)
+           for m in ("GFL_MPPT", "GFM_MPPT", "GFM_FR")},
+        **{f"{cmd}-{v}ms": ([cmd, "--set", f"scenario.v_w={v}",
+                             "--out", f"{cmd}.csv"], False)
+           for cmd in ("simulate", "compare") for v in (12, 13)},
+        "pure_fallback": ([*pure_args, "--out", "pure.csv"], True),
+    }
+
+
+def load_build(side: Path, name: str):
+    """The side's own perfbench/build.py, which stages that side's sources."""
+    spec = importlib.util.spec_from_file_location(
+        f"build_{name}", side / "perfbench" / "build.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def run_probes(side: Path, name: str, out: Path, cli: str, probe_list: dict) -> None:
+    """Run every probe on one side with ``python -c cli ARGS``; probe P
+    leaves ``out/P/exit_code``, ``out/P/stdout`` and the files it wrote
+    under ``out/P/files``."""
+    build = load_build(side, name)
+    stage = build.ensure_stage()
+    for probe, (args, pure) in probe_list.items():
+        files = out / probe / "files"
+        files.mkdir(parents=True)
+        proc = subprocess.run([sys.executable, "-c", cli, *args], cwd=files,
+                              env=build.child_env(stage, pure),
+                              capture_output=True)
+        (out / probe / "exit_code").write_text(f"{proc.returncode}\n")
+        (out / probe / "stdout").write_bytes(proc.stdout)
+        print(f"{name} {probe}: exit {proc.returncode}", file=sys.stderr)
+
+
+def _files(root: Path) -> set:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def _clip(line: bytes, col: int) -> str:
+    start = max(col - 40, 0)
+    text = line[start:start + 120].decode(errors="replace")
+    return ("..." if start else "") + text + ("..." if len(line) > start + 120 else "")
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """'line N: base ... | change ...' at the first line where a and b, which
+    differ, differ."""
+    pairs = itertools.zip_longest(a.split(b"\n"), b.split(b"\n"))
+    i, (x, y) = next((i, xy) for i, xy in enumerate(pairs, 1) if xy[0] != xy[1])
+    if x is None or y is None:
+        return f"line {i}: {'base' if x is None else 'change'} has no such line"
+    col = next((k for k, (p, q) in enumerate(zip(x, y)) if p != q),
+               min(len(x), len(y)))
+    return f"line {i}: base {_clip(x, col)!r} | change {_clip(y, col)!r}"
+
+
+def compare_dirs(base: Path, change: Path) -> list:
+    """(relative path, what differs) for every file not byte-identical on the
+    two sides, including files present on one side only."""
+    fb, fc = _files(base), _files(change)
+    diffs = []
+    for rel in sorted(fb | fc):
+        if rel not in fc:
+            diffs.append((rel, "missing on the change side"))
+        elif rel not in fb:
+            diffs.append((rel, "missing on the base side"))
+        else:
+            a, b = (base / rel).read_bytes(), (change / rel).read_bytes()
+            if a != b:
+                diffs.append((rel, first_difference(a, b)))
+    return diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", default="HEAD", help="git revision of the base side")
+    ap.add_argument("--keep", type=Path, help="keep the outputs in this directory")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads  # the benchmark's CLI launcher and pure_fallback config
+    probe_list = probes(workloads.PURE_ARGS)
+    with tempfile.TemporaryDirectory(prefix="diff-outputs-") as tmp:
+        tmp = Path(tmp)
+        base_tree = tmp / "tree"
+        export_tree(args.base, base_tree)
+        out = args.keep or tmp / "out"
+        for side in ("base", "change"):
+            shutil.rmtree(out / side, ignore_errors=True)
+        run_probes(base_tree, "base", out / "base", workloads.CLI, probe_list)
+        run_probes(ROOT, "change", out / "change", workloads.CLI, probe_list)
+        diffs = compare_dirs(out / "base", out / "change")
+    for rel, what in diffs:
+        print(f"DIFFERS {rel}: {what}")
+    print(f"{len(probe_list)} probes, {len(diffs)} differing artefacts")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
