@@ -9,6 +9,7 @@
 #include <math.h>
 
 #define N 13
+#define N_OUT 3     /* P_wt, P_gsc, y_gsc (keep in sync with layout.py) */
 #define BETZ (16.0 / 27.0)
 
 /* parameter indices (keep in sync with layout.py) */
@@ -62,7 +63,7 @@ static double limiter_pi(double kp, double ki, double err, double integ,
     return u;
 }
 
-/* _ode_py._deriv */
+/* _ode_py._deriv: the N state derivatives, then the N_OUT outputs at x */
 static void deriv(const Model *m, const double *x, double t, double *out)
 {
     const double *p = m->p;
@@ -72,7 +73,7 @@ static void deriv(const Model *m, const double *x, double t, double *out)
             pl += m->ev_dp[k];
     double om_g = x[2], p_g = x[3];
     if (m->mode == 0) {
-        memset(out, 0, N * sizeof(double));
+        memset(out, 0, (N + N_OUT) * sizeof(double));
         out[1] = om_g - 1.0;
         out[2] = (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g);
         out[3] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG];
@@ -112,6 +113,9 @@ static void deriv(const Model *m, const double *x, double t, double *out)
     out[10] = dbeta;
     out[11] = disp;
     out[12] = dipw;
+    out[N] = p_wt;
+    out[N + 1] = p_gsc;
+    out[N + 2] = yg;
 }
 
 /* Parse the state and the model inputs into contiguous float64 vectors
@@ -152,15 +156,17 @@ static PyObject *derivative(PyObject *self, PyObject *args, PyObject *kw)
     PyArrayObject *a[4] = {NULL};
     double t, base;
     int mode;
+    double d[N + N_OUT];
     Model m;
     if (!PyArg_ParseTupleAndKeywords(args, kw, "OdOid|OO:derivative", kwlist,
                                      &x, &t, &params, &mode, &base, &ev_t,
                                      &ev_dp))
         return NULL;
     if (parse(a, &m, x, params, mode, base, ev_t, ev_dp) == 0
-        && (out = PyArray_SimpleNew(1, (npy_intp[]){N}, NPY_DOUBLE)))
-        deriv(&m, PyArray_DATA(a[0]), t,
-              PyArray_DATA((PyArrayObject *)out));
+        && (out = PyArray_SimpleNew(1, (npy_intp[]){N}, NPY_DOUBLE))) {
+        deriv(&m, PyArray_DATA(a[0]), t, d);
+        memcpy(PyArray_DATA((PyArrayObject *)out), d, N * sizeof(double));
+    }
     release(a);
     return out;
 }
@@ -181,22 +187,28 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
     if (n_steps < 0 || stride < 1)
         return PyErr_Format(PyExc_ValueError,
                             "n_steps must be >= 0 and stride >= 1");
-    npy_intp dims[2] = {1 + n_steps / stride, 1 + N};
+    npy_intp dims[2] = {1 + n_steps / stride, 1 + N + N_OUT};
     if (parse(a, &m, x0, params, mode, base, ev_t, ev_dp) < 0
         || !(res = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_DOUBLE))) {
         release(a);
         return NULL;
     }
-    double x[N], xs[N], k1[N], k2[N], k3[N], k4[N];
-    double *out = PyArray_DATA(res);
+    /* a row is t, the N states and, from the first RK4 stage of the step
+     * that leaves the row's state, the N_OUT outputs */
+    const int w = 1 + N + N_OUT;
+    double x[N], xs[N], k1[N + N_OUT], k2[N + N_OUT], k3[N + N_OUT],
+        k4[N + N_OUT];
+    double *rows = PyArray_DATA(res), *out = rows + w;
     memcpy(x, PyArray_DATA(a[0]), sizeof x);
-    out[0] = 0.0;
-    memcpy(out + 1, x, sizeof x);
-    out += 1 + N;
+    rows[0] = 0.0;
+    memcpy(rows + 1, x, sizeof x);
     Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < n_steps; i++) {
         double t0 = i * h;
         deriv(&m, x, t0, k1);
+        if (i % stride == 0)
+            memcpy(rows + (npy_intp)(i / stride) * w + 1 + N, k1 + N,
+                   N_OUT * sizeof(double));
         for (int j = 0; j < N; j++)
             xs[j] = x[j] + 0.5 * h * k1[j];
         deriv(&m, xs, t0 + 0.5 * h, k2);
@@ -216,8 +228,12 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
         if ((i + 1) % stride == 0) {
             out[0] = (i + 1) * h;
             memcpy(out + 1, x, sizeof x);
-            out += 1 + N;
+            out += w;
         }
+    }
+    if (bad < 0 && n_steps % stride == 0) {  /* the final row's outputs */
+        deriv(&m, x, (double)n_steps * h, k1);
+        memcpy(out - w + 1 + N, k1 + N, N_OUT * sizeof(double));
     }
     Py_END_ALLOW_THREADS
     release(a);
@@ -240,8 +256,8 @@ static PyMethodDef methods[] = {
     {"simulate", (PyCFunction)simulate, METH_VARARGS | METH_KEYWORDS,
      "simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), "
      "ev_dp=())\n--\n\nFixed-step RK4 over n_steps; records every `stride` "
-     "steps (plus t=0)\nas rows (t, 13 states).  Raises FloatingPointError on "
-     "divergence\n(any |state| > 1e6)."},
+     "steps (plus t=0)\nas rows (t, 13 states, P_wt, P_gsc, y_gsc).  Raises "
+     "FloatingPointError on\ndivergence (any |state| > 1e6)."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -13,7 +13,7 @@ import numpy as np
 from ..aero import _cp_calibrated
 from ..control import limiter_pi, pd_filter_realization, pitch_rate
 from .layout import (
-    MODE_GFL_MPPT, N_STATES,
+    MODE_GFL_MPPT, N_OUT, N_STATES,
     P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0, P_CPMAX,
     P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG, P_KTM,
     P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE, P_RATE,
@@ -24,6 +24,7 @@ BACKEND = "python"
 
 
 def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
+    """The 13 state derivatives followed by the N_OUT outputs at x."""
     pl = base
     for k in range(len(ev_t)):
         if t >= ev_t[k]:
@@ -34,7 +35,7 @@ def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
         return [0.0, om_g - 1.0,
                 (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g),
                 (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG],
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     u = vdc - p[P_VDCS]
     yg, dxg = pd_filter_realization(p[P_KTG], p[P_KDG], p[P_TDC], xg, u)
     ym, dxm = pd_filter_realization(p[P_KTM], p[P_KDM], p[P_TDC], xm, u)
@@ -56,7 +57,8 @@ def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
             (p[P_OMDEL] + ym) - p[P_OMDEL],
             om_r - p[P_OMDEL],
             (p_wt - p_pmsg) / (p[P_JWT] * om_r),
-            dxg, dxm, dbeta, disp, dipw]
+            dxg, dxm, dbeta, disp, dipw,
+            p_wt, p_gsc, yg]
 
 
 def _floats(a) -> list:
@@ -73,13 +75,15 @@ def _args(params, mode, base_load, ev_t, ev_dp) -> tuple:
 def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()):
     """d state/dt for the 13-state closed loop (numpy array out)."""
     return np.array(_deriv(_floats(x), float(t),
-                           *_args(params, mode, base_load, ev_t, ev_dp)))
+                           *_args(params, mode, base_load, ev_t, ev_dp))[:N_STATES])
 
 
 def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()):
     """Fixed-step RK4 over n_steps; records every `stride` steps (plus t=0).
 
-    Returns an array of shape (n_samples, 1 + N_STATES) with time in col 0.
+    Returns an array of shape (n_samples, 1 + N_STATES + N_OUT): time, the
+    states and their outputs, from the first RK4 stage of the step that
+    leaves the row (a final row at n_steps takes one more derivative call).
     Raises FloatingPointError on divergence (any |state| > 1e6).
     """
     x = _floats(x0)
@@ -87,13 +91,15 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     dt = float(dt)
     h2 = 0.5 * dt
     h6 = dt / 6.0
-    out = np.empty((1 + n_steps // stride, 1 + N_STATES))
+    out = np.empty((1 + n_steps // stride, 1 + N_STATES + N_OUT))
     out[0, 0] = 0.0
-    out[0, 1:] = x
+    out[0, 1:1 + N_STATES] = x
     row = 1
     for i in range(n_steps):
         t0 = i * dt
         k1 = _deriv(x, t0, *args)
+        if i % stride == 0:
+            out[i // stride, 1 + N_STATES:] = k1[N_STATES:]
         k2 = _deriv([a + h2 * b for a, b in zip(x, k1)], t0 + h2, *args)
         k3 = _deriv([a + h2 * b for a, b in zip(x, k2)], t0 + h2, *args)
         k4 = _deriv([a + dt * b for a, b in zip(x, k3)], t0 + dt, *args)
@@ -104,6 +110,8 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
                 raise FloatingPointError(f"state {j} diverged at t={t0 + dt:.6f}")
         if (i + 1) % stride == 0:
             out[row, 0] = (i + 1) * dt
-            out[row, 1:] = x
+            out[row, 1:1 + N_STATES] = x
             row += 1
+    if n_steps % stride == 0:
+        out[row - 1, 1 + N_STATES:] = _deriv(x, n_steps * dt, *args)[N_STATES:]
     return out[:row]

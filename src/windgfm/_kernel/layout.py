@@ -38,6 +38,10 @@ N_STATES = 13
 #   0 th_gsc, 1 th_g, 2 om_g, 3 P_g, 4 v_dc, 5 th_msc, 6 th_r, 7 om_r,
 #   8 x_gsc, 9 x_msc, 10 beta, 11 i_speed, 12 i_power
 
+N_OUT = 3
+# simulate() rows are t, the 13 states, then the outputs at that state:
+#   P_wt, P_gsc and the GSC filter output y_gsc (zeros in GFL_MPPT mode)
+
 MODE_GFL_MPPT = 0
 MODE_GFM_MPPT = 1
 MODE_GFM_FR = 2

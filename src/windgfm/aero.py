@@ -36,7 +36,11 @@ CALIBRATED_COEFFS = (
 CALIBRATED_CPMAX = 0.4622678296929199
 
 
-class AeroDomainError(ValueError):
+class DesignError(ValueError):
+    """The inputs admit no operating point, gain design or model."""
+
+
+class AeroDomainError(DesignError):
     pass
 
 
@@ -59,12 +63,12 @@ class TurbineParams:
     n_agg: int = 10             # aggregated turbine count
 
     def __post_init__(self):
-        # written `not x > 0` so that NaN is rejected too
+        # written `not lo < x < hi` so that NaN is rejected too
         for name in ("rho", "R", "J_wt", "omega_nom", "omega_max", "P_rated"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.n_agg >= 1:
-            raise ValueError("n_agg must be >= 1")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 1 <= self.n_agg < math.inf:
+            raise ValueError("n_agg must be finite and >= 1")
 
     @property
     def swept_k(self) -> float:
@@ -176,6 +180,8 @@ def power_sensitivities(params: TurbineParams, surface: CpSurface, v_w: float,
     scale = params.swept_k * v_w ** 3 / params.P_rated  # per-turbine pu
     k_wr = -scale * dl * (params.R * params.omega_nom / v_w)
     k_b = -scale * db
+    if not (math.isfinite(k_wr) and math.isfinite(k_b)):
+        raise AeroDomainError("power sensitivities are not finite")
     if abs(k_wr) < 1e-4 or -1e-3 < k_wr < 0.0:
         k_wr = 0.0
     return k_wr, k_b

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from . import _kernel, curtailment, gaindesign, harness, plotting, smallsignal
+from .aero import DesignError
 from .config import (
     ConfigError, apply_overrides, load_config, make_design_spec, make_plant,
     make_surface, make_turbine,
@@ -162,7 +163,9 @@ def main(argv=None) -> int:
         _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        # a float overflow or NaN raises, so no inf or NaN reaches an output
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
@@ -171,6 +174,9 @@ def main(argv=None) -> int:
         return 2
     except PlantError as e:
         print(f"simulation failure: {e}", file=sys.stderr)
+        return 2
+    except (DesignError, ArithmeticError) as e:
+        print(f"design failure: {e!r}", file=sys.stderr)
         return 2
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import re
 
 from .aero import CpSurface, TurbineParams
 from .gaindesign import PRESETS, DesignSpec
@@ -78,45 +80,75 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
     return cfg
 
 
-def make_turbine(cfg: dict) -> TurbineParams:
+def _finite(x) -> bool:
+    """Whether x is a finite int or float (a bool is not a number here)."""
+    return type(x) in (int, float) and abs(x) < math.inf
+
+
+def section(cfg: dict, name: str) -> dict:
+    """A copy of cfg[name] whose values have the kind of their defaults:
+    finite numbers, strings, a list of [t, dP] number pairs for events, and
+    null where the default is null.  Raises ConfigError naming name.key."""
+    out = dict(cfg[name])
+    for key, default in DEFAULT_CONFIG[name].items():
+        val = out[key]
+        if key == "events":
+            ok = isinstance(val, list) and all(
+                isinstance(ev, list) and len(ev) == 2 and all(map(_finite, ev))
+                for ev in val)
+            kind = "a list of [t, dP] pairs of finite numbers"
+        elif isinstance(default, str):
+            ok, kind = isinstance(val, str), "a string"
+        else:
+            ok = _finite(val) or val is default is None
+            kind = "a finite number" + (" or null" if default is None else "")
+        if not ok:
+            raise ConfigError(f"{name}.{key} must be {kind}, got {val!r}")
+    return out
+
+
+def build(name: str, cls, **kwargs):
+    """cls(**kwargs) from section name; the ValueError of a rejected value
+    becomes a ConfigError in which each key of the section reads name.key."""
     try:
-        return TurbineParams(**cfg["turbine"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"turbine: {e}") from e
+        return cls(**kwargs)
+    except ValueError as e:
+        keys = "|".join(DEFAULT_CONFIG[name])
+        raise ConfigError(re.sub(rf"\b({keys})\b", rf"{name}.\1", str(e))) from e
+
+
+def make_turbine(cfg: dict) -> TurbineParams:
+    return build("turbine", TurbineParams, **section(cfg, "turbine"))
 
 
 def make_plant(cfg: dict) -> PlantParams:
-    try:
-        return PlantParams(turbine=make_turbine(cfg),
-                           sg=SgParams(**cfg["sg"]),
-                           network=NetworkParams(**cfg["network"]))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"plant: {e}") from e
+    return PlantParams(turbine=make_turbine(cfg),
+                       sg=build("sg", SgParams, **section(cfg, "sg")),
+                       network=build("network", NetworkParams,
+                                     **section(cfg, "network")))
 
 
 def make_design_spec(cfg: dict) -> DesignSpec:
-    c = dict(cfg["control"])
-    preset = c.pop("preset", "table3")
+    c = section(cfg, "control")
+    preset = c.pop("preset")
     if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}")
-    base = PRESETS[preset]
-    if c.get("d_omega_max") is None:
-        c["d_omega_max"] = base.d_omega_max
-    try:
-        return DesignSpec(**c)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"control: {e}") from e
+        raise ConfigError(f"control.preset must be one of "
+                          f"{', '.join(PRESETS)}, got {preset!r}")
+    if c["d_omega_max"] is None:
+        c["d_omega_max"] = PRESETS[preset].d_omega_max
+    return build("control", DesignSpec, **c)
 
 
 def make_mode(name: str) -> Mode:
     try:
         return Mode[name]
     except KeyError:
-        raise ConfigError(f"unknown mode {name!r}") from None
+        raise ConfigError(f"scenario.mode must be one of "
+                          f"{', '.join(Mode.__members__)}, got {name!r}") from None
 
 
 def make_load(cfg: dict) -> LoadProfile:
-    sc = cfg["scenario"]
+    sc = section(cfg, "scenario")
     events = tuple((float(t), float(dp)) for t, dp in sc["events"])
     return LoadProfile(base=float(sc["base_load"]), events=events)
 

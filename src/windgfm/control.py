@@ -1,7 +1,10 @@
 """Dual-port converter controllers and pitch control."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .aero import DesignError
 
 
 @dataclass(frozen=True)
@@ -12,10 +15,10 @@ class ConverterGains:
     k_d: float = 0.0        # pu-freq*s / pu-Vdc
 
     def __post_init__(self):
-        if self.k_theta <= 0:
-            raise ValueError("k_theta must be positive")
-        if self.k_d < 0:
-            raise ValueError("k_d must be non-negative")
+        if not 0 < self.k_theta < math.inf:
+            raise DesignError("k_theta must be finite and positive")
+        if not 0 <= self.k_d < math.inf:
+            raise DesignError("k_d must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aero import CpSurface, TurbineParams, cp, find_mpp, tip_speed_ratio
+from .aero import (CpSurface, DesignError, TurbineParams, cp, find_mpp,
+                   tip_speed_ratio)
 
 
-class CurtailmentError(ValueError):
+class CurtailmentError(DesignError):
     pass
 
 
@@ -21,6 +22,7 @@ class DeloadPoint:
     omega_del: float    # pu of omega_nom
     beta_del: float     # degrees
     p_wt_del: float     # pu of P_rated (one turbine)
+    omega_mpp: float    # pu, lam_mpp * v_w / (R omega_nom), not capped
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
         beta = solve_pitch_deload(surface, lam_cap, eta, target_cp)
     p_pu = k3 * cp(surface, lam_del, beta) / params.P_rated
     return DeloadPoint(v_w=v_w, eta=eta, lam_del=lam_del, omega_del=om,
-                       beta_del=beta, p_wt_del=p_pu)
+                       beta_del=beta, p_wt_del=p_pu,
+                       omega_mpp=lam_mpp * v_w / (params.R * params.omega_nom))
 
 
 def solve_speed_deload_target(surface: CpSurface, target: float,

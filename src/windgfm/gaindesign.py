@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aero import CpSurface, TurbineParams, find_mpp, power_sensitivities
+from .aero import CpSurface, DesignError, TurbineParams, power_sensitivities
 from .control import ControlGains, ConverterGains, PitchGains
 from .curtailment import deload_point
 
 
-class ZeroStiffnessError(ValueError):
+class ZeroStiffnessError(DesignError):
     pass
 
 
@@ -26,12 +26,16 @@ class DesignSpec:
     t_dc: float = 0.005         # s
 
     def __post_init__(self):
-        # written `not x > 0` so that NaN is rejected too
+        # written `not lo < x < hi` so that NaN is rejected too
         for name in ("d_omega_max", "d_v_max", "msc_floor", "t_dc"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.k_d_gsc >= 0:
-            raise ValueError("k_d_gsc must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.k_d_gsc < math.inf:
+            raise ValueError("k_d_gsc must be finite and non-negative")
+        if self.target_droop is not None \
+                and not 0 < self.target_droop < math.inf:
+            raise ValueError("target_droop must be None or finite and "
+                             "positive")
 
 
 # presets per the two published operating assumptions
@@ -76,7 +80,7 @@ def max_msc_gain(spec: DesignSpec, k_theta_gsc: float, omega_del: float,
 def max_pitch_gain(spec: DesignSpec, k_theta_gsc: float, k_theta_msc: float,
                    beta_del: float) -> float:
     if k_theta_msc <= 0:
-        raise ValueError("k_theta_msc must be positive")
+        raise DesignError("k_theta_msc must be positive")
     if beta_del <= 1e-12:
         return 0.0
     return (k_theta_gsc / k_theta_msc) * beta_del / spec.d_omega_max
@@ -86,10 +90,8 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
                  eta: float, spec: DesignSpec = DesignSpec()) -> GainDesign:
     """Largest-gain selection chain for one operating point."""
     pt = deload_point(params, surface, v_w, eta)
-    lam_mpp, _ = find_mpp(surface)
-    omega_mpp = lam_mpp * v_w / (params.R * params.omega_nom)
     ktg = max_gsc_gain(spec)
-    ktm = max_msc_gain(spec, ktg, pt.omega_del, omega_mpp)
+    ktm = max_msc_gain(spec, ktg, pt.omega_del, pt.omega_mpp)
     k_p = max_pitch_gain(spec, ktg, ktm, pt.beta_del)
     k_wr, k_b = power_sensitivities(params, surface, v_w, pt.omega_del,
                                     pt.beta_del)
@@ -109,7 +111,7 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         omega_del=pt.omega_del, t_dc=spec.t_dc)
     return GainDesign(v_w=v_w, eta=eta, gains=gains, m_p=m_p, k_wr=k_wr,
                       k_b=k_b, omega_del=pt.omega_del, beta_del=pt.beta_del,
-                      omega_mpp=omega_mpp, status=status)
+                      omega_mpp=pt.omega_mpp, status=status)
 
 
 def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
@@ -125,7 +127,7 @@ def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         omega_del=pt.omega_del, t_dc=spec.t_dc)
     return GainDesign(v_w=v_w, eta=1.0, gains=gains, m_p=math.inf, k_wr=0.0,
                       k_b=0.0, omega_del=pt.omega_del, beta_del=pt.beta_del,
-                      omega_mpp=pt.omega_del, status="no-droop")
+                      omega_mpp=pt.omega_mpp, status="no-droop")
 
 
 def droop_map(params: TurbineParams, surface: CpSurface, v_grid, eta_grid,

@@ -7,10 +7,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aero import CpSurface, cp
+from .aero import AeroDomainError, CpSurface
 from .config import (
-    ConfigError, make_design_spec, make_load, make_mode, make_plant,
-    make_surface,
+    build, make_design_spec, make_load, make_mode, make_plant, make_surface,
+    section,
 )
 from .control import pd_filter_realization
 from .gaindesign import DesignSpec, GainDesign, design_gains, mppt_gains
@@ -20,12 +20,11 @@ from .plant import (
 
 TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
                  "P_wt", "P_gsc", "P_g")
-# Trace samples handled per block when P_wt is rebuilt and when rows are
-# written: large enough to amortise the per-block numpy calls, small enough
-# that no block-sized copy shows in peak memory.  Before the first load step
-# the trace sits on an exact fixed point of the RK4 step, so there a column
-# holds one value, bit for bit, across whole blocks; such a column is
-# handled once per block.
+# Trace rows written per block: large enough to amortise the per-block numpy
+# calls, small enough that no block-sized copy shows in peak memory.  Before
+# the first load step the trace sits on an exact fixed point of the RK4 step,
+# so there a column holds one value, bit for bit, across whole blocks; such a
+# column is formatted once per block.
 BLOCK = 512
 # Smallest steady-state |ΔP_wt| (pu) a measured droop is computed from.
 # Where P_wt is held (GFL_MPPT, GFM_MPPT below rated) ΔP_wt is numerical
@@ -54,27 +53,23 @@ class Scenario:
         for name in ("duration", "dt", "sample_dt"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if not self.v_w > 0:
-            raise ValueError("v_w must be positive")
+        if not 0.0 < self.v_w < math.inf:
+            raise ValueError("v_w must be finite and positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         for t_ev, _ in self.load.events:
             if not 0.0 < t_ev < self.duration:
-                raise ValueError("events must fall inside the run")
+                raise ValueError("events must fall inside the run "
+                                 "(0, duration)")
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    sc = cfg["scenario"]
-    try:
-        return Scenario(mode=make_mode(sc["mode"]), v_w=float(sc["v_w"]),
-                        eta=float(sc["eta"]), load=make_load(cfg),
-                        duration=float(sc["duration"]), dt=float(sc["dt"]),
-                        sample_dt=float(sc["sample_dt"]),
-                        spec=make_design_spec(cfg))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as e:
-        raise ConfigError(f"scenario: {e}") from e
+    sc = section(cfg, "scenario")
+    return build("scenario", Scenario, mode=make_mode(sc["mode"]),
+                 v_w=float(sc["v_w"]), eta=float(sc["eta"]),
+                 load=make_load(cfg), duration=float(sc["duration"]),
+                 dt=float(sc["dt"]), sample_dt=float(sc["sample_dt"]),
+                 spec=make_design_spec(cfg))
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ class SimTrace:
 class RunResult:
     trace: SimTrace
     design: GainDesign
-    states: np.ndarray      # sampled kernel output (t + 13 states)
+    states: np.ndarray      # kernel rows: t, 13 states, P_wt, P_gsc, y_gsc
     p_wt0: float
     scenario: Scenario
 
@@ -142,7 +137,7 @@ def run_scenario(plant: PlantParams, surface: CpSurface, scenario: Scenario,
                                      scenario.load, scenario.mode)
     states = simulate(x0, p_arr, scenario.mode, scenario.load,
                       scenario.duration, scenario.dt, scenario.sample_dt)
-    trace = _trace_from_states(plant, surface, gains, scenario, states, op)
+    trace = _trace_from_states(plant, gains, scenario, states, op)
     result = RunResult(trace=trace, design=design, states=states,
                        p_wt0=op.p_wt0, scenario=scenario)
     if check:
@@ -156,14 +151,13 @@ def _constant(a: np.ndarray) -> bool:
     return bits.min() == bits.max()
 
 
-def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
+def _trace_from_states(plant, gains, scenario, states, op) -> SimTrace:
     f_base = plant.network.f_hz
     t = states[:, 0]
     om_g = states[:, 3]
     p_g = states[:, 4]
     v = states[:, 5]
     om_r = states[:, 8]
-    xg = states[:, 9]
     beta = states[:, 11]
     if scenario.mode == Mode.GFL_MPPT:
         # The constant injection the kernel integrates, DC link held at its
@@ -175,27 +169,13 @@ def _trace_from_states(plant, surface, gains, scenario, states, op) -> SimTrace:
                         beta=np.full(n, gains.pitch.beta_del),
                         p_wt=np.full(n, op.p_const),
                         p_gsc=np.full(n, op.p_const), p_g=p_g)
-    y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
-                                 gains.t_dc, xg, v - gains.v_dc_star)
-    om_gsc = gains.omega_0 + y
-    p_gsc = plant.network.b_g * np.sin(states[:, 1] - states[:, 2])
-    scale = plant.turbine.swept_k * scenario.v_w ** 3 / plant.turbine.P_rated
-    lam_c = plant.turbine.R * plant.turbine.omega_nom / scenario.v_w
-    # Scalar cp calls on Python floats, so that the Cp equation keeps its
-    # single definition in aero: one per block where omega_r and beta are
-    # block-constant, one per sample elsewhere.
-    p_wt = np.empty(t.size)
-    for i in range(0, t.size, BLOCK):
-        o, b = om_r[i:i + BLOCK], beta[i:i + BLOCK]
-        if _constant(o) and _constant(b):
-            p_wt[i:i + BLOCK] = scale * cp(surface, lam_c * float(o[0]),
-                                           float(b[0]))
-        else:
-            p_wt[i:i + BLOCK] = [scale * cp(surface, lam_c * ok, bk)
-                                 for ok, bk in zip(o.tolist(), b.tolist())]
-    return SimTrace(t=t, f_g=f_base * om_g, f_gsc=f_base * om_gsc,
-                    v_dc=v, omega_r=om_r, beta=beta, p_wt=p_wt,
-                    p_gsc=p_gsc, p_g=p_g)
+    # The kernel's Cp evaluation skips aero.cp's domain check; make it here.
+    if np.any(om_r <= 0):
+        raise AeroDomainError("lambda must be positive")
+    p_wt, p_gsc, y_gsc = states[:, 14:].T
+    return SimTrace(t=t, f_g=f_base * om_g,
+                    f_gsc=f_base * (gains.omega_0 + y_gsc), v_dc=v,
+                    omega_r=om_r, beta=beta, p_wt=p_wt, p_gsc=p_gsc, p_g=p_g)
 
 
 def run_checks(result: RunResult) -> None:
@@ -209,16 +189,12 @@ def run_checks(result: RunResult) -> None:
     om_g = tail[:, 3].mean()
     v = tail[:, 5].mean()
     om_r = tail[:, 8].mean()
-    xg = tail[:, 9].mean()
     xm = tail[:, 10].mean()
-    u = v - gains.v_dc_star
-    yg, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
-                                  gains.t_dc, xg, u)
-    ym, _ = pd_filter_realization(gains.msc.k_theta, gains.msc.k_d,
-                                  gains.t_dc, xm, u)
-    om_gsc = gains.omega_0 + yg
-    om_msc = gains.omega_del + ym
     dv = v - gains.v_dc_star
+    ym, _ = pd_filter_realization(gains.msc.k_theta, gains.msc.k_d,
+                                  gains.t_dc, xm, dv)
+    om_gsc = gains.omega_0 + tail[:, 16].mean()  # the kernel's y_gsc
+    om_msc = gains.omega_del + ym
     if abs((om_gsc - gains.omega_0) - gains.gsc.k_theta * dv) >= 1e-3:
         raise HarnessAssertionError("GSC frequency/DC-voltage relation violated")
     if abs((om_msc - gains.omega_del) - gains.msc.k_theta * dv) >= 1e-3:

@@ -39,14 +39,19 @@ class SgParams:
 
     def __post_init__(self):
         for name in ("h_g", "t_g", "droop", "rating"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"SG {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     def j_g(self, s_base: float) -> float:
         return 2.0 * self.h_g * self.rating / s_base
 
     def k_g(self, s_base: float) -> float:
         return (self.rating / s_base) / self.droop
+
+
+def j_wt(turbine: TurbineParams, s_base: float) -> float:
+    """Inertia coefficient of the aggregated turbines on the system base."""
+    return turbine.n_agg * turbine.J_wt * turbine.omega_nom ** 2 / s_base
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,8 @@ class NetworkParams:
 
     def __post_init__(self):
         for name in ("b_g", "b_msc", "c_dc", "s_base", "f_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"network {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     p[P_KG] = sg.k_g(nw.s_base)
     p[P_BG] = nw.b_g
     p[P_BM] = nw.b_msc
-    p[P_JWT] = tb.n_agg * tb.J_wt * tb.omega_nom ** 2 / nw.s_base
+    p[P_JWT] = j_wt(tb, nw.s_base)
     p[P_CDC] = nw.c_dc
     p[P_TDC] = gains.t_dc
     p[P_KDG] = gains.gsc.k_d
@@ -190,7 +195,8 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
 
 def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
              duration: float, dt: float, sample_dt: float = 1e-3) -> np.ndarray:
-    """Integrate with the active kernel; rows are (t, 13 states)."""
+    """Integrate with the active kernel; rows are (t, 13 states, P_wt,
+    P_gsc, y_gsc), the outputs taken at the row's state."""
     n_steps = int(round(duration / dt))
     stride = max(int(round(sample_dt / dt)), 1)
     for t_ev in load.ev_times:

@@ -6,13 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aero import DesignError
 from .control import ControlGains, ratio_matched
-from .plant import PlantParams
+from .plant import PlantParams, j_wt
 
 STATE_LABELS = ("rho_1", "rho_2", "omega_g", "omega_r", "v_dc", "p_g")
 
 
-class SmallSignalError(ValueError):
+class SmallSignalError(DesignError):
     pass
 
 
@@ -90,11 +91,9 @@ def model_from_params(plant: PlantParams, gains: ControlGains,
                       k_wr: float, k_b: float) -> SmallSignalModel:
     nw = plant.network
     sg = plant.sg
-    tb = plant.turbine
     k_wt = k_wr + k_b * gains.pitch.k_p
     return build_model(
-        j_g=sg.j_g(nw.s_base),
-        j_wt=tb.n_agg * tb.J_wt * tb.omega_nom ** 2 / nw.s_base,
+        j_g=sg.j_g(nw.s_base), j_wt=j_wt(plant.turbine, nw.s_base),
         c_dc=nw.c_dc, t_g=sg.t_g, k_g=sg.k_g(nw.s_base),
         b_g=nw.b_g, b_msc=nw.b_msc,
         k_theta_gsc=gains.gsc.k_theta, k_d_gsc=gains.gsc.k_d,
@@ -103,7 +102,10 @@ def model_from_params(plant: PlantParams, gains: ControlGains,
 
 
 def system_matrix(model: SmallSignalModel) -> np.ndarray:
-    return np.linalg.solve(model.T, model.A)
+    sys_a = np.linalg.solve(model.T, model.A)
+    if not np.isfinite(sys_a).all():
+        raise SmallSignalError("T^-1 A is not finite")
+    return sys_a
 
 
 def stability_verdict(model: SmallSignalModel) -> tuple[np.ndarray, bool]:

@@ -215,7 +215,7 @@ def test_criterion_9a_rk4_convergence_order(plant, surface):
     ends = []
     for dt in (4e-3, 2e-3, 1e-3):
         states = simulate(x0, p_arr, Mode.GFM_FR, load, 2.0, dt, sample_dt=2.0)
-        ends.append(states[-1, 1:])
+        ends.append(states[-1, 1:14])
     d1 = np.linalg.norm(ends[0] - ends[1])
     d2 = np.linalg.norm(ends[1] - ends[2])
     order = math.log2(d1 / d2)

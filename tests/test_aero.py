@@ -63,8 +63,8 @@ def test_find_mpp_solves_once_per_surface(monkeypatch, turbine, surface):
     cached = outputs()
     info = find_mpp.cache_info()
     assert info.misses == 1 and info.hits > 100
-    for mod in (curtailment, gaindesign):
-        monkeypatch.setattr(mod, "find_mpp", find_mpp.__wrapped__)
+    # deload_point is the design chain's only caller
+    monkeypatch.setattr(curtailment, "find_mpp", find_mpp.__wrapped__)
     assert outputs() == cached
     assert find_mpp.cache_info() == info
 

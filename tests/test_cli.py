@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import windgfm
 from windgfm import cli
 from windgfm.config import (
-    apply_overrides, load_config, make_plant, make_surface,
+    DEFAULT_CONFIG, apply_overrides, load_config, make_plant, make_surface,
 )
 from windgfm.harness import gains_for_scenario, scenario_from_config
 
@@ -155,14 +159,53 @@ def test_compare_subcommand(tmp_path, capsys):
     ("control.d_v_max=NaN", {"simulate": 3, "gain-design": 3}),
     ("sg.h_g=NaN", {"simulate": 3, "gain-design": 3}),
     ("network.b_g=NaN", {"simulate": 3, "gain-design": 3}),
+    # target_droop was never validated: a UFuncTypeError, ValueError or
+    # TypeError escaped
+    *((f"control.target_droop={v}", {"simulate": 3, "gain-design": 3})
+      for v in ("nan", "inf", "-inf", "x", "[1,2]", "{}", "NaN", "0")),
+    # 1e400 parses as inf: every number must be finite
+    *((o, {"simulate": 3, "gain-design": 3})
+      for o in ("control.d_v_max=1e400", "scenario.v_w=inf",
+                "scenario.v_w=1e400", "turbine.rho=1e400", "turbine.R=1e400")),
+    # finite but beyond the design chain: an OverflowError or
+    # CurtailmentError escaped
+    *((o, {"simulate": 2, "gain-design": 2})
+      for o in ("scenario.v_w=1e308", "turbine.R=1e308", "turbine.rho=1e308")),
+    # the message names the key: it named "plant: turbine:" and "scenario:"
+    ("turbine.rho=nan", {"simulate": 3, "gain-design": 3}),
+    ("control.preset=[1,2]", {"simulate": 3, "gain-design": 3}),
+    ("scenario.duration=10", {"simulate": 3, "gain-design": 3}),
 ])
 def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     rc = cli.main([command, "--set", override])
     err = capsys.readouterr().err
     assert rc == codes[command]
     assert "Traceback" not in err
+    if rc:
+        assert err.count("\n") == 1
     if rc == 3:
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert err.startswith("config error:")
+        assert override.partition("=")[0] in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from([f"{s}.{k}" for s, keys in DEFAULT_CONFIG.items()
+                            for k in keys]),
+       value=st.one_of(
+           st.sampled_from(["0", "-1", "1e308", "-1e308", "5e-324", "NaN",
+                            "Infinity", "-Infinity", "nan", "inf", "null",
+                            "{}", "[]", "[1,2]", "[[1,2]]", "true", "GFM_FR",
+                            '"x"', '{"a": 1}']),
+           st.floats().map(repr), st.integers().map(str), st.text(max_size=8)),
+       command=st.sampled_from(["gain-design", "smallsignal"]))
+def test_any_single_override_keeps_exit_contract(key, value, command):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--set", f"{key}={value}"])
+    assert rc in (0, 2, 3)
+    if rc == 3:
+        assert key in err.getvalue()
 
 
 def test_gain_design_does_not_import_numpy_ma():

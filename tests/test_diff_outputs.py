@@ -68,4 +68,10 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
     for mode in ("GFL_MPPT", "GFM_MPPT", "GFM_FR"):
         assert probes[f"gain-design-{mode}"][0][-1] == f"scenario.mode={mode}"
     assert [k for k, (_, pure) in probes.items() if pure] == ["pure_fallback"]
+    # the kernel's output columns at both ends of a run and in GFL mode
+    for probe, override in (("simulate-odd-steps", "scenario.duration=59.9995"),
+                            ("simulate-stride-3", "scenario.sample_dt=0.0015"),
+                            ("simulate-GFL_MPPT", "scenario.mode=GFL_MPPT")):
+        assert probes[probe][0][:3] == ["simulate", "--set", override]
+        assert "--out" in probes[probe][0]
     assert probes["pure_fallback"][0][-2:] == ["--out", "pure.csv"]

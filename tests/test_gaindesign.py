@@ -25,7 +25,9 @@ def test_design_spec_validation():
         DesignSpec(msc_floor=0.0)
     for bad in ({"k_d_gsc": -1.0}, {"k_d_gsc": math.nan},
                 {"d_v_max": math.nan}, {"d_omega_max": math.nan},
-                {"t_dc": math.nan}):
+                {"t_dc": math.nan}, {"d_v_max": math.inf},
+                {"k_d_gsc": math.inf}, {"target_droop": 0.0},
+                {"target_droop": math.nan}, {"target_droop": math.inf}):
         with pytest.raises(ValueError):
             DesignSpec(**bad)
     assert DesignSpec(k_d_gsc=0.0).k_d_gsc == 0.0
@@ -167,6 +169,15 @@ def test_mppt_gains_is_the_eta_1_deload_point(variant, surface):
         tol = 1e-12 * tb.swept_k * v_w ** 3 / tb.P_rated
         p = wind_power_pu(tb, surface, v_w, d.omega_del, d.beta_del)
         assert p <= 1.0 + tol, v_w
+
+
+def test_mppt_and_fr_designs_report_one_mpp_speed(turbine, surface):
+    # omega_mpp is the uncapped MPP speed in both designs; the MPPT design
+    # reported its own operating speed, omega_max from 11.25 m/s up
+    for v_w in np.arange(3.0, 25.01, 0.25):
+        v_w = float(v_w)
+        assert mppt_gains(turbine, surface, v_w).omega_mpp == \
+            design_gains(turbine, surface, v_w, 0.9).omega_mpp, v_w
 
 
 def test_droop_map_csv(turbine, surface):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windgfm import aero, harness
+from windgfm.control import pd_filter_realization
 from windgfm.harness import (
     BLOCK, HarnessAssertionError, Scenario, SimTrace, compute_metrics,
     gains_for_scenario, run_scenario, scenario_from_config, trace_to_csv,
@@ -175,35 +177,28 @@ def scalar_p_wt(plant, surface, v_w, states):
 @pytest.mark.parametrize("v_w", [8.0, 12.0])
 def test_trace_p_wt_bit_identical_to_scalar_cp(plant, surface, mode, v_w):
     sc, gains, states, op = short_run(plant, surface, mode, v_w)
-    tr = harness._trace_from_states(plant, surface, gains, sc, states, op)
+    tr = harness._trace_from_states(plant, gains, sc, states, op)
     assert tr.p_wt.size > 2 * BLOCK
     assert tr.p_wt.tobytes() == scalar_p_wt(plant, surface, v_w,
                                             states).tobytes()
 
 
-def test_trace_p_wt_calls_cp_once_per_constant_block(plant, surface,
-                                                      monkeypatch):
-    sc = Scenario()
-    gains = gains_for_scenario(plant, surface, sc).gains
-    x0, p_arr, op = find_equilibrium(plant, gains, surface, sc.v_w, sc.load,
-                                     sc.mode)
-    states = simulate(x0, p_arr, sc.mode, sc.load, sc.duration, sc.dt,
-                      sc.sample_dt)
-    calls = []
-
-    def counting_cp(*args):
-        calls.append(1)
-        return aero.cp(*args)
-
-    monkeypatch.setattr(harness, "cp", counting_cp)
-    tr = harness._trace_from_states(plant, surface, gains, sc, states, op)
-    # The load step at 30 s is row 30,000: the 58 full blocks before it sit
-    # on the equilibrium and take one call each; the other 30,305 rows one
-    # call per row.
-    assert states.shape[0] == 60_001
-    assert len(calls) == 58 + (60_001 - 58 * BLOCK) == 30_363
-    assert tr.p_wt.tobytes() == scalar_p_wt(plant, surface, sc.v_w,
-                                            states).tobytes()
+@pytest.mark.parametrize("mode", [Mode.GFM_FR, Mode.GFM_MPPT])
+@pytest.mark.parametrize("v_w", [8.0, 12.0])
+def test_trace_p_gsc_and_f_gsc_bit_identical_to_scalar_equations(
+        plant, surface, mode, v_w):
+    sc, gains, states, op = short_run(plant, surface, mode, v_w)
+    tr = harness._trace_from_states(plant, gains, sc, states, op)
+    b_g, f_base = plant.network.b_g, plant.network.f_hz
+    p_gsc, f_gsc = [], []
+    for th_gsc, th_g, v, xg in states[:, [1, 2, 5, 9]].tolist():
+        p_gsc.append(b_g * math.sin(th_gsc - th_g))
+        y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
+                                     gains.t_dc, xg, v - gains.v_dc_star)
+        f_gsc.append(f_base * (gains.omega_0 + y))
+    assert np.ptp(tr.p_gsc) > 0 and np.ptp(tr.f_gsc) > 0
+    assert tr.p_gsc.tobytes() == np.array(p_gsc).tobytes()
+    assert tr.f_gsc.tobytes() == np.array(f_gsc).tobytes()
 
 
 @pytest.mark.parametrize("row, omega_r", [
@@ -213,11 +208,8 @@ def test_trace_rejects_nonpositive_rotor_speed(plant, surface, row, omega_r):
     sc, gains, states, op = short_run(plant, surface, Mode.GFM_FR, 8.0)
     states = states.copy()
     states[row, 8] = omega_r
-    if isinstance(row, slice):  # the block takes the one-call path
-        assert harness._constant(states[row, 8])
-        assert harness._constant(states[row, 11])
     with pytest.raises(aero.AeroDomainError):
-        harness._trace_from_states(plant, surface, gains, sc, states, op)
+        harness._trace_from_states(plant, gains, sc, states, op)
 
 
 def test_trace_validation_rejects_nonfinite():

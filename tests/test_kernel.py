@@ -7,7 +7,7 @@ import pytest
 
 import windgfm
 from windgfm._kernel import _ode_py
-from windgfm._kernel.layout import N_PARAMS, N_STATES, P_TG
+from windgfm._kernel.layout import N_OUT, N_PARAMS, N_STATES, P_TG
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import find_equilibrium
 
@@ -78,17 +78,38 @@ def test_simulate_sample_counts_match(packed, ode_cy, n_steps, stride):
     x0, p_arr = packed
     args = (x0, p_arr, 2, 5e-4, n_steps, stride, 2.0, (0.0,), (0.4,))
     sp, sc = _ode_py.simulate(*args), ode_cy.simulate(*args)
-    assert sp.shape == sc.shape == (1 + n_steps // stride, 1 + N_STATES)
+    assert sp.shape == sc.shape == (1 + n_steps // stride, 1 + N_STATES + N_OUT)
     assert sp.tobytes() == sc.tobytes()
+
+
+@pytest.mark.parametrize("n_steps, stride", [(0, 1), (0, 4), (40, 4), (41, 4),
+                                              (43, 1)])
+@pytest.mark.parametrize("mode", [1, 2])
+def test_simulate_outputs_are_those_of_each_row_state(packed, ode_cy, n_steps,
+                                                       stride, mode):
+    # a row's P_wt, P_gsc and y_gsc are the kernel's outputs at that row's
+    # state, whether they come from a step's first RK4 stage or, for a final
+    # row at n_steps, from the extra call; the load step at 0.01 s moves
+    # every state off the equilibrium
+    x0, p_arr = packed
+    for kernel in (_ode_py, ode_cy):
+        out = kernel.simulate(x0, p_arr, mode, 5e-4, n_steps, stride, 2.0,
+                              (0.01,), (0.4,))
+        assert n_steps < 20 or np.ptp(out[:, 1 + N_STATES]) > 0
+        for row in out:
+            ref = kernel.simulate(row[1:1 + N_STATES], p_arr, mode, 5e-4, 0,
+                                  1, 2.0, (0.01,), (0.4,))
+            assert row[1 + N_STATES:].tobytes() == \
+                ref[0, 1 + N_STATES:].tobytes()
 
 
 def test_simulate_sampling_layout(packed):
     x0, p_arr = packed
     out = _ode_py.simulate(x0, p_arr, 2, 1e-3, 100, 10, 2.0, (), ())
-    assert out.shape == (11, 14)
+    assert out.shape == (11, 17)
     assert out[0, 0] == 0.0
     np.testing.assert_allclose(out[:, 0], np.arange(11) * 0.01, atol=1e-12)
-    np.testing.assert_array_equal(out[0, 1:], x0)
+    np.testing.assert_array_equal(out[0, 1:14], x0)
 
 
 def test_repeat_runs_byte_identical(packed):

@@ -41,7 +41,7 @@ def run_pure_kernel() -> None:
     _ode_py.derivative(x0, 0.0, p_arr, Mode.GFM_FR, load.base)
     out = _ode_py.simulate(x0, p_arr, Mode.GFM_FR, 5e-4, 400, 100, load.base,
                            load.ev_times, load.ev_steps)
-    assert out.shape == (5, 14)
+    assert out.shape == (5, 17)
 
 
 def test_every_function_is_reached(tmp_path, capsys):

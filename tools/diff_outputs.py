@@ -47,6 +47,14 @@ def probes(pure_args: list) -> dict:
         **{f"{cmd}-{v}ms": ([cmd, "--set", f"scenario.v_w={v}",
                              "--out", f"{cmd}.csv"], False)
            for cmd in ("simulate", "compare") for v in (12, 13)},
+        # n_steps odd: the last row's outputs come from the RK4 loop
+        "simulate-odd-steps": (["simulate", "--set", "scenario.duration=59.9995",
+                                "--out", "sim.csv"], False),
+        # stride 3: the final row's outputs take one more kernel call
+        "simulate-stride-3": (["simulate", "--set", "scenario.sample_dt=0.0015",
+                               "--out", "sim.csv"], False),
+        "simulate-GFL_MPPT": (["simulate", "--set", "scenario.mode=GFL_MPPT",
+                               "--out", "sim.csv"], False),
         "pure_fallback": ([*pure_args, "--out", "pure.csv"], True),
     }
 
