@@ -1,12 +1,15 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
-The compiled kernel is the hand-written C extension ``_ode_cy.c``; it mirrors
-``_ode_py`` operation for operation, so the two give bit-identical results.
-Set WINDGFM_PURE=1 to force the pure-Python kernel.
+The compiled kernel is the hand-written C extension ``_ode_cy.c``; it exports
+``simulate`` and ``BACKEND`` only, and mirrors ``_ode_py`` operation for
+operation, so the two give bit-identical results.  Set WINDGFM_PURE=1 to
+force the pure-Python kernel.  ``derivative`` is always the pure-Python
+reference; the equilibrium check calls it once per run.
 """
 import os
 
 from . import layout  # noqa: F401
+from ._ode_py import derivative  # noqa: F401
 
 if os.environ.get("WINDGFM_PURE"):
     from . import _ode_py as impl
@@ -17,5 +20,4 @@ else:
         from . import _ode_py as impl
 
 BACKEND = impl.BACKEND
-derivative = impl.derivative
 simulate = impl.simulate

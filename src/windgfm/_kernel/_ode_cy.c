@@ -1,4 +1,4 @@
-/* Compiled kernel: closed-loop derivative and RK4 integrator.  It mirrors
+/* Compiled kernel: the closed-loop RK4 integrator.  Its derivative mirrors
  * _ode_py in the same operation order, so the two backends agree bit for
  * bit: edit the two together.  Build with -ffp-contract=off where the
  * compiler would otherwise fuse multiply-adds (setup.py does). */
@@ -9,15 +9,15 @@
 #include <math.h>
 
 #define N 13
-#define N_OUT 3     /* P_wt, P_gsc, y_gsc (keep in sync with layout.py) */
+#define N_OUT 3     /* P_wt, P_gsc, w_gsc (keep in sync with layout.py) */
 #define BETZ (16.0 / 27.0)
 
 /* parameter indices (keep in sync with layout.py) */
 enum {
     P_JG, P_TG, P_KG, P_BG, P_BM, P_JWT, P_CDC, P_TDC, P_KDG, P_KTG,
     P_KDM, P_KTM, P_OMDEL, P_BETADEL, P_KP, P_TSERVO, P_RATE, P_KPLIM,
-    P_KILIM, P_PMAX, P_OMMAX, P_W0, P_VDCS, P_PG0, P_PCONST, P_PSCALE,
-    P_LAMC, P_CP0, P_CPMAX = P_CP0 + 14, P_BETAMIN, P_BETAMAX, N_PARAMS
+    P_KILIM, P_PMAX, P_OMMAX, P_PG0, P_PCONST, P_PSCALE, P_LAMC, P_CP0,
+    P_CPMAX = P_CP0 + 14, P_BETAMIN, P_BETAMAX, N_PARAMS
 };
 
 /* One run's fixed inputs: parameters, load events, mode and base load */
@@ -73,16 +73,18 @@ static void deriv(const Model *m, const double *x, double t, double *out)
             pl += m->ev_dp[k];
     double om_g = x[2], p_g = x[3];
     if (m->mode == 0) {
-        memset(out, 0, (N + N_OUT) * sizeof(double));
+        memset(out, 0, N * sizeof(double));
         out[1] = om_g - 1.0;
         out[2] = (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g);
         out[3] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG];
+        out[N] = out[N + 1] = p[P_PCONST];
+        out[N + 2] = om_g;
         return;
     }
     double vdc = x[4], om_r = x[7], xg = x[8], xm = x[9], beta = x[10];
     /* control.pd_filter_realization, both converters on one t_dc */
     double tdc = p[P_TDC];
-    double u = vdc - p[P_VDCS];
+    double u = vdc - 1.0;
     double yg = (p[P_KTG] - p[P_KDG] / tdc) * xg + (p[P_KDG] / tdc) * u;
     double ym = (p[P_KTM] - p[P_KDM] / tdc) * xm + (p[P_KDM] / tdc) * u;
     double p_pmsg = p[P_BM] * sin(x[6] - x[5]);
@@ -100,7 +102,8 @@ static void deriv(const Model *m, const double *x, double t, double *out)
     double dbeta = (bref - beta) / p[P_TSERVO];
     dbeta = dbeta > p[P_RATE] ? p[P_RATE]
         : dbeta < -p[P_RATE] ? -p[P_RATE] : dbeta;
-    out[0] = (p[P_W0] + yg) - 1.0;
+    double w_gsc = 1.0 + yg;
+    out[0] = w_gsc - 1.0;
     out[1] = om_g - 1.0;
     out[2] = (p_g + p_gsc - pl) / (p[P_JG] * om_g);
     out[3] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG];
@@ -115,7 +118,7 @@ static void deriv(const Model *m, const double *x, double t, double *out)
     out[12] = dipw;
     out[N] = p_wt;
     out[N + 1] = p_gsc;
-    out[N + 2] = yg;
+    out[N + 2] = w_gsc;
 }
 
 /* Parse the state and the model inputs into contiguous float64 vectors
@@ -146,29 +149,6 @@ static void release(PyArrayObject *a[4])
 {
     for (int i = 0; i < 4; i++)
         Py_XDECREF(a[i]);
-}
-
-static PyObject *derivative(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *kwlist[] = {"x", "t", "params", "mode", "base_load", "ev_t",
-                             "ev_dp", NULL};
-    PyObject *x, *params, *ev_t = NULL, *ev_dp = NULL, *out = NULL;
-    PyArrayObject *a[4] = {NULL};
-    double t, base;
-    int mode;
-    double d[N + N_OUT];
-    Model m;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OdOid|OO:derivative", kwlist,
-                                     &x, &t, &params, &mode, &base, &ev_t,
-                                     &ev_dp))
-        return NULL;
-    if (parse(a, &m, x, params, mode, base, ev_t, ev_dp) == 0
-        && (out = PyArray_SimpleNew(1, (npy_intp[]){N}, NPY_DOUBLE))) {
-        deriv(&m, PyArray_DATA(a[0]), t, d);
-        memcpy(PyArray_DATA((PyArrayObject *)out), d, N * sizeof(double));
-    }
-    release(a);
-    return out;
 }
 
 static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
@@ -250,20 +230,17 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
 }
 
 static PyMethodDef methods[] = {
-    {"derivative", (PyCFunction)derivative, METH_VARARGS | METH_KEYWORDS,
-     "derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=())\n--\n\n"
-     "d state/dt for the 13-state closed loop (numpy array out)."},
     {"simulate", (PyCFunction)simulate, METH_VARARGS | METH_KEYWORDS,
      "simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), "
      "ev_dp=())\n--\n\nFixed-step RK4 over n_steps; records every `stride` "
-     "steps (plus t=0)\nas rows (t, 13 states, P_wt, P_gsc, y_gsc).  Raises "
+     "steps (plus t=0)\nas rows (t, 13 states, P_wt, P_gsc, w_gsc).  Raises "
      "FloatingPointError on\ndivergence (any |state| > 1e6)."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ode_cy",
-    "Compiled kernel: closed-loop derivative and RK4 integrator.", -1, methods
+    "Compiled kernel: closed-loop RK4 integrator.", -1, methods
 };
 
 PyMODINIT_FUNC PyInit__ode_cy(void)

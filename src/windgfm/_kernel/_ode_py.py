@@ -17,7 +17,7 @@ from .layout import (
     P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0, P_CPMAX,
     P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG, P_KTM,
     P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE, P_RATE,
-    P_TDC, P_TG, P_TSERVO, P_VDCS, P_W0,
+    P_TDC, P_TG, P_TSERVO,
 )
 
 BACKEND = "python"
@@ -35,8 +35,9 @@ def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
         return [0.0, om_g - 1.0,
                 (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g),
                 (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG],
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    u = vdc - p[P_VDCS]
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                p[P_PCONST], p[P_PCONST], om_g]
+    u = vdc - 1.0
     yg, dxg = pd_filter_realization(p[P_KTG], p[P_KDG], p[P_TDC], xg, u)
     ym, dxm = pd_filter_realization(p[P_KTM], p[P_KDM], p[P_TDC], xm, u)
     p_pmsg = p[P_BM] * math.sin(th_r - th_msc)
@@ -48,8 +49,9 @@ def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
     bref = p[P_BETADEL] + p[P_KP] * (om_r - p[P_OMDEL]) + u_sp + u_pw
     dbeta = pitch_rate(beta, bref, p[P_TSERVO], p[P_RATE], p[P_BETAMIN],
                        p[P_BETAMAX])
+    w_gsc = 1.0 + yg
     # (a + b) - a is kept unsimplified: it is the compiled kernel's order
-    return [(p[P_W0] + yg) - 1.0,
+    return [w_gsc - 1.0,
             om_g - 1.0,
             (p_g + p_gsc - pl) / (p[P_JG] * om_g),
             (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG],
@@ -58,7 +60,7 @@ def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
             om_r - p[P_OMDEL],
             (p_wt - p_pmsg) / (p[P_JWT] * om_r),
             dxg, dxm, dbeta, disp, dipw,
-            p_wt, p_gsc, yg]
+            p_wt, p_gsc, w_gsc]
 
 
 def _floats(a) -> list:

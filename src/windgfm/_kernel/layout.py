@@ -21,17 +21,17 @@ P_KPLIM = 17    # limiter PI proportional gain
 P_KILIM = 18    # limiter PI integral gain
 P_PMAX = 19     # MSC power limit (pu)
 P_OMMAX = 20    # rotor speed limit (pu)
-P_W0 = 21       # GSC frequency setpoint (pu)
-P_VDCS = 22     # DC voltage setpoint (pu)
-P_PG0 = 23      # governor power reference (pu)
-P_PCONST = 24   # GFL constant injection (pu)
-P_PSCALE = 25   # swept_k * v_w^3 / P_rated (pu power scale)
-P_LAMC = 26     # R * omega_nom / v_w (lambda per pu rotor speed)
-P_CP0 = 27      # 14 calibrated surface coefficients occupy 27..40
-P_CPMAX = 41    # surface peak scale
-P_BETAMIN = 42
-P_BETAMAX = 43
-N_PARAMS = 44
+P_PG0 = 21      # governor power reference (pu)
+P_PCONST = 22   # GFL constant injection (pu)
+P_PSCALE = 23   # swept_k * v_w^3 / P_rated (pu power scale)
+P_LAMC = 24     # R * omega_nom / v_w (lambda per pu rotor speed)
+P_CP0 = 25      # 14 calibrated surface coefficients occupy 25..38
+P_CPMAX = 39    # surface peak scale
+P_BETAMIN = 40
+P_BETAMAX = 41
+N_PARAMS = 42
+# The per-unit setpoints are not parameters: both kernels write the nominal
+# GSC frequency and DC voltage as the literal 1.0.
 
 N_STATES = 13
 # state ordering:
@@ -40,7 +40,8 @@ N_STATES = 13
 
 N_OUT = 3
 # simulate() rows are t, the 13 states, then the outputs at that state:
-#   P_wt, P_gsc and the GSC filter output y_gsc (zeros in GFL_MPPT mode)
+#   P_wt, P_gsc and the GSC frequency w_gsc (pu).  In GFL_MPPT mode these
+#   are the constant injection twice and the grid frequency omega_g.
 
 MODE_GFL_MPPT = 0
 MODE_GFM_MPPT = 1

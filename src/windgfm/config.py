@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import re
+import sys
 
 from .aero import CpSurface, TurbineParams
 from .gaindesign import PRESETS, DesignSpec
@@ -81,14 +81,17 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
 
 
 def _finite(x) -> bool:
-    """Whether x is a finite int or float (a bool is not a number here)."""
-    return type(x) in (int, float) and abs(x) < math.inf
+    """Whether x is an int or float with a finite float value (a bool is not
+    a number here)."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def section(cfg: dict, name: str) -> dict:
     """A copy of cfg[name] whose values have the kind of their defaults:
     finite numbers, strings, a list of [t, dP] number pairs for events, and
-    null where the default is null.  Raises ConfigError naming name.key."""
+    null where the default is null.  A number whose default is not an int
+    becomes a float: numpy stores an int beyond int64 as an object.  Raises
+    ConfigError naming name.key."""
     out = dict(cfg[name])
     for key, default in DEFAULT_CONFIG[name].items():
         val = out[key]
@@ -102,6 +105,8 @@ def section(cfg: dict, name: str) -> dict:
         else:
             ok = _finite(val) or val is default is None
             kind = "a finite number" + (" or null" if default is None else "")
+            if ok and val is not None and type(default) is not int:
+                out[key] = float(val)
         if not ok:
             raise ConfigError(f"{name}.{key} must be {kind}, got {val!r}")
     return out

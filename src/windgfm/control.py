@@ -45,8 +45,6 @@ class ControlGains:
     gsc: ConverterGains
     msc: ConverterGains
     pitch: PitchGains
-    v_dc_star: float = 1.0
-    omega_0: float = 1.0    # pu, GSC frequency setpoint
     omega_del: float = 1.0  # pu, MSC (rotor) frequency setpoint
     t_dc: float = 0.005     # s, DC-filter time constant of both converters
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .config import (
 from .control import pd_filter_realization
 from .gaindesign import DesignSpec, GainDesign, design_gains, mppt_gains
 from .plant import (
-    LoadProfile, Mode, PlantParams, find_equilibrium, simulate,
+    LoadProfile, Mode, PlantParams, find_equilibrium, sample_grid, simulate,
 )
 
 TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
@@ -32,6 +32,10 @@ BLOCK = 512
 DROOP_DP_FLOOR = 1e-4
 # Window (s) of the frequency difference a RoCoF is measured over.
 ROCOF_WINDOW = 0.1
+# The last SETTLE_WINDOW seconds of a run's trace are its settled tail: the
+# steady state that run_checks and compute_metrics judge.  A load event must
+# come before it.
+SETTLE_WINDOW = 2.0
 
 
 class HarnessAssertionError(AssertionError):
@@ -58,9 +62,19 @@ class Scenario:
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         for t_ev, _ in self.load.events:
-            if not 0.0 < t_ev < self.duration:
-                raise ValueError("events must fall inside the run "
-                                 "(0, duration)")
+            # compute_metrics' condition, on the trace's last sample
+            if not (0.0 < t_ev and t_ev + SETTLE_WINDOW <= self.t_end):
+                raise ValueError(
+                    f"events must fall in (0, {self.t_end - SETTLE_WINDOW:g}]"
+                    f" s: the trace ends at {self.t_end:g} s (duration on the "
+                    f"grid of dt and sample_dt) and its last "
+                    f"{SETTLE_WINDOW:g} s are the settled tail")
+
+    @property
+    def t_end(self) -> float:
+        """Time of the trace's last row, as the kernel computes it."""
+        n_steps, stride = sample_grid(self.duration, self.dt, self.sample_dt)
+        return n_steps // stride * stride * self.dt
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
@@ -98,7 +112,7 @@ class SimTrace:
 class RunResult:
     trace: SimTrace
     design: GainDesign
-    states: np.ndarray      # kernel rows: t, 13 states, P_wt, P_gsc, y_gsc
+    states: np.ndarray      # kernel rows: t, 13 states, P_wt, P_gsc, w_gsc
     p_wt0: float
     scenario: Scenario
 
@@ -111,14 +125,6 @@ class FrequencyMetrics:
     f_ss_hz: float
     dv_dc_ss_pu: float
     droop_measured: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "nadir_hz": self.nadir_hz, "t_nadir_s": self.t_nadir_s,
-            "rocof_hz_per_s": self.rocof_hz_per_s, "f_ss_hz": self.f_ss_hz,
-            "dv_dc_ss_pu": self.dv_dc_ss_pu,
-            "droop_measured": self.droop_measured,
-        }
 
 
 def gains_for_scenario(plant: PlantParams, surface: CpSurface,
@@ -133,13 +139,13 @@ def run_scenario(plant: PlantParams, surface: CpSurface, scenario: Scenario,
                  check: bool = True) -> RunResult:
     design = gains_for_scenario(plant, surface, scenario)
     gains = design.gains
-    x0, p_arr, op = find_equilibrium(plant, gains, surface, scenario.v_w,
-                                     scenario.load, scenario.mode)
+    x0, p_arr, p_wt0 = find_equilibrium(plant, gains, surface, scenario.v_w,
+                                        scenario.load, scenario.mode)
     states = simulate(x0, p_arr, scenario.mode, scenario.load,
                       scenario.duration, scenario.dt, scenario.sample_dt)
-    trace = _trace_from_states(plant, gains, scenario, states, op)
+    trace = _trace_from_states(plant.network.f_hz, states)
     result = RunResult(trace=trace, design=design, states=states,
-                       p_wt0=op.p_wt0, scenario=scenario)
+                       p_wt0=p_wt0, scenario=scenario)
     if check:
         run_checks(result)
     return result
@@ -151,31 +157,17 @@ def _constant(a: np.ndarray) -> bool:
     return bits.min() == bits.max()
 
 
-def _trace_from_states(plant, gains, scenario, states, op) -> SimTrace:
-    f_base = plant.network.f_hz
-    t = states[:, 0]
-    om_g = states[:, 3]
-    p_g = states[:, 4]
-    v = states[:, 5]
+def _trace_from_states(f_base: float, states: np.ndarray) -> SimTrace:
+    """The trace's columns, sliced from the kernel's rows."""
     om_r = states[:, 8]
-    beta = states[:, 11]
-    if scenario.mode == Mode.GFL_MPPT:
-        # The constant injection the kernel integrates, DC link held at its
-        # setpoint, WT at its pre-disturbance point.
-        n = t.size
-        return SimTrace(t=t, f_g=f_base * om_g, f_gsc=f_base * om_g,
-                        v_dc=np.full(n, gains.v_dc_star),
-                        omega_r=np.full(n, op.omega_del),
-                        beta=np.full(n, gains.pitch.beta_del),
-                        p_wt=np.full(n, op.p_const),
-                        p_gsc=np.full(n, op.p_const), p_g=p_g)
     # The kernel's Cp evaluation skips aero.cp's domain check; make it here.
     if np.any(om_r <= 0):
         raise AeroDomainError("lambda must be positive")
-    p_wt, p_gsc, y_gsc = states[:, 14:].T
-    return SimTrace(t=t, f_g=f_base * om_g,
-                    f_gsc=f_base * (gains.omega_0 + y_gsc), v_dc=v,
-                    omega_r=om_r, beta=beta, p_wt=p_wt, p_gsc=p_gsc, p_g=p_g)
+    p_wt, p_gsc, w_gsc = states[:, 14:].T
+    return SimTrace(t=states[:, 0], f_g=f_base * states[:, 3],
+                    f_gsc=f_base * w_gsc, v_dc=states[:, 5], omega_r=om_r,
+                    beta=states[:, 11], p_wt=p_wt, p_gsc=p_gsc,
+                    p_g=states[:, 4])
 
 
 def run_checks(result: RunResult) -> None:
@@ -185,17 +177,17 @@ def run_checks(result: RunResult) -> None:
         return
     gains = result.design.gains
     states = result.states
-    tail = states[states[:, 0] >= states[-1, 0] - 2.0]
+    tail = states[states[:, 0] >= states[-1, 0] - SETTLE_WINDOW]
     om_g = tail[:, 3].mean()
     v = tail[:, 5].mean()
     om_r = tail[:, 8].mean()
     xm = tail[:, 10].mean()
-    dv = v - gains.v_dc_star
+    dv = v - 1.0
     ym, _ = pd_filter_realization(gains.msc.k_theta, gains.msc.k_d,
                                   gains.t_dc, xm, dv)
-    om_gsc = gains.omega_0 + tail[:, 16].mean()  # the kernel's y_gsc
+    om_gsc = tail[:, 16].mean()  # the kernel's w_gsc
     om_msc = gains.omega_del + ym
-    if abs((om_gsc - gains.omega_0) - gains.gsc.k_theta * dv) >= 1e-3:
+    if abs((om_gsc - 1.0) - gains.gsc.k_theta * dv) >= 1e-3:
         raise HarnessAssertionError("GSC frequency/DC-voltage relation violated")
     if abs((om_msc - gains.omega_del) - gains.msc.k_theta * dv) >= 1e-3:
         raise HarnessAssertionError("MSC frequency/DC-voltage relation violated")
@@ -210,7 +202,7 @@ def run_checks(result: RunResult) -> None:
         raise HarnessAssertionError("GSC lost synchronism with the grid")
     if abs(om_msc - om_r) >= sync_tol:
         raise HarnessAssertionError("MSC lost synchronism with the rotor")
-    tail_tr = result.trace.t >= result.trace.t[-1] - 2.0
+    tail_tr = result.trace.t >= result.trace.t[-1] - SETTLE_WINDOW
     p_wt_ss = result.trace.p_wt[tail_tr].mean()
     d_p_wt = p_wt_ss - result.p_wt0
     if not fr:
@@ -229,14 +221,14 @@ def run_checks(result: RunResult) -> None:
 
 def compute_metrics(trace: SimTrace, t_event: float,
                     f_base: float = 50.0) -> FrequencyMetrics:
-    if trace.t[-1] < t_event + 2.0:
+    if trace.t[-1] < t_event + SETTLE_WINDOW:
         raise ValueError("trace too short for metrics")
     pre = trace.t < t_event
     post = trace.t >= t_event
     t_post = trace.t[post]
     f_post = trace.f_g[post]
     i_nadir = int(np.argmin(f_post))
-    tail = trace.t >= trace.t[-1] - 2.0
+    tail = trace.t >= trace.t[-1] - SETTLE_WINDOW
     f_ss = float(trace.f_g[tail].mean())
     dv_ss = float(trace.v_dc[tail].mean() - trace.v_dc[pre].mean())
     dt_s = float(trace.t[1] - trace.t[0])
@@ -256,8 +248,6 @@ def compute_metrics(trace: SimTrace, t_event: float,
 class ModeComparison:
     metrics: dict           # mode name -> FrequencyMetrics
     results: dict           # mode name -> RunResult
-    ordering_ok: bool
-    ss_improved: bool
 
 
 def compare_modes(plant: PlantParams, surface: CpSurface,
@@ -272,15 +262,12 @@ def compare_modes(plant: PlantParams, surface: CpSurface,
     n_fr = metrics["GFM_FR"].nadir_hz
     n_mp = metrics["GFM_MPPT"].nadir_hz
     n_gfl = metrics["GFL_MPPT"].nadir_hz
-    ordering_ok = n_fr > n_mp >= n_gfl
-    ss_improved = metrics["GFM_FR"].f_ss_hz > max(metrics["GFM_MPPT"].f_ss_hz,
-                                                  metrics["GFL_MPPT"].f_ss_hz)
-    if base.eta < 1.0 and not ordering_ok:
+    # At eta = 1 GFM_FR runs the MPPT design, so its nadir is GFM_MPPT's.
+    if (base.eta < 1.0 and not n_fr > n_mp) or not n_mp >= n_gfl:
         raise HarnessAssertionError(
             f"nadir ordering violated: FR={n_fr:.4f} MPPT={n_mp:.4f} "
             f"GFL={n_gfl:.4f}")
-    return ModeComparison(metrics=metrics, results=results,
-                          ordering_ok=ordering_ok, ss_improved=ss_improved)
+    return ModeComparison(metrics=metrics, results=results)
 
 
 def trace_to_csv(trace: SimTrace) -> str:
@@ -309,8 +296,8 @@ def trace_to_csv(trace: SimTrace) -> str:
 
 
 def metrics_to_json(metrics: dict) -> str:
-    return json.dumps({k: (m.to_dict() if isinstance(m, FrequencyMetrics) else m)
-                       for k, m in metrics.items()}, indent=2, sort_keys=True)
+    return json.dumps({k: asdict(m) for k, m in metrics.items()}, indent=2,
+                      sort_keys=True)
 
 
 def run_from_config(cfg: dict, check: bool = True) -> RunResult:

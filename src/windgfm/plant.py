@@ -12,7 +12,7 @@ from ._kernel.layout import (
     N_PARAMS, P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0,
     P_CPMAX, P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG,
     P_KTM, P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE,
-    P_RATE, P_TDC, P_TG, P_TSERVO, P_VDCS, P_W0,
+    P_RATE, P_TDC, P_TG, P_TSERVO,
 )
 from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
 from .control import ControlGains
@@ -93,18 +93,6 @@ class LoadProfile:
         return tuple(dp for _, dp in self.events)
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Steady-state data fixed for one run."""
-
-    v_w: float
-    omega_del: float    # pu
-    beta_del: float     # deg
-    p_wt0: float        # pu, initial WT power
-    p_g0: float         # pu, governor reference
-    p_const: float      # pu, GFL constant injection
-
-
 def wind_power_pu(params: TurbineParams, surface: CpSurface, v_w: float,
                   omega_pu: float, beta: float) -> float:
     """WT power in system pu (aggregate base = n_agg * P_rated)."""
@@ -138,8 +126,6 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     p[P_KILIM] = gains.pitch.ki_lim
     p[P_PMAX] = gains.pitch.p_max_msc
     p[P_OMMAX] = tb.omega_max
-    p[P_W0] = gains.omega_0
-    p[P_VDCS] = gains.v_dc_star
     p[P_PG0] = p_g0
     p[P_PCONST] = p_const
     p[P_PSCALE] = tb.swept_k * v_w ** 3 / tb.P_rated
@@ -163,8 +149,8 @@ def closed_loop_derivative(x, t: float, p_arr: np.ndarray, mode: Mode,
 
 def find_equilibrium(plant: PlantParams, gains: ControlGains,
                      surface: CpSurface, v_w: float, load: LoadProfile,
-                     mode: Mode = Mode.GFM_FR) -> tuple[np.ndarray, np.ndarray, OperatingPoint]:
-    """Pre-disturbance equilibrium (state, packed params, operating point).
+                     mode: Mode = Mode.GFM_FR) -> tuple[np.ndarray, np.ndarray, float]:
+    """Pre-disturbance equilibrium (state, packed params, initial WT power).
 
     The algebraic solution (angle differences arcsin(P/b), v_dc = 1,
     omega_g = 1, omega_r = omega_del) is exact for this model; the residual
@@ -188,17 +174,19 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
     resid = np.max(np.abs(closed_loop_derivative(x0, 0.0, p_arr, mode, pre_load)))
     if resid > 1e-9:
         raise PlantError(f"equilibrium residual {resid:.3e} exceeds 1e-9")
-    op = OperatingPoint(v_w=v_w, omega_del=om_del, beta_del=beta_del,
-                        p_wt0=p_wt0, p_g0=p_g0, p_const=p_const)
-    return x0, p_arr, op
+    return x0, p_arr, p_wt0
+
+
+def sample_grid(duration: float, dt: float, sample_dt: float) -> tuple[int, int]:
+    """(RK4 steps, steps per sampled row) of a run."""
+    return int(round(duration / dt)), max(int(round(sample_dt / dt)), 1)
 
 
 def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
              duration: float, dt: float, sample_dt: float = 1e-3) -> np.ndarray:
     """Integrate with the active kernel; rows are (t, 13 states, P_wt,
-    P_gsc, y_gsc), the outputs taken at the row's state."""
-    n_steps = int(round(duration / dt))
-    stride = max(int(round(sample_dt / dt)), 1)
+    P_gsc, w_gsc), the outputs taken at the row's state."""
+    n_steps, stride = sample_grid(duration, dt, sample_dt)
     for t_ev in load.ev_times:
         if abs(round(t_ev / dt) * dt - t_ev) > 1e-12:
             raise PlantError(f"event time {t_ev} not aligned to dt grid")

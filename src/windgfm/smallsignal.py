@@ -26,7 +26,7 @@ class SmallSignalModel:
     # components for certificate construction
     b_g: float
     b_msc: float
-    j_g: float          # J_g * omega_0
+    j_g: float          # J_g * omega_g at its 1 pu setpoint
     j_wt: float         # J_wt * omega_del
     c_dc: float
     t_g: float
@@ -54,7 +54,7 @@ class LaSalleReport:
 def build_model(j_g: float, j_wt: float, c_dc: float, t_g: float, k_g: float,
                 b_g: float, b_msc: float, k_theta_gsc: float, k_d_gsc: float,
                 k_theta_msc: float, k_d_msc: float, k_wt: float,
-                omega_0: float = 1.0, omega_del: float = 1.0) -> SmallSignalModel:
+                omega_del: float = 1.0) -> SmallSignalModel:
     """Assemble T x' = A x for x = (rho_1, rho_2, omega_g, omega_r, v_dc, p_g).
 
     rho_1 is the GSC-SG angle difference, rho_2 the MSC-rotor angle
@@ -69,7 +69,7 @@ def build_model(j_g: float, j_wt: float, c_dc: float, t_g: float, k_g: float,
             raise SmallSignalError(f"{name} must be positive")
     if k_d_gsc < 0 or k_d_msc < 0:
         raise SmallSignalError("derivative gains must be non-negative")
-    T = np.diag([1.0, 1.0, j_g * omega_0, j_wt * omega_del, c_dc, t_g])
+    T = np.diag([1.0, 1.0, j_g, j_wt * omega_del, c_dc, t_g])
     k1 = k_d_gsc / c_dc
     k2 = k_d_msc / c_dc
     A = np.array([
@@ -81,7 +81,7 @@ def build_model(j_g: float, j_wt: float, c_dc: float, t_g: float, k_g: float,
         [0.0, 0.0, -k_g, 0.0, 0.0, -1.0]])
     E = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
     return SmallSignalModel(T=T, A=A, E=E, labels=STATE_LABELS,
-                            b_g=b_g, b_msc=b_msc, j_g=j_g * omega_0,
+                            b_g=b_g, b_msc=b_msc, j_g=j_g,
                             j_wt=j_wt * omega_del, c_dc=c_dc, t_g=t_g, k_g=k_g,
                             k_theta_gsc=k_theta_gsc, k_theta_msc=k_theta_msc,
                             k_d_gsc=k_d_gsc, k_d_msc=k_d_msc, k_wt=k_wt)
@@ -98,7 +98,7 @@ def model_from_params(plant: PlantParams, gains: ControlGains,
         b_g=nw.b_g, b_msc=nw.b_msc,
         k_theta_gsc=gains.gsc.k_theta, k_d_gsc=gains.gsc.k_d,
         k_theta_msc=gains.msc.k_theta, k_d_msc=gains.msc.k_d,
-        k_wt=k_wt, omega_0=gains.omega_0, omega_del=gains.omega_del)
+        k_wt=k_wt, omega_del=gains.omega_del)
 
 
 def system_matrix(model: SmallSignalModel) -> np.ndarray:

@@ -169,7 +169,8 @@ def test_criterion_7_mode_comparison(plant, surface):
         rep = compare_modes(plant, surface, base)
         n = {k: m.nadir_hz for k, m in rep.metrics.items()}
         assert n["GFM_FR"] > n["GFM_MPPT"] >= n["GFL_MPPT"], f"at {v_w} m/s"
-        assert rep.ss_improved
+        f_ss = {k: m.f_ss_hz for k, m in rep.metrics.items()}
+        assert f_ss["GFM_FR"] > max(f_ss["GFM_MPPT"], f_ss["GFL_MPPT"])
         # disturbance signatures on the GFM runs: DC voltage dips and the
         # rotor decelerates to release kinetic energy
         for name in ("GFM_FR", "GFM_MPPT"):
@@ -208,8 +209,8 @@ def test_criterion_8_droop_map_shape(turbine, surface):
 def test_criterion_9a_rk4_convergence_order(plant, surface):
     d = design_gains(plant.turbine, surface, 8.0, 0.9)
     load0 = LoadProfile(base=2.0, events=())
-    x0, p_arr, op = find_equilibrium(plant, d.gains, surface, 8.0, load0,
-                                     Mode.GFM_FR)
+    x0, p_arr, _ = find_equilibrium(plant, d.gains, surface, 8.0, load0,
+                                    Mode.GFM_FR)
     # step applied at t = 0 so the integrand is smooth over the whole window
     load = LoadProfile(base=2.4, events=())
     ends = []
@@ -225,8 +226,8 @@ def test_criterion_9a_rk4_convergence_order(plant, surface):
 def test_criterion_9b_dc_energy_residual(plant, surface):
     d = design_gains(plant.turbine, surface, 8.0, 0.9)
     load = LoadProfile(base=2.0, events=((1.0, 0.4),))
-    x0, p_arr, op = find_equilibrium(plant, d.gains, surface, 8.0, load,
-                                     Mode.GFM_FR)
+    x0, p_arr, _ = find_equilibrium(plant, d.gains, surface, 8.0, load,
+                                    Mode.GFM_FR)
     dt = 5e-4
     states = simulate(x0, p_arr, Mode.GFM_FR, load, 4.0, dt, sample_dt=dt)
     v = states[:, 5]

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import windgfm
@@ -132,7 +132,7 @@ def test_compare_subcommand(tmp_path, capsys):
         assert (tmp_path / f"cmp_{name}.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "gain-design"])
+@pytest.mark.parametrize("command", ["simulate", "gain-design", "compare"])
 @pytest.mark.parametrize("override, codes", [
     ("scenario.v_w=0", {"simulate": 3, "gain-design": 3}),
     ("scenario.eta=0", {"simulate": 3, "gain-design": 3}),
@@ -175,8 +175,17 @@ def test_compare_subcommand(tmp_path, capsys):
     ("turbine.rho=nan", {"simulate": 3, "gain-design": 3}),
     ("control.preset=[1,2]", {"simulate": 3, "gain-design": 3}),
     ("scenario.duration=10", {"simulate": 3, "gain-design": 3}),
+    # compare indexed the first event (an IndexError escaped)
+    ("scenario.events=[]", {"simulate": 0, "gain-design": 0, "compare": 3}),
+    # an event in the 2 s settled tail: GFM runs failed their checks (exit 2)
+    # and compare's metrics raised "trace too short" (exit 1)
+    ("scenario.duration=31", {"simulate": 3, "gain-design": 3}),
+    ("scenario.events=[[58.5,0.4]]", {"simulate": 3, "gain-design": 3}),
 ])
 def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
+    # compare loads and checks the config as simulate does, so unless a row
+    # says otherwise it exits as simulate does
+    codes = {"compare": codes["simulate"], **codes}
     rc = cli.main([command, "--set", override])
     err = capsys.readouterr().err
     assert rc == codes[command]
@@ -186,6 +195,28 @@ def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     if rc == 3:
         assert err.startswith("config error:")
         assert override.partition("=")[0] in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_gfl_event_in_settled_tail_is_config_error(command, capsys):
+    # GFL_MPPT runs skip the steady-state checks, so simulate reached the
+    # metrics and exited 1 with a "trace too short" traceback
+    rc = cli.main([command, "--set", "scenario.mode=GFL_MPPT",
+                   "--set", "scenario.duration=31"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "scenario.events" in err
+
+
+def test_compare_at_eta_1_passes(capsys):
+    # at eta = 1 GFM_FR runs the MPPT design: its nadir is GFM_MPPT's, and
+    # the ordering asks only that GFM_MPPT's is not below GFL_MPPT's
+    rc = cli.main(["compare", *FAST, "--set", "scenario.eta=1.0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["GFM_FR"] == doc["GFM_MPPT"]
+    assert doc["GFM_MPPT"]["nadir_hz"] >= doc["GFL_MPPT"]["nadir_hz"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,6 +229,9 @@ def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
                             '"x"', '{"a": 1}']),
            st.floats().map(repr), st.integers().map(str), st.text(max_size=8)),
        command=st.sampled_from(["gain-design", "smallsignal"]))
+# an int beyond int64 made numpy build an object array: a casting traceback
+@example(key="network.b_g", value=str(2 ** 63 + 1), command="smallsignal")
+@example(key="turbine.R", value=str(10 ** 400), command="gain-design")
 def test_any_single_override_keeps_exit_contract(key, value, command):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \

@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from windgfm.aero import CpSurface
+from windgfm.aero import CpSurface, TurbineParams
 from windgfm.config import (
     ConfigError, DEFAULT_CONFIG, apply_overrides, load_config,
     make_design_spec, make_load, make_mode, make_plant, make_surface,
     make_turbine,
 )
-from windgfm.plant import Mode
+from windgfm.gaindesign import DesignSpec
+from windgfm.harness import Scenario, scenario_from_config
+from windgfm.plant import Mode, NetworkParams, PlantParams, SgParams
 
 
 def test_defaults_load_without_file():
@@ -68,6 +70,14 @@ def test_factories(cfg):
     assert load.base == 2.0 and load.events == ((30.0, 0.4),)
     assert make_mode("GFM_FR") == Mode.GFM_FR
     assert make_surface(cfg) == CpSurface()
+
+
+def test_default_config_matches_dataclass_defaults():
+    # every default is written twice, in DEFAULT_CONFIG and in its dataclass
+    assert make_plant(DEFAULT_CONFIG) == PlantParams(
+        TurbineParams(), SgParams(), NetworkParams())
+    assert make_design_spec(DEFAULT_CONFIG) == DesignSpec()
+    assert scenario_from_config(DEFAULT_CONFIG) == Scenario()
 
 
 def test_preset_selects_excursion_budget(cfg):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from windgfm import _kernel
-from windgfm._kernel.layout import MODE_GFM_FR, P_BM
+from windgfm._kernel.layout import MODE_GFM_FR, P_BM, P_PCONST
 from windgfm.aero import find_mpp
 from windgfm.control import (
     ControlGains, ConverterGains, PitchGains, limiter_pi, pd_filter_realization,
@@ -175,22 +175,23 @@ def test_pitch_gains_validation():
 
 
 def gfl_injection(plant, surface, v_w):
-    """Operating point of a GFL_MPPT run: op.p_const is the constant power
-    the kernel injects."""
+    """(p_const, p_wt0) of a GFL_MPPT run: the constant power the kernel
+    injects and the turbine's power at its operating point."""
     sc = Scenario(mode=Mode.GFL_MPPT, v_w=v_w, eta=1.0)
     gains = gains_for_scenario(plant, surface, sc).gains
-    return find_equilibrium(plant, gains, surface, v_w, LoadProfile(),
-                            Mode.GFL_MPPT)[2]
+    _, p_arr, p_wt0 = find_equilibrium(plant, gains, surface, v_w,
+                                       LoadProfile(), Mode.GFL_MPPT)
+    return p_arr[P_PCONST], p_wt0
 
 
 def test_gfl_emulation_below_rated(plant, surface):
     tb = plant.turbine
-    op = gfl_injection(plant, surface, 8.0)
+    p_const, p_wt0 = gfl_injection(plant, surface, 8.0)
     lam_mpp, cp_max = find_mpp(surface)
     expect = tb.swept_k * cp_max * 8.0 ** 3 / tb.P_rated
-    assert op.p_const == op.p_wt0
-    assert op.p_const == pytest.approx(expect, rel=1e-9)
-    assert op.p_const < 1.0
+    assert p_const == p_wt0
+    assert p_const == pytest.approx(expect, rel=1e-9)
+    assert p_const < 1.0
 
 
 def test_gfl_emulation_clamps_at_rated(plant, surface):
@@ -199,13 +200,13 @@ def test_gfl_emulation_clamps_at_rated(plant, surface):
     # residual scaled to power, not exactly 1.
     tb = plant.turbine
     for v_w in (14.0, 20.0):
-        op = gfl_injection(plant, surface, v_w)
-        assert op.p_const == min(op.p_wt0, 1.0)
+        p_const, p_wt0 = gfl_injection(plant, surface, v_w)
+        assert p_const == min(p_wt0, 1.0)
         tol = 1e-12 * tb.swept_k * v_w ** 3 / tb.P_rated
-        assert abs(op.p_const - 1.0) < tol, v_w
+        assert abs(p_const - 1.0) < tol, v_w
 
 
 def test_gfl_emulation_monotone_below_rated(plant, surface):
-    powers = [gfl_injection(plant, surface, v).p_const
+    powers = [gfl_injection(plant, surface, v)[0]
               for v in (6.0, 7.0, 8.0, 9.0, 10.0)]
     assert all(b > a for a, b in zip(powers, powers[1:]))

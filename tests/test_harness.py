@@ -68,7 +68,7 @@ def test_metrics_rejects_short_trace():
 
 def test_metrics_to_dict_fields():
     m = compute_metrics(synthetic_trace(), 10.0)
-    d = m.to_dict()
+    d = json.loads(harness.metrics_to_json({"X": m}))["X"]
     assert set(d) == {"nadir_hz", "t_nadir_s", "rocof_hz_per_s", "f_ss_hz",
                       "dv_dc_ss_pu", "droop_measured"}
 
@@ -153,15 +153,14 @@ def test_trace_csv_block_constant_columns_match_per_row_writer(n, pool, order,
 
 
 def short_run(plant, surface, mode, v_w):
-    """Sampled states of a 2 s run with a load step at 1 s."""
+    """Design gains and sampled states of a 2 s run with a load step at 1 s."""
     eta = 0.9 if mode == Mode.GFM_FR else 1.0
-    sc = Scenario(mode=mode, v_w=v_w, eta=eta, duration=2.0,
-                  load=LoadProfile(events=((1.0, 0.4),)))
+    sc = Scenario(mode=mode, v_w=v_w, eta=eta)
+    load = LoadProfile(events=((1.0, 0.4),))
     gains = gains_for_scenario(plant, surface, sc).gains
-    x0, p_arr, op = find_equilibrium(plant, gains, surface, v_w, sc.load, mode)
-    states = simulate(x0, p_arr, mode, sc.load, sc.duration, sc.dt,
-                      sc.sample_dt)
-    return sc, gains, states, op
+    x0, p_arr, _ = find_equilibrium(plant, gains, surface, v_w, load, mode)
+    states = simulate(x0, p_arr, mode, load, 2.0, sc.dt, sc.sample_dt)
+    return gains, states
 
 
 def scalar_p_wt(plant, surface, v_w, states):
@@ -176,8 +175,8 @@ def scalar_p_wt(plant, surface, v_w, states):
 @pytest.mark.parametrize("mode", [Mode.GFM_FR, Mode.GFM_MPPT])
 @pytest.mark.parametrize("v_w", [8.0, 12.0])
 def test_trace_p_wt_bit_identical_to_scalar_cp(plant, surface, mode, v_w):
-    sc, gains, states, op = short_run(plant, surface, mode, v_w)
-    tr = harness._trace_from_states(plant, gains, sc, states, op)
+    gains, states = short_run(plant, surface, mode, v_w)
+    tr = harness._trace_from_states(plant.network.f_hz, states)
     assert tr.p_wt.size > 2 * BLOCK
     assert tr.p_wt.tobytes() == scalar_p_wt(plant, surface, v_w,
                                             states).tobytes()
@@ -187,15 +186,15 @@ def test_trace_p_wt_bit_identical_to_scalar_cp(plant, surface, mode, v_w):
 @pytest.mark.parametrize("v_w", [8.0, 12.0])
 def test_trace_p_gsc_and_f_gsc_bit_identical_to_scalar_equations(
         plant, surface, mode, v_w):
-    sc, gains, states, op = short_run(plant, surface, mode, v_w)
-    tr = harness._trace_from_states(plant, gains, sc, states, op)
+    gains, states = short_run(plant, surface, mode, v_w)
+    tr = harness._trace_from_states(plant.network.f_hz, states)
     b_g, f_base = plant.network.b_g, plant.network.f_hz
     p_gsc, f_gsc = [], []
     for th_gsc, th_g, v, xg in states[:, [1, 2, 5, 9]].tolist():
         p_gsc.append(b_g * math.sin(th_gsc - th_g))
         y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
-                                     gains.t_dc, xg, v - gains.v_dc_star)
-        f_gsc.append(f_base * (gains.omega_0 + y))
+                                     gains.t_dc, xg, v - 1.0)
+        f_gsc.append(f_base * (1.0 + y))
     assert np.ptp(tr.p_gsc) > 0 and np.ptp(tr.f_gsc) > 0
     assert tr.p_gsc.tobytes() == np.array(p_gsc).tobytes()
     assert tr.f_gsc.tobytes() == np.array(f_gsc).tobytes()
@@ -205,11 +204,10 @@ def test_trace_p_gsc_and_f_gsc_bit_identical_to_scalar_equations(
     (0, 0.0), (BLOCK + 1, -0.5), (-1, 0.0),
     pytest.param(slice(0, BLOCK), 0.0, id="block0-0.0")])
 def test_trace_rejects_nonpositive_rotor_speed(plant, surface, row, omega_r):
-    sc, gains, states, op = short_run(plant, surface, Mode.GFM_FR, 8.0)
-    states = states.copy()
+    _, states = short_run(plant, surface, Mode.GFM_FR, 8.0)
     states[row, 8] = omega_r
     with pytest.raises(aero.AeroDomainError):
-        harness._trace_from_states(plant, gains, sc, states, op)
+        harness._trace_from_states(plant.network.f_hz, states)
 
 
 def test_trace_validation_rejects_nonfinite():
@@ -231,6 +229,26 @@ def test_scenario_validation():
             Scenario(**bad)
     with pytest.raises(ValueError):
         Scenario(duration=10.0, load=LoadProfile(events=((30.0, 0.4),)))
+    # an event must leave the settled tail after it, judged on the trace's
+    # last row: 32 s on a 1.5 ms grid ends at 31.9995 s
+    late = LoadProfile(events=((30.0, 0.4),))
+    Scenario(duration=30.0 + harness.SETTLE_WINDOW, load=late)
+    for bad in ({"duration": 31.0}, {"duration": 32.0, "sample_dt": 1.5e-3}):
+        with pytest.raises(ValueError, match="events"):
+            Scenario(load=late, **bad)
+
+
+@pytest.mark.parametrize("duration, dt, sample_dt", [
+    (2.0, 5e-4, 1e-3), (1.9995, 5e-4, 1e-3), (2.0, 5e-4, 1.5e-3),
+    (2.0, 5e-4, 0.7), (2.0, 3e-4, 3e-4), (2.0, 5e-4, 1e-5)])
+def test_scenario_t_end_is_the_last_row_time(plant, surface, duration, dt,
+                                             sample_dt):
+    sc = Scenario(duration=duration, dt=dt, sample_dt=sample_dt,
+                  load=LoadProfile(events=()))
+    gains = gains_for_scenario(plant, surface, sc).gains
+    x0, p_arr, _ = find_equilibrium(plant, gains, surface, sc.v_w, sc.load)
+    states = simulate(x0, p_arr, sc.mode, sc.load, duration, dt, sample_dt)
+    assert sc.t_end == states[-1, 0]
 
 
 def test_scenario_from_config(cfg):
@@ -272,8 +290,11 @@ def test_gfl_run_trace_is_flat_on_wt_side(plant, surface):
     res = run_scenario(plant, surface, sc)
     tr = res.trace
     assert np.all(tr.v_dc == 1.0)
-    assert np.ptp(tr.p_wt) == 0.0
+    assert np.all(tr.omega_r == res.design.omega_del)
+    assert np.all(tr.beta == res.design.beta_del)
+    assert np.all(tr.p_wt == min(res.p_wt0, 1.0))
     assert np.ptp(tr.p_gsc) == 0.0
+    assert tr.f_gsc.tobytes() == tr.f_g.tobytes()
     assert tr.f_g.min() < 49.9
 
 

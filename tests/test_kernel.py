@@ -7,15 +7,17 @@ import pytest
 
 import windgfm
 from windgfm._kernel import _ode_py
-from windgfm._kernel.layout import N_OUT, N_PARAMS, N_STATES, P_TG
+from windgfm._kernel.layout import (
+    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_PCONST, P_TG,
+)
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import find_equilibrium
 
 
 def equilibrium(plant, surface, sc):
     design = gains_for_scenario(plant, surface, sc)
-    x0, p_arr, op = find_equilibrium(plant, design.gains, surface, sc.v_w,
-                                     sc.load, sc.mode)
+    x0, p_arr, _ = find_equilibrium(plant, design.gains, surface, sc.v_w,
+                                    sc.load, sc.mode)
     return x0, p_arr
 
 
@@ -26,6 +28,18 @@ def packed(plant, surface):
 
 def test_backend_reported():
     assert windgfm.KERNEL_BACKEND in ("cython", "python")
+
+
+def one_step(kernel, x, p, mode, t):
+    """One RK4 step from state x, its load event shifted so that it is on
+    exactly when a step at time t would see it: the bytes of the rows (the
+    outputs at x, the next state and its outputs), or the divergence
+    message.  Every stage of the step is a derivative call."""
+    try:
+        return kernel.simulate(x, p, mode, 1e-3, 1, 1, 2.0, (30.0 - t,),
+                               (0.4,)).tobytes()
+    except FloatingPointError as e:
+        return str(e)
 
 
 def test_derivative_backends_bit_identical(plant, surface, ode_cy):
@@ -39,9 +53,8 @@ def test_derivative_backends_bit_identical(plant, surface, ode_cy):
             x[[7, 10, 11, 12]] += rng.uniform(-1.0, 1.0, size=4) * (0.1, 20, 1, 1)
             t = rng.uniform(0.0, 60.0)
             for mode in (0, 1, 2):
-                dp = _ode_py.derivative(x, t, p_arr, mode, 2.0, (30.0,), (0.4,))
-                dc = ode_cy.derivative(x, t, p_arr, mode, 2.0, (30.0,), (0.4,))
-                assert dp.tobytes() == dc.tobytes()
+                assert one_step(_ode_py, x, p_arr, mode, t) == \
+                    one_step(ode_cy, x, p_arr, mode, t)
 
 
 def test_simulate_backends_bit_identical(plant, surface, ode_cy):
@@ -68,9 +81,8 @@ def test_derivative_bit_identical_on_random_parameter_vectors(ode_cy):
         x = rng.uniform(lo, hi)
         t = rng.uniform(0.0, 60.0)
         for mode in (0, 1, 2):
-            dp = _ode_py.derivative(x, t, p, mode, 2.0, (30.0,), (0.4,))
-            dc = ode_cy.derivative(x, t, p, mode, 2.0, (30.0,), (0.4,))
-            assert dp.tobytes() == dc.tobytes()
+            assert one_step(_ode_py, x, p, mode, t) == \
+                one_step(ode_cy, x, p, mode, t)
 
 
 @pytest.mark.parametrize("n_steps, stride", [(0, 1), (0, 5), (3, 7), (7, 3)])
@@ -84,10 +96,10 @@ def test_simulate_sample_counts_match(packed, ode_cy, n_steps, stride):
 
 @pytest.mark.parametrize("n_steps, stride", [(0, 1), (0, 4), (40, 4), (41, 4),
                                               (43, 1)])
-@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("mode", [0, 1, 2])
 def test_simulate_outputs_are_those_of_each_row_state(packed, ode_cy, n_steps,
                                                        stride, mode):
-    # a row's P_wt, P_gsc and y_gsc are the kernel's outputs at that row's
+    # a row's P_wt, P_gsc and w_gsc are the kernel's outputs at that row's
     # state, whether they come from a step's first RK4 stage or, for a final
     # row at n_steps, from the extra call; the load step at 0.01 s moves
     # every state off the equilibrium
@@ -95,7 +107,17 @@ def test_simulate_outputs_are_those_of_each_row_state(packed, ode_cy, n_steps,
     for kernel in (_ode_py, ode_cy):
         out = kernel.simulate(x0, p_arr, mode, 5e-4, n_steps, stride, 2.0,
                               (0.01,), (0.4,))
-        assert n_steps < 20 or np.ptp(out[:, 1 + N_STATES]) > 0
+        if mode == MODE_GFL_MPPT:
+            # the constant injection twice and omega_g; the WT-side states
+            # keep x0's bits
+            assert n_steps < 20 or np.ptp(out[:, 3]) > 0
+            assert np.all(out[:, 14:16] == p_arr[P_PCONST])
+            assert out[:, 16].tobytes() == out[:, 3].tobytes()
+            for j in (4, 7, 10):  # v_dc, omega_r, beta
+                assert out[:, 1 + j].tobytes() == \
+                    np.full(len(out), x0[j]).tobytes()
+        else:
+            assert n_steps < 20 or np.ptp(out[:, 1 + N_STATES]) > 0
         for row in out:
             ref = kernel.simulate(row[1:1 + N_STATES], p_arr, mode, 5e-4, 0,
                                   1, 2.0, (0.01,), (0.4,))

@@ -32,7 +32,7 @@ def equilibrium(plant, surface, v_w=8.0, eta=0.9, mode=Mode.GFM_FR,
 
 
 def test_pmsg_power_example(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     p = p_arr.copy()
     p[P_BM] = 1.5
     x = x0.copy()
@@ -44,7 +44,7 @@ def test_pmsg_power_example(plant, surface):
 
 
 def test_gsc_power_antisymmetry(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     p = p_arr.copy()
     p[P_BG] = 1.3
 
@@ -77,7 +77,7 @@ def test_load_profile_steps(plant, surface):
     assert load.ev_times == (30.0, 45.0)
     assert load.ev_steps == (0.4, -0.1)
     # the SG swing row sees base + every event at or before t
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     j_g = plant.sg.j_g(plant.network.s_base)
     for t, dp in ((0.0, 0.0), (29.999, 0.0), (30.0, 0.4), (50.0, 0.3)):
         d = _kernel.derivative(x0, t, p_arr, int(Mode.GFM_FR), load.base,
@@ -93,7 +93,7 @@ def test_rk4_linear_oracle():
 
 def test_equilibrium_residual_is_tiny(plant, surface):
     for mode in (Mode.GFM_FR, Mode.GFM_MPPT, Mode.GFL_MPPT):
-        _, (x0, p_arr, op) = equilibrium(plant, surface, mode=mode)
+        _, (x0, p_arr, p_wt0) = equilibrium(plant, surface, mode=mode)
         pre = LoadProfile(base=2.0, events=())
         resid = closed_loop_derivative(x0, 0.0, p_arr, mode, pre)
         assert np.max(np.abs(resid)) < 1e-10
@@ -101,15 +101,15 @@ def test_equilibrium_residual_is_tiny(plant, surface):
 
 
 def test_equilibrium_angles_match_power(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     assert p_arr[P_BM] * math.sin(x0[6] - x0[5]) == pytest.approx(
-        op.p_wt0, abs=1e-12)
+        p_wt0, abs=1e-12)
     assert p_arr[P_BG] * math.sin(x0[0] - x0[1]) == pytest.approx(
-        op.p_wt0, abs=1e-12)
+        p_wt0, abs=1e-12)
 
 
 def test_derivative_load_step_hits_sg_swing(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     stepped = LoadProfile(base=2.1, events=())
     d = closed_loop_derivative(x0, 0.0, p_arr, Mode.GFM_FR, stepped)
     j_g = plant.sg.j_g(plant.network.s_base)
@@ -119,7 +119,7 @@ def test_derivative_load_step_hits_sg_swing(plant, surface):
 def test_derivative_dc_power_balance_identity(plant, surface):
     # C_dc v dv/dt must equal P_pmsg - P_gsc at any state
     rng = np.random.default_rng(11)
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     load = LoadProfile(base=2.0, events=())
     for _ in range(20):
         x = x0 + rng.uniform(-0.02, 0.02, size=13)
@@ -131,7 +131,7 @@ def test_derivative_dc_power_balance_identity(plant, surface):
 
 
 def test_derivative_rejects_invalid_state(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     bad = x0.copy()
     bad[4] = -0.1
     with pytest.raises(PlantError):
@@ -139,7 +139,7 @@ def test_derivative_rejects_invalid_state(plant, surface):
 
 
 def test_no_disturbance_run_stays_at_equilibrium(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface,
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface,
                                      load=LoadProfile(base=2.0, events=()))
     states = simulate(x0, p_arr, Mode.GFM_FR,
                       LoadProfile(base=2.0, events=()), 10.0, 5e-4)
@@ -148,7 +148,7 @@ def test_no_disturbance_run_stays_at_equilibrium(plant, surface):
 
 
 def test_step_rk4_matches_kernel_simulate(plant, surface):
-    design, (x0, p_arr, op) = equilibrium(plant, surface)
+    design, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     load = LoadProfile(base=2.0, events=((0.01, 0.4),))
     dt = 5e-4
     x = x0.copy()
@@ -161,14 +161,14 @@ def test_step_rk4_matches_kernel_simulate(plant, surface):
 
 
 def test_event_off_grid_rejected(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     load = LoadProfile(base=2.0, events=((30.00031, 0.4),))
     with pytest.raises(PlantError):
         simulate(x0, p_arr, Mode.GFM_FR, load, 60.0, 5e-4)
 
 
 def test_divergence_detected(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface)
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     # an unstable governor (negative time constant) blows up exponentially
     # once the load step perturbs the equilibrium
     from windgfm._kernel.layout import P_TG
@@ -180,7 +180,7 @@ def test_divergence_detected(plant, surface):
 
 
 def test_gfl_mode_freezes_wt_states(plant, surface):
-    _, (x0, p_arr, op) = equilibrium(plant, surface, eta=1.0,
+    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface, eta=1.0,
                                      mode=Mode.GFL_MPPT)
     states = simulate(x0, p_arr, Mode.GFL_MPPT, LoadProfile(), 40.0, 5e-4)
     # WT-side states identical over the whole run; SG responds to the step

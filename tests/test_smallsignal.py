@@ -104,7 +104,7 @@ def test_build_model_structure():
     m = ss.build_model(j_g=33.6, j_wt=13.26, c_dc=0.4, t_g=0.5, k_g=84.0,
                        b_g=100.0, b_msc=5.0, k_theta_gsc=0.5, k_d_gsc=0.0067,
                        k_theta_msc=6.6, k_d_msc=0.08844, k_wt=0.5,
-                       omega_0=1.0, omega_del=1.2)
+                       omega_del=1.2)
     assert m.labels == ss.STATE_LABELS
     np.testing.assert_allclose(np.diag(m.T),
                                [1.0, 1.0, 33.6, 13.26 * 1.2, 0.4, 0.5])
@@ -195,8 +195,8 @@ def test_linear_response_matches_nonlinear_small_step(plant, surface):
     # model within 5% of the 13-state nonlinear simulation
     sc = Scenario()
     d = gains_for_scenario(plant, surface, sc)
-    x0, p_arr, op = find_equilibrium(plant, d.gains, surface, 8.0, sc.load,
-                                     Mode.GFM_FR)
+    x0, p_arr, _ = find_equilibrium(plant, d.gains, surface, 8.0, sc.load,
+                                    Mode.GFM_FR)
     dP = 0.002
     load = LoadProfile(base=2.0, events=((1.0, dP),))
     states = simulate(x0, p_arr, Mode.GFM_FR, load, 21.0, 5e-4)
