@@ -1,7 +1,16 @@
 /* Compiled kernel: the closed-loop RK4 integrator.  Its derivative mirrors
  * _ode_py in the same operation order, so the two backends agree bit for
  * bit: edit the two together.  Build with -ffp-contract=off where the
- * compiler would otherwise fuse multiply-adds (setup.py does). */
+ * compiler would otherwise fuse multiply-adds (setup.py does).
+ *
+ * The derivative sees time only through the load sum load(t), so one RK4
+ * step is a pure function of the state and of its three loads, at t0,
+ * t0 + h/2 and t0 + h.  A step that returns its state unchanged bit for bit
+ * marks the state fixed under those loads; a later step whose three loads
+ * have the same bits would return the same state and outputs, so it is
+ * skipped.  Before a load event the equilibrium is such a fixed point: a run
+ * integrates only from its first event on, and its rows are bit for bit
+ * those of the full integration. */
 #define PY_SSIZE_T_CLEAN
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <Python.h>
@@ -63,14 +72,21 @@ static double limiter_pi(double kp, double ki, double err, double integ,
     return u;
 }
 
-/* _ode_py._deriv: the N state derivatives, then the N_OUT outputs at x */
-static void deriv(const Model *m, const double *x, double t, double *out)
+/* _ode_py._load: the base load plus every event at or before t */
+static double load(const Model *m, double t)
 {
-    const double *p = m->p;
     double pl = m->base;
     for (npy_intp k = 0; k < m->n_ev; k++)
         if (t >= m->ev_t[k])
             pl += m->ev_dp[k];
+    return pl;
+}
+
+/* _ode_py._deriv: the N state derivatives, then the N_OUT outputs at x,
+ * under load pl */
+static void deriv(const Model *m, const double *x, double pl, double *out)
+{
+    const double *p = m->p;
     double om_g = x[2], p_g = x[3];
     if (m->mode == 0) {
         memset(out, 0, N * sizeof(double));
@@ -178,6 +194,8 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
     const int w = 1 + N + N_OUT;
     double x[N], xs[N], k1[N + N_OUT], k2[N + N_OUT], k3[N + N_OUT],
         k4[N + N_OUT];
+    double l[3], fl[3];  /* a step's loads; those under which x is fixed */
+    int fixed = 0;
     double *rows = PyArray_DATA(res), *out = rows + w;
     memcpy(x, PyArray_DATA(a[0]), sizeof x);
     rows[0] = 0.0;
@@ -185,26 +203,35 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
     Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < n_steps; i++) {
         double t0 = i * h;
-        deriv(&m, x, t0, k1);
-        if (i % stride == 0)
+        l[0] = load(&m, t0);
+        l[1] = load(&m, t0 + 0.5 * h);
+        l[2] = load(&m, t0 + h);
+        if (!fixed || memcmp(l, fl, sizeof l)) {
+            deriv(&m, x, l[0], k1);
+            for (int j = 0; j < N; j++)
+                xs[j] = x[j] + 0.5 * h * k1[j];
+            deriv(&m, xs, l[1], k2);
+            for (int j = 0; j < N; j++)
+                xs[j] = x[j] + 0.5 * h * k2[j];
+            deriv(&m, xs, l[1], k3);
+            for (int j = 0; j < N; j++)
+                xs[j] = x[j] + h * k3[j];
+            deriv(&m, xs, l[2], k4);
+            for (int j = 0; j < N; j++)
+                xs[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j]
+                                          + k4[j]);
+            for (int j = N - 1; j >= 0; j--)
+                if (!(fabs(xs[j]) <= 1e6))  /* also catches NaN */
+                    bad = j;
+            if (bad >= 0)
+                break;
+            fixed = !memcmp(xs, x, sizeof x);
+            memcpy(fl, l, sizeof l);
+            memcpy(x, xs, sizeof x);
+        }
+        if (i % stride == 0)  /* k1 is the last integrated step's: at x */
             memcpy(rows + (npy_intp)(i / stride) * w + 1 + N, k1 + N,
                    N_OUT * sizeof(double));
-        for (int j = 0; j < N; j++)
-            xs[j] = x[j] + 0.5 * h * k1[j];
-        deriv(&m, xs, t0 + 0.5 * h, k2);
-        for (int j = 0; j < N; j++)
-            xs[j] = x[j] + 0.5 * h * k2[j];
-        deriv(&m, xs, t0 + 0.5 * h, k3);
-        for (int j = 0; j < N; j++)
-            xs[j] = x[j] + h * k3[j];
-        deriv(&m, xs, t0 + h, k4);
-        for (int j = 0; j < N; j++)
-            x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-        for (int j = N - 1; j >= 0; j--)
-            if (!(fabs(x[j]) <= 1e6))  /* also catches NaN */
-                bad = j;
-        if (bad >= 0)
-            break;
         if ((i + 1) % stride == 0) {
             out[0] = (i + 1) * h;
             memcpy(out + 1, x, sizeof x);
@@ -212,7 +239,7 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
         }
     }
     if (bad < 0 && n_steps % stride == 0) {  /* the final row's outputs */
-        deriv(&m, x, (double)n_steps * h, k1);
+        deriv(&m, x, load(&m, (double)n_steps * h), k1);
         memcpy(out - w + 1 + N, k1 + N, N_OUT * sizeof(double));
     }
     Py_END_ALLOW_THREADS

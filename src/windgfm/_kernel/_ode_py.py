@@ -3,6 +3,16 @@
 The derivative wires together the model equations defined once in ``aero``
 and ``control``.  State and parameters are handled as lists of Python
 floats, which the scalar equations evaluate fastest.
+
+The derivative sees time only through the load sum ``_load(t)``, so one RK4
+step is a pure function of the state and of its three loads, at t0, t0 + h/2
+and t0 + h.  When a step returns its state unchanged bit for bit, that state
+is a fixed point under those three loads: every later step whose loads have
+the same bits returns the same state and the same outputs, so ``simulate``
+reuses them instead of making the step's four derivative calls.  Before a
+load event the equilibrium is such a fixed point, so a run integrates only
+from its first event on, and its rows are those of the full integration bit
+for bit.
 """
 from __future__ import annotations
 
@@ -23,12 +33,25 @@ from .layout import (
 BACKEND = "python"
 
 
-def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
-    """The 13 state derivatives followed by the N_OUT outputs at x."""
+def _load(t, base, ev_t, ev_dp):
+    """The load (pu) at time t: base plus every event at or before t."""
     pl = base
     for k in range(len(ev_t)):
         if t >= ev_t[k]:
             pl += ev_dp[k]
+    return pl
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two float sequences have the same bits: == holds and no zero
+    differs in sign (== takes -0.0 for 0.0)."""
+    return a == b and all(u or math.copysign(1.0, u) == math.copysign(1.0, v)
+                          for u, v in zip(a, b))
+
+
+def _deriv(x, pl, p, cp_coeffs, mode):
+    """The 13 state derivatives followed by the N_OUT outputs at x, under
+    load pl."""
     (th_gsc, th_g, om_g, p_g, vdc, th_msc, th_r, om_r,
      xg, xm, beta, isp, ipw) = x
     if mode == MODE_GFL_MPPT:
@@ -67,17 +90,16 @@ def _floats(a) -> list:
     return np.asarray(a, dtype=float).ravel().tolist()
 
 
-def _args(params, mode, base_load, ev_t, ev_dp) -> tuple:
-    """The arguments of _deriv after (x, t)."""
+def _args(params, mode) -> tuple:
+    """The arguments of _deriv after (x, pl)."""
     p = _floats(params)
-    return (p, p[P_CP0:P_CP0 + 14], int(mode), float(base_load),
-            _floats(ev_t), _floats(ev_dp))
+    return p, p[P_CP0:P_CP0 + 14], int(mode)
 
 
 def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()):
     """d state/dt for the 13-state closed loop (numpy array out)."""
-    return np.array(_deriv(_floats(x), float(t),
-                           *_args(params, mode, base_load, ev_t, ev_dp))[:N_STATES])
+    pl = _load(float(t), float(base_load), _floats(ev_t), _floats(ev_dp))
+    return np.array(_deriv(_floats(x), pl, *_args(params, mode))[:N_STATES])
 
 
 def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()):
@@ -86,10 +108,13 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     Returns an array of shape (n_samples, 1 + N_STATES + N_OUT): time, the
     states and their outputs, from the first RK4 stage of the step that
     leaves the row (a final row at n_steps takes one more derivative call).
-    Raises FloatingPointError on divergence (any |state| > 1e6).
+    A step from a fixed point under the same three loads is not integrated
+    again (see the module docstring).  Raises FloatingPointError on
+    divergence (any |state| > 1e6).
     """
     x = _floats(x0)
-    args = _args(params, mode, base_load, ev_t, ev_dp)
+    args = _args(params, mode)
+    ev = (float(base_load), _floats(ev_t), _floats(ev_dp))
     dt = float(dt)
     h2 = 0.5 * dt
     h6 = dt / 6.0
@@ -97,23 +122,30 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     out[0, 0] = 0.0
     out[0, 1:1 + N_STATES] = x
     row = 1
+    fixed = None  # the loads under which x is a fixed point of the step
     for i in range(n_steps):
         t0 = i * dt
-        k1 = _deriv(x, t0, *args)
+        loads = (_load(t0, *ev), _load(t0 + h2, *ev), _load(t0 + dt, *ev))
+        if fixed is None or not _same_bits(loads, fixed):
+            k1 = _deriv(x, loads[0], *args)
+            k2 = _deriv([a + h2 * b for a, b in zip(x, k1)], loads[1], *args)
+            k3 = _deriv([a + h2 * b for a, b in zip(x, k2)], loads[1], *args)
+            k4 = _deriv([a + dt * b for a, b in zip(x, k3)], loads[2], *args)
+            xn = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            for j in range(N_STATES):
+                if not abs(xn[j]) <= 1e6:  # also catches NaN
+                    raise FloatingPointError(
+                        f"state {j} diverged at t={t0 + dt:.6f}")
+            fixed = loads if _same_bits(xn, x) else None
+            x = xn
         if i % stride == 0:
             out[i // stride, 1 + N_STATES:] = k1[N_STATES:]
-        k2 = _deriv([a + h2 * b for a, b in zip(x, k1)], t0 + h2, *args)
-        k3 = _deriv([a + h2 * b for a, b in zip(x, k2)], t0 + h2, *args)
-        k4 = _deriv([a + dt * b for a, b in zip(x, k3)], t0 + dt, *args)
-        x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        for j in range(N_STATES):
-            if not abs(x[j]) <= 1e6:  # also catches NaN
-                raise FloatingPointError(f"state {j} diverged at t={t0 + dt:.6f}")
         if (i + 1) % stride == 0:
             out[row, 0] = (i + 1) * dt
             out[row, 1:1 + N_STATES] = x
             row += 1
     if n_steps % stride == 0:
-        out[row - 1, 1 + N_STATES:] = _deriv(x, n_steps * dt, *args)[N_STATES:]
+        out[row - 1, 1 + N_STATES:] = _deriv(x, _load(n_steps * dt, *ev),
+                                             *args)[N_STATES:]
     return out[:row]

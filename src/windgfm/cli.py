@@ -176,6 +176,10 @@ def main(argv=None) -> int:
     except PlantError as e:
         print(f"simulation failure: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # the kernel's rows did not fit in memory
+        print(f"simulation failure: {str(e) or 'out of memory'}",
+              file=sys.stderr)
+        return 2
     except (DesignError, ArithmeticError) as e:
         print(f"design failure: {e!r}", file=sys.stderr)
         return 2

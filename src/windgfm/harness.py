@@ -15,15 +15,17 @@ from .config import (
 from .control import pd_filter_realization
 from .gaindesign import DesignSpec, GainDesign, design_gains, mppt_gains
 from .plant import (
-    LoadProfile, Mode, PlantParams, find_equilibrium, sample_grid, simulate,
+    MAX_STEPS, LoadProfile, Mode, PlantParams, find_equilibrium, sample_grid,
+    simulate,
 )
 
 TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
                  "P_wt", "P_gsc", "P_g")
 # Trace rows written per block: large enough to amortise the per-block numpy
 # calls, small enough that no block-sized copy shows in peak memory.  Before
-# the first load step the trace sits on an exact fixed point of the RK4 step,
-# so there a column holds one value, bit for bit, across whole blocks; such a
+# the first load step the trace sits on an exact fixed point of the RK4 step
+# (test_equilibrium_is_an_exact_rk4_fixed_point in tests/test_kernel.py), so
+# there a column holds one value, bit for bit, across whole blocks; such a
 # column is formatted once per block.
 BLOCK = 512
 # Smallest steady-state |ΔP_wt| (pu) a measured droop is computed from.
@@ -61,6 +63,12 @@ class Scenario:
             raise ValueError("v_w must be finite and positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
+        # sample_grid rounds these to the step count and the stride
+        for name in ("duration", "sample_dt"):
+            steps = getattr(self, name) / self.dt
+            if steps >= MAX_STEPS + 0.5:
+                raise ValueError(f"{name} / dt must be at most {MAX_STEPS} "
+                                 f"RK4 steps, got {steps:.4g}")
         for t_ev, _ in self.load.events:
             # compute_metrics' condition, on the trace's last sample
             if not (0.0 < t_ev and t_ev + SETTLE_WINDOW <= self.t_end):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import windgfm
-from windgfm import cli
+from windgfm import _kernel, cli
 from windgfm.config import (
     DEFAULT_CONFIG, apply_overrides, load_config, make_plant, make_surface,
 )
@@ -181,6 +181,12 @@ def test_compare_subcommand(tmp_path, capsys):
     # and compare's metrics raised "trace too short" (exit 1)
     ("scenario.duration=31", {"simulate": 3, "gain-design": 3}),
     ("scenario.events=[[58.5,0.4]]", {"simulate": 3, "gain-design": 3}),
+    # more RK4 steps than the compiled kernel's C int counts: the pure
+    # kernel raised a MemoryError traceback for 1.24 TiB of rows (exit 1),
+    # the compiled one an OverflowError (exit 2)
+    ("scenario.duration=1e7", {"simulate": 3, "gain-design": 3}),
+    ("scenario.dt=1e-12", {"simulate": 3, "gain-design": 3}),
+    ("scenario.duration=1073741.824", {"simulate": 3, "gain-design": 3}),
 ])
 def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     # compare loads and checks the config as simulate does, so unless a row
@@ -195,6 +201,18 @@ def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
     if rc == 3:
         assert err.startswith("config error:")
         assert override.partition("=")[0] in err
+
+
+def test_kernel_memory_error_is_a_simulation_failure(monkeypatch, capsys):
+    # rows that do not fit in memory: one line and exit 2, not a traceback
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 1.24 TiB for an array")
+
+    monkeypatch.setattr(_kernel, "simulate", no_memory)
+    rc = cli.main(["simulate"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "simulation failure: Unable to allocate 1.24 TiB for an array\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -13,7 +13,9 @@ from windgfm.harness import (
     BLOCK, HarnessAssertionError, Scenario, SimTrace, compute_metrics,
     gains_for_scenario, run_scenario, scenario_from_config, trace_to_csv,
 )
-from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
+from windgfm.plant import (
+    MAX_STEPS, LoadProfile, Mode, find_equilibrium, simulate,
+)
 
 
 def synthetic_trace(dt=1e-3, t_end=40.0, t_ev=10.0, nadir=49.644,
@@ -236,6 +238,15 @@ def test_scenario_validation():
     for bad in ({"duration": 31.0}, {"duration": 32.0, "sample_dt": 1.5e-3}):
         with pytest.raises(ValueError, match="events"):
             Scenario(load=late, **bad)
+    # the compiled kernel counts the RK4 steps and the stride in C ints; with
+    # no event a 1e7 s sample_dt ran on the pure kernel and raised an
+    # OverflowError on the compiled one
+    Scenario(duration=MAX_STEPS * 5e-4, dt=5e-4)
+    for bad in ({"duration": (MAX_STEPS + 1) * 5e-4}, {"dt": 1e-300}):
+        with pytest.raises(ValueError, match="duration / dt"):
+            Scenario(**bad)
+    with pytest.raises(ValueError, match="sample_dt / dt"):
+        Scenario(sample_dt=1e7, load=LoadProfile(events=()))
 
 
 @pytest.mark.parametrize("duration, dt, sample_dt", [

@@ -7,11 +7,54 @@ import pytest
 
 import windgfm
 from windgfm._kernel import _ode_py
+from windgfm._kernel._ode_py import _floats
 from windgfm._kernel.layout import (
     MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_PCONST, P_TG,
 )
 from windgfm.harness import Scenario, gains_for_scenario
-from windgfm.plant import find_equilibrium
+from windgfm.plant import Mode, find_equilibrium
+
+
+def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
+    """The kernel's derivative and outputs at x, under the load at time t."""
+    return _ode_py._deriv(x, _ode_py._load(t, base, ev_t, ev_dp), p,
+                          cp_coeffs, mode)
+
+
+def reference_simulate(x0, params, mode, dt, n_steps, stride, base_load,
+                       ev_t=(), ev_dp=()):
+    """The kernels' RK4 loop with four derivative calls on every step: no
+    step is skipped, whether or not its state is a fixed point."""
+    x = _floats(x0)
+    args = (*_ode_py._args(params, mode), float(base_load), _floats(ev_t),
+            _floats(ev_dp))
+    dt = float(dt)
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    out = np.empty((1 + n_steps // stride, 1 + N_STATES + N_OUT))
+    out[0, 0] = 0.0
+    out[0, 1:1 + N_STATES] = x
+    row = 1
+    for i in range(n_steps):
+        t0 = i * dt
+        k1 = _deriv(x, t0, *args)
+        if i % stride == 0:
+            out[i // stride, 1 + N_STATES:] = k1[N_STATES:]
+        k2 = _deriv([a + h2 * b for a, b in zip(x, k1)], t0 + h2, *args)
+        k3 = _deriv([a + h2 * b for a, b in zip(x, k2)], t0 + h2, *args)
+        k4 = _deriv([a + dt * b for a, b in zip(x, k3)], t0 + dt, *args)
+        x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        for j in range(N_STATES):
+            if not abs(x[j]) <= 1e6:  # also catches NaN
+                raise FloatingPointError(f"state {j} diverged at t={t0 + dt:.6f}")
+        if (i + 1) % stride == 0:
+            out[row, 0] = (i + 1) * dt
+            out[row, 1:1 + N_STATES] = x
+            row += 1
+    if n_steps % stride == 0:
+        out[row - 1, 1 + N_STATES:] = _deriv(x, n_steps * dt, *args)[N_STATES:]
+    return out[:row]
 
 
 def equilibrium(plant, surface, sc):
@@ -125,6 +168,98 @@ def test_simulate_outputs_are_those_of_each_row_state(packed, ode_cy, n_steps,
                 ref[0, 1 + N_STATES:].tobytes()
 
 
+H = 5e-4
+# (ev_t, ev_dp) of a run of ODD_STEPS steps of H s, starting at an
+# equilibrium: each layout changes which steps see the same three loads
+EVENT_LAYOUTS = {
+    "none": ((), ()),
+    "at_0": ((0.0,), (0.4,)),
+    "before_0": ((-1.0,), (0.4,)),
+    # only a step's midpoint and end see it (plant.simulate rejects it)
+    "half_step": ((20 * H + 0.5 * H,), (0.4,)),
+    "same_time": ((0.01, 0.01), (0.4, -0.2)),
+    # the load comes back to the bits it had before the first event
+    "up_and_down": ((0.01, 0.03), (0.4, -0.4)),
+    "after_end": ((1.0,), (0.4,)),
+}
+ODD_STEPS = 101
+
+
+def kernel_result(kernel, *args):
+    """The bytes of a kernel's rows, or its divergence message."""
+    try:
+        return kernel(*args).tobytes()
+    except FloatingPointError as e:
+        return str(e)
+
+
+@pytest.fixture(params=list(Mode), ids=lambda m: m.name)
+def mode_equilibrium(request, plant, surface):
+    """(mode, x0, p_arr) at the mode's own 8 m/s equilibrium."""
+    x0, p_arr = equilibrium(plant, surface, Scenario(mode=request.param))
+    return int(request.param), x0, p_arr
+
+
+@pytest.mark.parametrize("layout", EVENT_LAYOUTS)
+@pytest.mark.parametrize("n_steps, stride", [(ODD_STEPS, 1), (ODD_STEPS, 3),
+                                              (ODD_STEPS - 2, 3)])
+def test_kernels_equal_the_no_skip_reference(mode_equilibrium, ode_cy, layout,
+                                             n_steps, stride):
+    mode, x0, p_arr = mode_equilibrium
+    args = (x0, p_arr, mode, H, n_steps, stride, 2.0, *EVENT_LAYOUTS[layout])
+    ref = reference_simulate(*args).tobytes()
+    assert _ode_py.simulate(*args).tobytes() == ref
+    assert ode_cy.simulate(*args).tobytes() == ref
+
+
+@pytest.mark.parametrize("layout", ["at_0", "half_step", "same_time"])
+def test_kernels_diverge_as_the_no_skip_reference(mode_equilibrium, ode_cy,
+                                                  layout):
+    # a negative governor time constant: the equilibrium holds until the
+    # load moves, then the SG power blows up within a few steps
+    mode, x0, p_arr = mode_equilibrium
+    bad = p_arr.copy()
+    bad[P_TG] = -1e-3
+    args = (x0, bad, mode, H, ODD_STEPS, 3, 2.0, *EVENT_LAYOUTS[layout])
+    ref = kernel_result(reference_simulate, *args)
+    assert ref.startswith("state ")
+    assert kernel_result(_ode_py.simulate, *args) == ref
+    assert kernel_result(ode_cy.simulate, *args) == ref
+
+
+def test_steps_before_the_load_step_are_not_integrated(packed, monkeypatch):
+    # a 4 s run with its step at 2 s: the step from x0 finds the fixed point,
+    # the next 3998 are reused, and every step from the one whose end sees
+    # the event on is integrated, plus the final row's derivative call
+    x0, p_arr = packed
+    n_steps = 8000
+    args = (x0, p_arr, 2, H, n_steps, 2, 2.0, (2.0,), (0.4,))
+    ref = reference_simulate(*args).tobytes()
+    calls = 0
+    deriv = _ode_py._deriv
+
+    def counted(*a):
+        nonlocal calls
+        calls += 1
+        return deriv(*a)
+
+    monkeypatch.setattr(_ode_py, "_deriv", counted)
+    assert _ode_py.simulate(*args).tobytes() == ref
+    post_step = n_steps - 4000
+    assert calls <= 4 * (post_step + 2) + 1
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+def test_equilibrium_is_an_exact_rk4_fixed_point(plant, surface, mode):
+    # what the kernels' step reuse and the CSV's constant blocks rely on
+    for v_w in range(5, 26, 2):
+        sc = Scenario(v_w=float(v_w), mode=mode)
+        x0, p_arr = equilibrium(plant, surface, sc)
+        out = reference_simulate(x0, p_arr, int(mode), sc.dt, 1, 1,
+                                 sc.load.base)
+        assert out[1, 1:1 + N_STATES].tobytes() == x0.tobytes(), v_w
+
+
 def test_simulate_sampling_layout(packed):
     x0, p_arr = packed
     out = _ode_py.simulate(x0, p_arr, 2, 1e-3, 100, 10, 2.0, (), ())
@@ -169,3 +304,10 @@ def test_pure_python_env_forces_fallback():
                          text=True, env={**os.environ, "WINDGFM_PURE": "1"})
     assert out.returncode == 0
     assert out.stdout.strip() == "python"
+
+
+def test_same_bits_tells_the_sign_of_zero():
+    assert _ode_py._same_bits([1.0, 0.0], [1.0, 0.0])
+    assert _ode_py._same_bits((-0.0, 2.0), (-0.0, 2.0))
+    assert not _ode_py._same_bits([1.0, 0.0], [1.0, -0.0])
+    assert not _ode_py._same_bits((1.0,), (1.0 + 2 ** -52,))
