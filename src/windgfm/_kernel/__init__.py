@@ -1,9 +1,9 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
 The compiled kernel is the hand-written C extension ``_ode_cy.c``; it exports
-``simulate`` and ``BACKEND`` only, and mirrors ``_ode_py`` operation for
-operation, so the two give bit-identical results.  Set WINDGFM_PURE=1 to
-force the pure-Python kernel.  ``derivative`` is always the pure-Python
+``simulate``, ``csv_rows`` and ``BACKEND`` only, and mirrors ``_ode_py``:
+the two ``simulate`` give bit-identical rows and the two ``csv_rows`` the
+same text.  Set WINDGFM_PURE=1 to force the pure-Python kernel and writer.  ``derivative`` is always the pure-Python
 reference; the equilibrium check calls it once per run.
 """
 import os
@@ -21,3 +21,4 @@ else:
 
 BACKEND = impl.BACKEND
 simulate = impl.simulate
+csv_rows = impl.csv_rows

@@ -10,12 +10,18 @@
  * have the same bits would return the same state and outputs, so it is
  * skipped.  Before a load event the equilibrium is such a fixed point: a run
  * integrates only from its first event on, and its rows are bit for bit
- * those of the full integration. */
+ * those of the full integration.
+ *
+ * The module also writes the trace CSV (csv_rows): every value as Python's
+ * '%.17g' % v, from exact integer arithmetic where it applies and from
+ * CPython's own formatter elsewhere. */
 #define PY_SSIZE_T_CLEAN
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <Python.h>
 #include <numpy/arrayobject.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #define N 13
 #define N_OUT 3     /* P_wt, P_gsc, w_gsc (keep in sync with layout.py) */
@@ -256,23 +262,236 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
     return (PyObject *)res;
 }
 
+/* The longest '%.17g' of a double: "-4.9406564584124654e-324" */
+#define G17_MAX 24
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+static u128 pow5[33];  /* 5^k for k = 0..32, filled at import */
+
+/* '%.17g' % v into s, for finite v with 1e-16 <= |v| < 1e17; returns the
+ * length, or 0 where v is outside that range.
+ *
+ * With v = m 2^e (m < 2^53) and X = floor(log10 |v|), the 17 significant
+ * digits are v 10^k rounded to an integer, k = 16 - X in 0..32.  That is
+ * m 5^k 2^(e+k): an exact product below 2^128, shifted by e + k, rounded
+ * half to even on the exact remainder: the correctly rounded digits, as
+ * CPython's formatter gives them.  X comes from the unrounded quotient,
+ * which lies in [10^16, 10^17); where rounding carries to 10^17 the digits
+ * become 10^16 and X grows by one, as C99 %g takes X after rounding. */
+static int g17_fast(double v, char *s)
+{
+    double a = fabs(v);
+    if (!(a >= 1e-16 && a < 1e17))
+        return 0;
+    uint64_t bits, m;
+    memcpy(&bits, &v, sizeof bits);
+    int e = (int)(bits >> 52 & 0x7ff) - 1075;
+    m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    /* |v| >= 2^(e+52), so X >= x and k <= 16 - x */
+    int x = (int)floor((e + 52) * 0.30102999566398120);
+    int k = 16 - x < 32 ? 16 - x : 32, sh;
+    u128 n, q;
+    for (;;) {
+        n = (u128)m * pow5[k];
+        sh = e + k;
+        q = sh >= 0 ? n << sh : n >> -sh;
+        if (q < E17 || k == 0)
+            break;
+        k--;
+    }
+    if (q < E16 || q >= E17)  /* 1e-16 itself lies below 10^-16 */
+        return 0;
+    int X = 16 - k;
+    if (sh < 0) {
+        u128 half = (u128)1 << (-sh - 1), r = n & ((half << 1) - 1);
+        if (r > half || (r == half && (q & 1)))
+            q++;
+        if (q == E17) {
+            q = E16;
+            X++;
+        }
+    }
+    char dig[17], *p = s;
+    uint64_t d = (uint64_t)q;
+    for (int i = 16; i >= 0; i--) {
+        dig[i] = (char)('0' + d % 10);
+        d /= 10;
+    }
+    int last = 16;  /* the last digit kept: trailing zeros are dropped */
+    while (dig[last] == '0')
+        last--;
+    if (v < 0)
+        *p++ = '-';
+    if (X < -4 || X >= 17) {
+        *p++ = dig[0];
+        if (last > 0) {
+            *p++ = '.';
+            memcpy(p, dig + 1, last);
+            p += last;
+        }
+        int ax = X < 0 ? -X : X;
+        *p++ = 'e';
+        *p++ = X < 0 ? '-' : '+';
+        *p++ = (char)('0' + ax / 10);
+        *p++ = (char)('0' + ax % 10);
+    } else if (X >= 0) {
+        memcpy(p, dig, X + 1);
+        p += X + 1;
+        if (last > X) {
+            *p++ = '.';
+            memcpy(p, dig + X + 1, last - X);
+            p += last - X;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = 0; i < -X - 1; i++)
+            *p++ = '0';
+        memcpy(p, dig, last + 1);
+        p += last + 1;
+    }
+    return (int)(p - s);
+}
+#else
+static int g17_fast(double v, char *s)
+{
+    (void)v;
+    (void)s;
+    return 0;
+}
+#endif
+
+/* '%.17g' % v into s (G17_MAX bytes); returns the length, or -1 with an
+ * exception set */
+static int g17(double v, char *s)
+{
+    int len = g17_fast(v, s);
+    if (len)
+        return len;
+    char *t = PyOS_double_to_string(v, 'g', 17, 0, NULL);
+    if (!t)
+        return -1;
+    size_t n = strlen(t);
+    if (n <= G17_MAX)
+        memcpy(s, t, n);
+    PyMem_Free(t);
+    if (n > G17_MAX) {
+        PyErr_SetString(PyExc_SystemError, "%.17g longer than expected");
+        return -1;
+    }
+    return (int)n;
+}
+
+static PyObject *csv_rows(PyObject *self, PyObject *args)
+{
+    /* per column: the array, and the bits, offset and length of the value
+     * last written */
+    typedef struct {
+        PyArrayObject *a;
+        uint64_t bits;
+        Py_ssize_t at;
+        int len;
+    } Col;
+    PyObject *header, *columns, *seq;
+    if (!PyArg_ParseTuple(args, "UO:csv_rows", &header, &columns))
+        return NULL;
+    if (!PyUnicode_IS_ASCII(header))
+        return PyErr_Format(PyExc_ValueError, "csv_rows expects an ASCII header");
+    if (!(seq = PySequence_Fast(columns,
+                                "csv_rows expects a sequence of columns")))
+        return NULL;
+    Py_ssize_t nc = PySequence_Fast_GET_SIZE(seq), nr = 0, i, j,
+        nh = PyUnicode_GET_LENGTH(header);
+    Col *c = PyMem_Calloc(nc ? nc : 1, sizeof *c);
+    PyObject *res = NULL;
+    if (!c) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (j = 0; j < nc; j++) {
+        if (!(c[j].a = (PyArrayObject *)PyArray_FROMANY(
+                  PySequence_Fast_GET_ITEM(seq, j), NPY_DOUBLE, 1, 1,
+                  NPY_ARRAY_ALIGNED)))
+            goto done;
+        if (j && PyArray_DIM(c[j].a, 0) != nr) {
+            PyErr_SetString(PyExc_ValueError,
+                            "csv_rows expects columns of equal length");
+            goto done;
+        }
+        nr = PyArray_DIM(c[j].a, 0);
+    }
+    if (!nr || !nc) {
+        res = Py_NewRef(header);
+        goto done;
+    }
+    if (nr > (PY_SSIZE_T_MAX - nh) / nc / (G17_MAX + 1)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* one worst-case buffer, written in place and shrunk to fit */
+    if (!(res = PyUnicode_New(nh + nr * nc * (G17_MAX + 1), 127)))
+        goto done;
+    char *buf = (char *)PyUnicode_1BYTE_DATA(res), *p = buf + nh;
+    memcpy(buf, PyUnicode_1BYTE_DATA(header), nh);
+    for (i = 0; i < nr; i++)
+        for (j = 0; j < nc; j++) {
+            Col *cj = c + j;
+            double v = *(double *)(PyArray_BYTES(cj->a)
+                                   + i * PyArray_STRIDE(cj->a, 0));
+            uint64_t bits;
+            memcpy(&bits, &v, sizeof bits);
+            if (i && bits == cj->bits)  /* the previous row's text */
+                memcpy(p, buf + cj->at, cj->len);
+            else if ((cj->len = g17(v, p)) < 0) {
+                Py_CLEAR(res);
+                goto done;
+            }
+            cj->bits = bits;
+            cj->at = p - buf;
+            p += cj->len;
+            *p++ = j + 1 < nc ? ',' : '\n';
+        }
+    if (PyUnicode_Resize(&res, p - buf) < 0)
+        Py_CLEAR(res);
+done:
+    if (c)
+        for (j = 0; j < nc; j++)
+            Py_XDECREF(c[j].a);
+    PyMem_Free(c);
+    Py_DECREF(seq);
+    return res;
+}
+
 static PyMethodDef methods[] = {
     {"simulate", (PyCFunction)simulate, METH_VARARGS | METH_KEYWORDS,
      "simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), "
      "ev_dp=())\n--\n\nFixed-step RK4 over n_steps; records every `stride` "
      "steps (plus t=0)\nas rows (t, 13 states, P_wt, P_gsc, w_gsc).  Raises "
      "FloatingPointError on\ndivergence (any |state| > 1e6)."},
+    {"csv_rows", csv_rows, METH_VARARGS,
+     "csv_rows(header, columns)\n--\n\nThe ASCII header, then the CSV rows "
+     "of equal-length 1-D float64\ncolumns: each value as '%.17g' % v, "
+     "joined by ',', each row ended by '\\n'."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ode_cy",
-    "Compiled kernel: closed-loop RK4 integrator.", -1, methods
+    "Compiled kernel: closed-loop RK4 integrator and trace CSV rows.", -1,
+    methods
 };
 
 PyMODINIT_FUNC PyInit__ode_cy(void)
 {
     import_array();
+#ifdef __SIZEOF_INT128__
+    pow5[0] = 1;
+    for (int k = 1; k < 33; k++)
+        pow5[k] = pow5[k - 1] * 5;
+#endif
     PyObject *mod = PyModule_Create(&module);
     if (mod && PyModule_AddStringConstant(mod, "BACKEND", "cython") < 0)
         Py_CLEAR(mod);

@@ -31,6 +31,13 @@ from .layout import (
 )
 
 BACKEND = "python"
+# Rows csv_rows writes per block: large enough to amortise the per-block
+# numpy calls, small enough that no block-sized copy shows in peak memory.
+# Before the first load step the trace sits on an exact fixed point of the
+# RK4 step (see the module docstring), so there a column holds one value,
+# bit for bit, across whole blocks; such a column is formatted once per
+# block.
+BLOCK = 512
 
 
 def _load(t, base, ev_t, ev_dp):
@@ -149,3 +156,35 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
         out[row - 1, 1 + N_STATES:] = _deriv(x, _load(n_steps * dt, *ev),
                                              *args)[N_STATES:]
     return out[:row]
+
+
+def _constant(a: np.ndarray) -> bool:
+    """True if every value of a has the same bits (0.0 and -0.0 differ)."""
+    bits = a.view(np.int64)
+    return bits.min() == bits.max()
+
+
+def csv_rows(header: str, columns) -> str:
+    """The header, then the CSV rows of equal-length 1-D float64 columns:
+    every value written with %.17g, so it reads back bit for bit.  Each
+    block of rows is one %-format of a flat tuple of its varying columns; a
+    block-constant column is formatted once, into the block's row template.
+    """
+    n = len(columns[0]) if len(columns) else 0
+    # One growing buffer, not a list of block strings joined at the end: the
+    # list's freed blocks stay resident and raise the peak RSS.
+    buf = bytearray(header.encode("ascii"))
+    for i in range(0, n, BLOCK):
+        fields, varying = [], []
+        for c in columns:
+            c = c[i:i + BLOCK]
+            if _constant(c):
+                fields.append("%.17g" % float(c[0]))
+            else:
+                fields.append("%.17g")
+                varying.append(c)
+        rows = (",".join(fields) + "\n") * min(BLOCK, n - i)
+        if varying:
+            rows %= tuple(np.column_stack(varying).ravel().tolist())
+        buf += rows.encode()
+    return buf.decode()

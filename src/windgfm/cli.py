@@ -31,20 +31,31 @@ def _cfg(args) -> dict:
     return apply_overrides(load_config(args.config), args.sets)
 
 
+class OutputError(Exception):
+    pass
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the output file path; OutputError if it cannot."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def cmd_simulate(args) -> int:
     cfg = _cfg(args)
     res = harness.run_from_config(cfg)
     t_ev = res.scenario.load.events[0][0] if res.scenario.load.events else None
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(harness.trace_to_csv(res.trace))
+        _write(args.out, harness.trace_to_csv(res.trace))
     if t_ev is not None:
         metrics = harness.compute_metrics(res.trace, t_ev,
                                           f_base=cfg["network"]["f_hz"])
         print(harness.metrics_to_json({res.scenario.mode.name: metrics}))
     if args.plot:
-        with open(args.plot, "w") as fh:
-            fh.write(plotting.trace_svg(res.trace))
+        _write(args.plot, plotting.trace_svg(res.trace))
     return 0
 
 
@@ -61,11 +72,9 @@ def cmd_compare(args) -> int:
     if args.out:
         stem = args.out[:-4] if args.out.endswith(".csv") else args.out
         for name, res in rep.results.items():
-            with open(f"{stem}_{name}.csv", "w") as fh:
-                fh.write(harness.trace_to_csv(res.trace))
+            _write(f"{stem}_{name}.csv", harness.trace_to_csv(res.trace))
     if args.plot:
-        with open(args.plot, "w") as fh:
-            fh.write(plotting.trace_svg(rep.results["GFM_FR"].trace))
+        _write(args.plot, plotting.trace_svg(rep.results["GFM_FR"].trace))
     return 0
 
 
@@ -74,8 +83,7 @@ def cmd_deload_table(args) -> int:
     table = curtailment.build_table(make_turbine(cfg), make_surface(cfg))
     text = curtailment.table_to_csv(table)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -114,13 +122,11 @@ def cmd_droop_map(args) -> int:
     m, status = gaindesign.droop_map(turbine, surface, v_grid, eta_grid, spec)
     text = gaindesign.droop_map_to_csv(v_grid, eta_grid, m, status)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.plot:
-        with open(args.plot, "w") as fh:
-            fh.write(plotting.heatmap_svg(v_grid, eta_grid, m))
+        _write(args.plot, plotting.heatmap_svg(v_grid, eta_grid, m))
     return 0
 
 
@@ -169,6 +175,9 @@ def main(argv=None) -> int:
             return COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 3
+    except OutputError as e:
+        print(f"output error: {e}", file=sys.stderr)
         return 3
     except (HarnessAssertionError, AssertionError) as e:
         print(f"assertion failure: {e}", file=sys.stderr)

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import _kernel
 from .aero import AeroDomainError, CpSurface
 from .config import (
     build, make_design_spec, make_load, make_mode, make_plant, make_surface,
@@ -21,13 +22,6 @@ from .plant import (
 
 TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
                  "P_wt", "P_gsc", "P_g")
-# Trace rows written per block: large enough to amortise the per-block numpy
-# calls, small enough that no block-sized copy shows in peak memory.  Before
-# the first load step the trace sits on an exact fixed point of the RK4 step
-# (test_equilibrium_is_an_exact_rk4_fixed_point in tests/test_kernel.py), so
-# there a column holds one value, bit for bit, across whole blocks; such a
-# column is formatted once per block.
-BLOCK = 512
 # Smallest steady-state |ΔP_wt| (pu) a measured droop is computed from.
 # Where P_wt is held (GFL_MPPT, GFM_MPPT below rated) ΔP_wt is numerical
 # noise, 4e-5 pu and less, and compute_metrics reports no droop.
@@ -159,12 +153,6 @@ def run_scenario(plant: PlantParams, surface: CpSurface, scenario: Scenario,
     return result
 
 
-def _constant(a: np.ndarray) -> bool:
-    """True if every value of a has the same bits (0.0 and -0.0 differ)."""
-    bits = a.view(np.int64)
-    return bits.min() == bits.max()
-
-
 def _trace_from_states(f_base: float, states: np.ndarray) -> SimTrace:
     """The trace's columns, sliced from the kernel's rows."""
     om_r = states[:, 8]
@@ -280,27 +268,10 @@ def compare_modes(plant: PlantParams, surface: CpSurface,
 
 def trace_to_csv(trace: SimTrace) -> str:
     """CSV text of a trace; every value is written with %.17g, so it reads
-    back bit for bit.  Each block of rows is one %-format of a flat tuple of
-    its varying columns; a block-constant column is formatted once, into the
-    block's row template."""
-    cols = [trace.column(c) for c in TRACE_COLUMNS]
-    # One growing buffer, not a list of block strings joined at the end: the
-    # list's freed blocks stay resident and raise the peak RSS.
-    buf = bytearray((",".join(TRACE_COLUMNS) + "\n").encode())
-    for i in range(0, trace.t.size, BLOCK):
-        fields, varying = [], []
-        for c in cols:
-            c = c[i:i + BLOCK]
-            if _constant(c):
-                fields.append("%.17g" % float(c[0]))
-            else:
-                fields.append("%.17g")
-                varying.append(c)
-        rows = (",".join(fields) + "\n") * min(BLOCK, trace.t.size - i)
-        if varying:
-            rows %= tuple(np.column_stack(varying).ravel().tolist())
-        buf += rows.encode()
-    return buf.decode()
+    back bit for bit.  The header goes to the writer, which builds the text
+    in one buffer: a header + rows concatenation would copy it."""
+    return _kernel.csv_rows(",".join(TRACE_COLUMNS) + "\n",
+                            [trace.column(c) for c in TRACE_COLUMNS])
 
 
 def metrics_to_json(metrics: dict) -> str:

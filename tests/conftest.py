@@ -54,7 +54,7 @@ def session_kernel(kernel_build):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "impl", mod)
-        for name in ("BACKEND", "simulate"):
+        for name in ("BACKEND", "simulate", "csv_rows"):
             mp.setattr(_kernel, name, getattr(mod, name))
         mp.setattr(windgfm, "KERNEL_BACKEND", mod.BACKEND)
         yield

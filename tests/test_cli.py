@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import windgfm
@@ -16,6 +17,7 @@ from windgfm.config import (
     DEFAULT_CONFIG, apply_overrides, load_config, make_plant, make_surface,
 )
 from windgfm.harness import gains_for_scenario, scenario_from_config
+from windgfm.plant import MAX_STEPS
 
 from test_trace_csv import trace_from_csv
 
@@ -203,6 +205,32 @@ def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
         assert override.partition("=")[0] in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--out"), ("simulate", "--plot"), ("compare", "--out"),
+    ("compare", "--plot"), ("deload-table", "--out"), ("droop-map", "--out"),
+    ("droop-map", "--plot")])
+def test_unwritable_output_is_an_output_error(tmp_path, command, flag, capsys):
+    # deload-table --out into a missing directory exited 1 with a
+    # FileNotFoundError traceback
+    path = tmp_path / "missing" / "out.csv"
+    args = FAST if command in ("simulate", "compare") else []
+    rc = cli.main([command, *args, flag, str(path)])
+    err = capsys.readouterr().err
+    if (command, flag) == ("compare", "--out"):
+        path = path.with_name("out_GFL_MPPT.csv")  # the first mode's trace
+    assert rc == 3
+    assert err == f"output error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_output_write_is_an_output_error(capsys):
+    # the open succeeds; the write fails
+    rc = cli.main(["deload-table", "--out", "/dev/full"])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "output error: cannot write /dev/full: No space left on device\n"
+
+
 def test_kernel_memory_error_is_a_simulation_failure(monkeypatch, capsys):
     # rows that do not fit in memory: one line and exit 2, not a traceback
     def no_memory(*args):
@@ -237,7 +265,31 @@ def test_compare_at_eta_1_passes(capsys):
     assert doc["GFM_MPPT"]["nadir_hz"] >= doc["GFL_MPPT"]["nadir_hz"]
 
 
-@settings(max_examples=300, deadline=None)
+# simulate's base run for the override fuzz: 6,000 RK4 steps, 4,000 of them
+# integrated, with the load step's settled tail just inside the trace
+SHORT_RUN = ["--set", "scenario.duration=3",
+             "--set", "scenario.events=[[1.0,0.4]]"]
+# Most RK4 steps an override may ask of SHORT_RUN: runs with more steps but
+# no more than plant.MAX_STEPS are valid and slow, and the fuzz skips them
+FUZZ_MAX_STEPS = 10 ** 5
+
+
+def fuzz_steps(key, value) -> float:
+    """RK4 steps of SHORT_RUN with key=value (default dt 5e-4), where the
+    override sets a valid duration or dt; 0 for any other override."""
+    if key not in ("scenario.duration", "scenario.dt"):
+        return 0
+    try:
+        x = json.loads(value)
+    except json.JSONDecodeError:
+        return 0
+    if type(x) not in (int, float) or not 0 < x < math.inf:
+        return 0
+    steps = x / 5e-4 if key == "scenario.duration" else 3.0 / x
+    return steps if steps < MAX_STEPS + 0.5 else 0
+
+
+@settings(max_examples=450, deadline=None)
 @given(key=st.sampled_from([f"{s}.{k}" for s, keys in DEFAULT_CONFIG.items()
                             for k in keys]),
        value=st.one_of(
@@ -246,15 +298,19 @@ def test_compare_at_eta_1_passes(capsys):
                             "{}", "[]", "[1,2]", "[[1,2]]", "true", "GFM_FR",
                             '"x"', '{"a": 1}']),
            st.floats().map(repr), st.integers().map(str), st.text(max_size=8)),
-       command=st.sampled_from(["gain-design", "smallsignal"]))
+       command=st.sampled_from(["gain-design", "smallsignal", "simulate"]))
 # an int beyond int64 made numpy build an object array: a casting traceback
 @example(key="network.b_g", value=str(2 ** 63 + 1), command="smallsignal")
 @example(key="turbine.R", value=str(10 ** 400), command="gain-design")
+@example(key="scenario.sample_dt", value="1", command="simulate")
 def test_any_single_override_keeps_exit_contract(key, value, command):
+    base = SHORT_RUN if command == "simulate" else []
+    if command == "simulate":
+        assume(fuzz_steps(key, value) <= FUZZ_MAX_STEPS)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        rc = cli.main([command, "--set", f"{key}={value}"])
+        rc = cli.main([command, *base, "--set", f"{key}={value}"])
     assert rc in (0, 2, 3)
     if rc == 3:
         assert key in err.getvalue()

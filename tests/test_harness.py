@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windgfm import aero, harness
+from windgfm._kernel._ode_py import BLOCK
 from windgfm.control import pd_filter_realization
 from windgfm.harness import (
-    BLOCK, HarnessAssertionError, Scenario, SimTrace, compute_metrics,
+    HarnessAssertionError, Scenario, SimTrace, compute_metrics,
     gains_for_scenario, run_scenario, scenario_from_config, trace_to_csv,
 )
 from windgfm.plant import (

@@ -32,7 +32,8 @@ def defined_functions() -> dict:
 
 
 def run_pure_kernel() -> None:
-    """A few hundred pure-kernel steps across a load step."""
+    """A few hundred pure-kernel steps across a load step, and their rows
+    through the pure CSV writer."""
     cfg = DEFAULT_CONFIG
     plant, surface = make_plant(cfg), make_surface(cfg)
     load = LoadProfile(base=2.0, events=((0.1, 0.4),))
@@ -41,6 +42,7 @@ def run_pure_kernel() -> None:
     out = _ode_py.simulate(x0, p_arr, Mode.GFM_FR, 5e-4, 400, 100, load.base,
                            load.ev_times, load.ev_steps)
     assert out.shape == (5, 17)
+    assert _ode_py.csv_rows("", list(out.T)).count("\n") == 5
 
 
 def test_every_function_is_reached(tmp_path, capsys):
