@@ -14,7 +14,11 @@
  *
  * The module also writes the trace CSV (csv_rows): every value as Python's
  * '%.17g' % v, from exact integer arithmetic where it applies and from
- * CPython's own formatter elsewhere. */
+ * CPython's own formatter elsewhere.
+ *
+ * Importing the module does not import numpy: the design commands load the
+ * package and never call the kernel.  Each entry point loads the numpy C API
+ * on its first call. */
 #define PY_SSIZE_T_CLEAN
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <Python.h>
@@ -182,6 +186,8 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
     double h, base;
     int mode, n_steps, stride, i, bad = -1;
     Model m;
+    if (PyArray_API == NULL && _import_array() < 0)
+        return NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kw, "OOidiid|OO:simulate", kwlist,
                                      &x0, &params, &mode, &h, &n_steps,
                                      &stride, &base, &ev_t, &ev_dp))
@@ -396,6 +402,8 @@ static PyObject *csv_rows(PyObject *self, PyObject *args)
         int len;
     } Col;
     PyObject *header, *columns, *seq;
+    if (PyArray_API == NULL && _import_array() < 0)
+        return NULL;
     if (!PyArg_ParseTuple(args, "UO:csv_rows", &header, &columns))
         return NULL;
     if (!PyUnicode_IS_ASCII(header))
@@ -486,7 +494,6 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__ode_cy(void)
 {
-    import_array();
 #ifdef __SIZEOF_INT128__
     pow5[0] = 1;
     for (int k = 1; k < 33; k++)

@@ -13,12 +13,13 @@ reuses them instead of making the step's four derivative calls.  Before a
 load event the equilibrium is such a fixed point, so a run integrates only
 from its first event on, and its rows are those of the full integration bit
 for bit.
+
+numpy is imported by the functions that take or return arrays, not by the
+module: the design commands import the package and never run a kernel.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from ..aero import _cp_calibrated
 from ..control import limiter_pi, pd_filter_realization, pitch_rate
@@ -94,6 +95,7 @@ def _deriv(x, pl, p, cp_coeffs, mode):
 
 
 def _floats(a) -> list:
+    import numpy as np
     return np.asarray(a, dtype=float).ravel().tolist()
 
 
@@ -105,8 +107,17 @@ def _args(params, mode) -> tuple:
 
 def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()):
     """d state/dt for the 13-state closed loop (numpy array out)."""
+    import numpy as np
     pl = _load(float(t), float(base_load), _floats(ev_t), _floats(ev_dp))
     return np.array(_deriv(_floats(x), pl, *_args(params, mode))[:N_STATES])
+
+
+def _check_states(x, t) -> None:
+    """Raise FloatingPointError naming the first state of x beyond 1e6 in
+    magnitude or NaN, as diverged at time t."""
+    for j in range(N_STATES):
+        if not abs(x[j]) <= 1e6:  # also catches NaN
+            raise FloatingPointError(f"state {j} diverged at t={t:.6f}")
 
 
 def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()):
@@ -117,8 +128,9 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     leaves the row (a final row at n_steps takes one more derivative call).
     A step from a fixed point under the same three loads is not integrated
     again (see the module docstring).  Raises FloatingPointError on
-    divergence (any |state| > 1e6).
+    divergence (any |state| > 1e6), also where a stage's math raises.
     """
+    import numpy as np
     x = _floats(x0)
     args = _args(params, mode)
     ev = (float(base_load), _floats(ev_t), _floats(ev_dp))
@@ -134,16 +146,25 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
         t0 = i * dt
         loads = (_load(t0, *ev), _load(t0 + h2, *ev), _load(t0 + dt, *ev))
         if fixed is None or not _same_bits(loads, fixed):
-            k1 = _deriv(x, loads[0], *args)
-            k2 = _deriv([a + h2 * b for a, b in zip(x, k1)], loads[1], *args)
-            k3 = _deriv([a + h2 * b for a, b in zip(x, k2)], loads[1], *args)
-            k4 = _deriv([a + dt * b for a, b in zip(x, k3)], loads[2], *args)
+            xs = x  # the input of the stage being evaluated
+            try:
+                k1 = _deriv(xs, loads[0], *args)
+                xs = [a + h2 * b for a, b in zip(x, k1)]
+                k2 = _deriv(xs, loads[1], *args)
+                xs = [a + h2 * b for a, b in zip(x, k2)]
+                k3 = _deriv(xs, loads[1], *args)
+                xs = [a + dt * b for a, b in zip(x, k3)]
+                k4 = _deriv(xs, loads[2], *args)
+            except (ValueError, OverflowError, ZeroDivisionError) as e:
+                # math raises where C carries inf or NaN on to the step's
+                # check.  A state already past the bound in this stage's
+                # input is past it in C's new state too.
+                _check_states(xs, t0 + dt)
+                raise FloatingPointError(
+                    f"RK4 stage diverged at t={t0 + dt:.6f}: {e}") from e
             xn = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            for j in range(N_STATES):
-                if not abs(xn[j]) <= 1e6:  # also catches NaN
-                    raise FloatingPointError(
-                        f"state {j} diverged at t={t0 + dt:.6f}")
+            _check_states(xn, t0 + dt)
             fixed = loads if _same_bits(xn, x) else None
             x = xn
         if i % stride == 0:
@@ -158,9 +179,9 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     return out[:row]
 
 
-def _constant(a: np.ndarray) -> bool:
+def _constant(a) -> bool:
     """True if every value of a has the same bits (0.0 and -0.0 differ)."""
-    bits = a.view(np.int64)
+    bits = a.view("i8")
     return bits.min() == bits.max()
 
 
@@ -170,6 +191,7 @@ def csv_rows(header: str, columns) -> str:
     block of rows is one %-format of a flat tuple of its varying columns; a
     block-constant column is formatted once, into the block's row template.
     """
+    import numpy as np
     n = len(columns[0]) if len(columns) else 0
     # One growing buffer, not a list of block strings joined at the end: the
     # list's freed blocks stay resident and raise the peak RSS.

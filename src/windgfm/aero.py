@@ -5,8 +5,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 BETZ = 16.0 / 27.0
 
 # Calibrated surface: Cp = cpmax * h(beta) * g(u) with
@@ -42,6 +40,14 @@ class DesignError(ValueError):
 
 class AeroDomainError(DesignError):
     pass
+
+
+def require_finite(what: str, values: dict) -> None:
+    """Raise DesignError naming each non-finite value in values.  The design
+    chain runs in Python floats, whose overflow gives inf, not an error."""
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise DesignError(f"{what}: {', '.join(bad)} not finite")
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,17 @@ def tip_speed_ratio(R: float, omega_r: float, v_w: float) -> float:
     return R * omega_r / v_w
 
 
+def arange(start: float, stop: float, step: float) -> list:
+    """numpy.arange(start, stop, step) as a list of floats.
+
+    numpy fills element k >= 2 as start + k * ((start + step) - start), and
+    element 1 as start + step, which is the same value wherever
+    (start + step) - start is exact, as on every grid the package uses.
+    """
+    delta = (start + step) - start
+    return [start + k * delta for k in range(math.ceil((stop - start) / step))]
+
+
 @functools.lru_cache(maxsize=None)
 def find_mpp(surface: CpSurface) -> tuple[float, float]:
     """(lam_mpp, cp_max) of Cp(., 0): coarse grid scan + golden-section refine.
@@ -141,17 +158,16 @@ def find_mpp(surface: CpSurface) -> tuple[float, float]:
     Memoized: a surface is a frozen dataclass, so each distinct surface is
     solved once per process.  A raised error is not cached.
     """
-    grid = np.arange(2.0, 15.0, 1e-2)
-    vals = np.array([cp(surface, l, 0.0) for l in grid])
-    i = int(np.argmax(vals))
-    # Median without np.median, whose first call imports numpy.ma.
-    srt = np.sort(vals)
-    mid = srt.size // 2
-    median = srt[mid] if srt.size % 2 else 0.5 * (srt[mid - 1] + srt[mid])
+    grid = arange(2.0, 15.0, 1e-2)
+    vals = [cp(surface, l, 0.0) for l in grid]
+    i = vals.index(max(vals))  # the first maximum, as numpy's argmax
+    srt = sorted(vals)
+    mid = len(srt) // 2
+    median = srt[mid] if len(srt) % 2 else 0.5 * (srt[mid - 1] + srt[mid])
     if vals[i] - median < 1e-9:
         raise AeroDomainError("Cp(.,0) is flat; no distinct maximum")
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
+    b = grid[min(i + 1, len(grid) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c_ = b - invphi * (b - a)
     d_ = a + invphi * (b - a)

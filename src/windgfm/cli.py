@@ -7,15 +7,13 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import _kernel, curtailment, gaindesign, harness, plotting, smallsignal
+from . import _kernel, curtailment, gaindesign, plotting
 from .aero import DesignError
 from .config import (
-    ConfigError, apply_overrides, load_config, make_design_spec, make_plant,
-    make_surface, make_turbine,
+    ConfigError, HarnessAssertionError, apply_overrides, gains_for_scenario,
+    load_config, make_design_spec, make_plant, make_surface, make_turbine,
+    scenario_from_config,
 )
-from .harness import HarnessAssertionError
 from .plant import PlantError
 
 
@@ -45,6 +43,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from . import harness
     cfg = _cfg(args)
     res = harness.run_from_config(cfg)
     t_ev = res.scenario.load.events[0][0] if res.scenario.load.events else None
@@ -60,10 +59,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import harness
     cfg = _cfg(args)
     plant = make_plant(cfg)
     surface = make_surface(cfg)
-    base = harness.scenario_from_config(cfg)
+    base = scenario_from_config(cfg)
     if not base.load.events:
         raise ConfigError("scenario.events must hold a load event to compare "
                           "the modes' responses to")
@@ -93,8 +93,7 @@ def cmd_gain_design(args) -> int:
     cfg = _cfg(args)
     plant = make_plant(cfg)
     surface = make_surface(cfg)
-    d = harness.gains_for_scenario(plant, surface,
-                                   harness.scenario_from_config(cfg))
+    d = gains_for_scenario(plant, surface, scenario_from_config(cfg))
     out = {
         "v_w": float(d.v_w), "eta": float(d.eta), "status": d.status,
         "m_p": None if math.isinf(d.m_p) else float(d.m_p),
@@ -117,8 +116,8 @@ def cmd_droop_map(args) -> int:
     turbine = make_turbine(cfg)
     surface = make_surface(cfg)
     spec = make_design_spec(cfg)
-    v_grid = np.linspace(5.0, 14.0, 10)
-    eta_grid = np.array([0.7, 0.8, 0.9, 0.95, 1.0])
+    v_grid = [5.0 + k for k in range(10)]  # numpy.linspace(5, 14, 10)
+    eta_grid = [0.7, 0.8, 0.9, 0.95, 1.0]
     m, status = gaindesign.droop_map(turbine, surface, v_grid, eta_grid, spec)
     text = gaindesign.droop_map_to_csv(v_grid, eta_grid, m, status)
     if args.out:
@@ -131,11 +130,11 @@ def cmd_droop_map(args) -> int:
 
 
 def cmd_smallsignal(args) -> int:
+    from . import smallsignal
     cfg = _cfg(args)
     plant = make_plant(cfg)
     surface = make_surface(cfg)
-    base = harness.scenario_from_config(cfg)
-    design = harness.gains_for_scenario(plant, surface, base)
+    design = gains_for_scenario(plant, surface, scenario_from_config(cfg))
     model = smallsignal.model_from_params(plant, design.gains, design.k_wr,
                                           design.k_b)
     print(smallsignal.model_to_json(model))
@@ -149,6 +148,11 @@ def cmd_smallsignal(args) -> int:
         raise HarnessAssertionError("small-signal model is not stable")
     return 0
 
+
+# The commands that compute on numpy arrays.  The others run the design chain
+# in Python floats, whose non-finite results it rejects itself, and never
+# import numpy.
+ARRAY_COMMANDS = ("simulate", "compare", "smallsignal")
 
 COMMANDS = {
     "simulate": cmd_simulate,
@@ -170,6 +174,9 @@ def main(argv=None) -> int:
         _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
     try:
+        if args.command not in ARRAY_COMMANDS:
+            return COMMANDS[args.command](args)
+        import numpy as np
         # a float overflow or NaN raises, so no inf or NaN reaches an output
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return COMMANDS[args.command](args)

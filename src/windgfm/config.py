@@ -1,17 +1,32 @@
-"""Scenario configuration: JSON schema, defaults, dotted --set overrides."""
+"""Scenario configuration: JSON schema, defaults, dotted --set overrides,
+the Scenario a config describes and the design rule that serves it."""
 from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 import sys
+from dataclasses import dataclass
 
 from .aero import CpSurface, TurbineParams
-from .gaindesign import PRESETS, DesignSpec
-from .plant import LoadProfile, Mode, NetworkParams, PlantParams, SgParams
+from .gaindesign import PRESETS, DesignSpec, GainDesign, design_gains, mppt_gains
+from .plant import (
+    MAX_STEPS, LoadProfile, Mode, NetworkParams, PlantParams, SgParams,
+    sample_grid,
+)
+
+# The last SETTLE_WINDOW seconds of a run's trace are its settled tail: the
+# steady state that run_checks and compute_metrics judge.  A load event must
+# come before it.
+SETTLE_WINDOW = 2.0
 
 
 class ConfigError(ValueError):
+    pass
+
+
+class HarnessAssertionError(AssertionError):
     pass
 
 
@@ -160,3 +175,61 @@ def make_load(cfg: dict) -> LoadProfile:
 
 def make_surface(cfg: dict) -> CpSurface:
     return CpSurface()
+
+
+@dataclass(frozen=True)
+class Scenario:
+    mode: Mode = Mode.GFM_FR
+    v_w: float = 8.0
+    eta: float = 0.9
+    load: LoadProfile = LoadProfile()
+    duration: float = 60.0
+    dt: float = 5e-4
+    sample_dt: float = 1e-3
+    spec: DesignSpec = DesignSpec()
+
+    def __post_init__(self):
+        for name in ("duration", "dt", "sample_dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 < self.v_w < math.inf:
+            raise ValueError("v_w must be finite and positive")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError("eta must lie in (0, 1]")
+        # sample_grid rounds these to the step count and the stride
+        for name in ("duration", "sample_dt"):
+            steps = getattr(self, name) / self.dt
+            if steps >= MAX_STEPS + 0.5:
+                raise ValueError(f"{name} / dt must be at most {MAX_STEPS} "
+                                 f"RK4 steps, got {steps:.4g}")
+        for t_ev, _ in self.load.events:
+            # compute_metrics' condition, on the trace's last sample
+            if not (0.0 < t_ev and t_ev + SETTLE_WINDOW <= self.t_end):
+                raise ValueError(
+                    f"events must fall in (0, {self.t_end - SETTLE_WINDOW:g}]"
+                    f" s: the trace ends at {self.t_end:g} s (duration on the "
+                    f"grid of dt and sample_dt) and its last "
+                    f"{SETTLE_WINDOW:g} s are the settled tail")
+
+    @property
+    def t_end(self) -> float:
+        """Time of the trace's last row, as the kernel computes it."""
+        n_steps, stride = sample_grid(self.duration, self.dt, self.sample_dt)
+        return n_steps // stride * stride * self.dt
+
+
+def scenario_from_config(cfg: dict) -> Scenario:
+    sc = section(cfg, "scenario")
+    return build("scenario", Scenario, mode=make_mode(sc["mode"]),
+                 v_w=float(sc["v_w"]), eta=float(sc["eta"]),
+                 load=make_load(cfg), duration=float(sc["duration"]),
+                 dt=float(sc["dt"]), sample_dt=float(sc["sample_dt"]),
+                 spec=make_design_spec(cfg))
+
+
+def gains_for_scenario(plant: PlantParams, surface: CpSurface,
+                       scenario: Scenario) -> GainDesign:
+    if scenario.mode == Mode.GFM_FR and scenario.eta < 1.0:
+        return design_gains(plant.turbine, surface, scenario.v_w,
+                            scenario.eta, scenario.spec)
+    return mppt_gains(plant.turbine, surface, scenario.v_w, scenario.spec)

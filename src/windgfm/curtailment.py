@@ -4,10 +4,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
-from .aero import (CpSurface, DesignError, TurbineParams, cp, find_mpp,
-                   tip_speed_ratio)
+from .aero import (CpSurface, DesignError, TurbineParams, arange, cp, find_mpp,
+                   require_finite, tip_speed_ratio)
 
 
 class CurtailmentError(DesignError):
@@ -24,11 +22,14 @@ class DeloadPoint:
     p_wt_del: float     # pu of P_rated (one turbine)
     omega_mpp: float    # pu, lam_mpp * v_w / (R omega_nom), not capped
 
+    def __post_init__(self):
+        require_finite("deload point", vars(self))
+
 
 @dataclass(frozen=True)
 class DeloadTable:
-    v_grid: np.ndarray
-    eta_grid: np.ndarray
+    v_grid: list
+    eta_grid: list
     points: tuple  # row-major (v, eta) tuple of DeloadPoint
 
 
@@ -105,11 +106,11 @@ def solve_speed_deload_target(surface: CpSurface, target: float,
 def build_table(params: TurbineParams, surface: CpSurface,
                 v_grid=None, eta_grid=None) -> DeloadTable:
     if v_grid is None:
-        v_grid = np.arange(4.0, 14.01, 0.5)
+        v_grid = arange(4.0, 14.01, 0.5)
     if eta_grid is None:
-        eta_grid = np.arange(0.70, 1.001, 0.05)
-    v_grid = np.asarray(v_grid, dtype=float)
-    eta_grid = np.asarray(eta_grid, dtype=float)
+        eta_grid = arange(0.70, 1.001, 0.05)
+    v_grid = [float(v) for v in v_grid]
+    eta_grid = [float(e) for e in eta_grid]
     pts = tuple(deload_point(params, surface, v, e)
                 for v in v_grid for e in eta_grid)
     return DeloadTable(v_grid=v_grid, eta_grid=eta_grid, points=pts)

@@ -5,9 +5,8 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .aero import CpSurface, DesignError, TurbineParams, power_sensitivities
+from .aero import (CpSurface, DesignError, TurbineParams, power_sensitivities,
+                   require_finite)
 from .control import ControlGains, ConverterGains, PitchGains
 from .curtailment import deload_point
 
@@ -56,13 +55,23 @@ class GainDesign:
     omega_mpp: float
     status: str             # "ok" | "no-droop" | "infeasible"
 
+    def __post_init__(self):
+        # m_p is droop_coefficient's, finite, or inf where there is no droop
+        values = {k: v for k, v in vars(self).items()
+                  if k not in ("gains", "m_p", "status")}
+        require_finite("gain design", {**values, "k_p": self.gains.pitch.k_p})
+
 
 def droop_coefficient(k_theta_gsc: float, k_theta_msc: float,
                       k_wr: float, k_b: float, k_p: float) -> float:
     den = k_theta_msc * (k_wr + k_b * k_p)
     if den <= 0:
         raise ZeroStiffnessError("no steady-state power response (zero stiffness)")
-    return k_theta_gsc / den
+    m_p = k_theta_gsc / den
+    # an overflow in den gives 0 and one in the quotient inf
+    if not 0.0 < m_p < math.inf:
+        raise DesignError(f"droop coefficient {m_p!r} is not finite and positive")
+    return m_p
 
 
 def max_gsc_gain(spec: DesignSpec) -> float:
@@ -132,19 +141,16 @@ def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
 
 def droop_map(params: TurbineParams, surface: CpSurface, v_grid, eta_grid,
               spec: DesignSpec = DesignSpec()):
-    """Matrix of smallest achievable droop; rows follow v_grid, cols eta_grid."""
-    v_grid = np.asarray(v_grid, dtype=float)
-    eta_grid = np.asarray(eta_grid, dtype=float)
-    m = np.full((v_grid.size, eta_grid.size), np.inf)
-    status = np.empty((v_grid.size, eta_grid.size), dtype=object)
+    """Smallest achievable droop and the design status per grid cell, as
+    nested lists indexed [i][j]: rows follow v_grid, columns eta_grid."""
+    m = [[math.inf] * len(eta_grid) for _ in v_grid]
+    status = [["no-droop"] * len(eta_grid) for _ in v_grid]
     for i, v in enumerate(v_grid):
         for j, e in enumerate(eta_grid):
             if e >= 1.0:
-                status[i, j] = "no-droop"
                 continue
             d = design_gains(params, surface, float(v), float(e), spec)
-            m[i, j] = d.m_p
-            status[i, j] = d.status
+            m[i][j], status[i][j] = d.m_p, d.status
     return m, status
 
 
@@ -153,7 +159,7 @@ def droop_map_to_csv(v_grid, eta_grid, m, status) -> str:
     buf.write("v_w,eta,m_p,status\n")
     for i, v in enumerate(v_grid):
         for j, e in enumerate(eta_grid):
-            mp = m[i, j]
+            mp = m[i][j]
             mp_s = "inf" if math.isinf(mp) else f"{mp:.17g}"
-            buf.write(f"{v:.17g},{e:.17g},{mp_s},{status[i, j]}\n")
+            buf.write(f"{v:.17g},{e:.17g},{mp_s},{status[i][j]}\n")
     return buf.getvalue()

@@ -1,11 +1,14 @@
-"""Reduced-order plant: per-unit system, packing, equilibrium, integration."""
+"""Reduced-order plant: per-unit system, packing, equilibrium, integration.
+
+numpy is imported by the functions that build or integrate the state, not by
+the module: the design commands use the parameter classes only.
+"""
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernel
 from ._kernel.layout import (
@@ -16,6 +19,9 @@ from ._kernel.layout import (
 )
 from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
 from .control import ControlGains
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Mode(enum.IntEnum):
@@ -103,6 +109,7 @@ def wind_power_pu(params: TurbineParams, surface: CpSurface, v_w: float,
 def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
                 v_w: float, p_g0: float, p_const: float) -> np.ndarray:
     """Flat parameter vector for the simulation kernels."""
+    import numpy as np
     tb, sg, nw = plant.turbine, plant.sg, plant.network
     p = np.zeros(N_PARAMS)
     p[P_JG] = sg.j_g(nw.s_base)
@@ -140,6 +147,7 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
 def closed_loop_derivative(x, t: float, p_arr: np.ndarray, mode: Mode,
                            load: LoadProfile) -> np.ndarray:
     """d state/dt of the 13-state closed loop via the active kernel."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     if x[4] <= 0 or x[7] <= 0:
         raise PlantError(f"invalid state: v_dc={x[4]}, omega_r={x[7]}")
@@ -159,6 +167,7 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
     kernels' RK4 step, bit for bit, so they integrate nothing before the
     first load event.
     """
+    import numpy as np
     nw = plant.network
     om_del = gains.omega_del
     beta_del = gains.pitch.beta_del
@@ -194,6 +203,7 @@ def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
              duration: float, dt: float, sample_dt: float = 1e-3) -> np.ndarray:
     """Integrate with the active kernel; rows are (t, 13 states, P_wt,
     P_gsc, w_gsc), the outputs taken at the row's state."""
+    import numpy as np
     n_steps, stride = sample_grid(duration, dt, sample_dt)
     for t_ev in load.ev_times:
         if abs(round(t_ev / dt) * dt - t_ev) > 1e-12:

@@ -1,7 +1,7 @@
 """Minimal deterministic SVG line-plot emitter for batch outputs."""
 from __future__ import annotations
 
-import numpy as np
+import math
 
 _W, _H = 640, 200
 _ML, _MR, _MT, _MB = 60, 10, 20, 30
@@ -13,6 +13,7 @@ _TRACE_PANELS = (("Grid / GSC frequency (Hz)", ("f_g", "f_gsc")),
 
 
 def _panel(title, t, series, labels, y0):
+    import numpy as np  # not at module level: the design commands plot no trace
     lines = [f'<text x="{_ML}" y="{y0 + 14}" font-size="12" '
              f'font-family="sans-serif">{title}</text>']
     ys = np.concatenate(series)
@@ -57,11 +58,10 @@ def trace_svg(trace) -> str:
 
 
 def heatmap_svg(v_grid, eta_grid, values) -> str:
-    """Grid heat map; infinite cells rendered grey."""
-    values = np.asarray(values, dtype=float)
-    finite = values[np.isfinite(values)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
+    """Grid heat map of values[i][j]; infinite cells rendered grey."""
+    finite = [x for row in values for x in row if math.isfinite(x)]
+    lo = min(finite) if finite else 0.0
+    hi = max(finite) if finite else 1.0
     cw, ch = 40, 24
     x0, y0 = 80, 40
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -73,8 +73,8 @@ def heatmap_svg(v_grid, eta_grid, values) -> str:
         out.append(f'<text x="{x0 - 6}" y="{y0 + ch * i + 16}" font-size="10" '
                    f'text-anchor="end" font-family="sans-serif">{v:g}</text>')
         for j, e in enumerate(eta_grid):
-            val = values[i, j]
-            if not np.isfinite(val):
+            val = values[i][j]
+            if not math.isfinite(val):
                 fill = "#cccccc"
             else:
                 z = 0.0 if hi == lo else (val - lo) / (hi - lo)

@@ -79,6 +79,10 @@ def build_model(j_g: float, j_wt: float, c_dc: float, t_g: float, k_g: float,
         [0.0, b_msc, 0.0, -k_wt, 0.0, 0.0],
         [-b_g, -b_msc, 0.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, -k_g, 0.0, 0.0, -1.0]])
+    # a product of finite parameters, such as J_wt * omega_nom^2, overflows
+    # to inf silently in Python floats
+    if not (np.isfinite(T).all() and np.isfinite(A).all()):
+        raise SmallSignalError("T or A is not finite")
     E = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
     return SmallSignalModel(T=T, A=A, E=E, labels=STATE_LABELS,
                             b_g=b_g, b_msc=b_msc, j_g=j_g,

@@ -193,7 +193,8 @@ def test_criterion_8_droop_map_shape(turbine, surface):
     v_grid = np.linspace(5.0, 14.0, 10)
     eta_grid = np.array([0.7, 0.8, 0.9, 0.95, 1.0])
     m, status = droop_map(turbine, surface, v_grid, eta_grid)
-    assert all(s == "no-droop" for s in status[:, -1])
+    m = np.array(m)  # nested lists indexed [i][j]
+    assert all(row[-1] == "no-droop" for row in status)
     assert np.all(np.isinf(m[:, -1]))
     finite = m[:, :-1]
     assert np.all(np.isfinite(finite))

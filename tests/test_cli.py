@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import windgfm
 from windgfm import _kernel, cli
+from windgfm._kernel import _ode_py
 from windgfm.config import (
     DEFAULT_CONFIG, apply_overrides, load_config, make_plant, make_surface,
 )
@@ -134,8 +137,9 @@ def test_compare_subcommand(tmp_path, capsys):
         assert (tmp_path / f"cmp_{name}.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "gain-design", "compare"])
-@pytest.mark.parametrize("override, codes", [
+# (override, exit code per command).  compare loads and checks the config as
+# simulate does, so unless a row says otherwise it exits as simulate does.
+BAD_OVERRIDES = [
     ("scenario.v_w=0", {"simulate": 3, "gain-design": 3}),
     ("scenario.eta=0", {"simulate": 3, "gain-design": 3}),
     ("control.t_dc=0", {"simulate": 3, "gain-design": 3}),
@@ -189,14 +193,29 @@ def test_compare_subcommand(tmp_path, capsys):
     ("scenario.duration=1e7", {"simulate": 3, "gain-design": 3}),
     ("scenario.dt=1e-12", {"simulate": 3, "gain-design": 3}),
     ("scenario.duration=1073741.824", {"simulate": 3, "gain-design": 3}),
-])
-def test_bad_overrides_keep_exit_contract(command, override, codes, capsys):
-    # compare loads and checks the config as simulate does, so unless a row
-    # says otherwise it exits as simulate does
-    codes = {"compare": codes["simulate"], **codes}
+    # the design chain runs in Python floats, which overflow to inf silently:
+    # inf reached the deload table and the droop map, and gain-design printed
+    # NaN and Infinity
+    ("turbine.omega_nom=5e-324", {"simulate": 2, "gain-design": 2,
+                                  "deload-table": 2, "droop-map": 2}),
+]
+
+
+def bad_override_cases():
+    """A case per row and per command the row gives a code for, with the id
+    override-codes<row>-command."""
+    for i, (override, codes) in enumerate(BAD_OVERRIDES):
+        codes = {"compare": codes["simulate"], **codes}
+        for command, code in codes.items():
+            yield pytest.param(command, override, code,
+                               id=f"{override}-codes{i}-{command}")
+
+
+@pytest.mark.parametrize("command, override, code", bad_override_cases())
+def test_bad_overrides_keep_exit_contract(command, override, code, capsys):
     rc = cli.main([command, "--set", override])
     err = capsys.readouterr().err
-    assert rc == codes[command]
+    assert rc == code
     assert "Traceback" not in err
     if rc:
         assert err.count("\n") == 1
@@ -289,41 +308,102 @@ def fuzz_steps(key, value) -> float:
     return steps if steps < MAX_STEPS + 0.5 else 0
 
 
-@settings(max_examples=450, deadline=None)
-@given(key=st.sampled_from([f"{s}.{k}" for s, keys in DEFAULT_CONFIG.items()
-                            for k in keys]),
-       value=st.one_of(
-           st.sampled_from(["0", "-1", "1e308", "-1e308", "5e-324", "NaN",
-                            "Infinity", "-Infinity", "nan", "inf", "null",
-                            "{}", "[]", "[1,2]", "[[1,2]]", "true", "GFM_FR",
-                            '"x"', '{"a": 1}']),
-           st.floats().map(repr), st.integers().map(str), st.text(max_size=8)),
-       command=st.sampled_from(["gain-design", "smallsignal", "simulate"]))
+OVERRIDE_KEYS = st.sampled_from([f"{s}.{k}" for s, keys in DEFAULT_CONFIG.items()
+                                 for k in keys])
+OVERRIDE_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1e308", "-1e308", "5e-324", "NaN",
+                     "Infinity", "-Infinity", "nan", "inf", "null", "{}", "[]",
+                     "[1,2]", "[[1,2]]", "true", "GFM_FR", '"x"', '{"a": 1}']),
+    st.floats().map(repr), st.integers().map(str), st.text(max_size=8))
+# A non-finite number as an output writes it: NaN and Infinity in JSON, nan
+# and inf in a CSV
+NON_FINITE = re.compile(r"\b(nan|NaN|Infinity|inf)\b")
+# droop-map's m_p is inf in the cells without droop, whose status is
+# no-droop, or infeasible under a target droop
+NO_DROOP_CELL = re.compile(r",inf,(no-droop|infeasible)$", re.M)
+# The pure kernel's bound in place of FUZZ_MAX_STEPS: SHORT_RUN is 6,000 steps
+PURE_FUZZ_MAX_STEPS = 10 ** 4
+
+
+@contextlib.contextmanager
+def pure_kernel():
+    """The pure-Python kernel and CSV writer in place of the compiled ones."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("simulate", "csv_rows"):
+            mp.setattr(_kernel, name, getattr(_ode_py, name))
+        yield
+
+
+def check_single_override(command, key, value):
+    """Run command with key=value (simulate on SHORT_RUN): it exits with 0,
+    2 or 3 and prints no non-finite number but droop-map's documented inf."""
+    base = SHORT_RUN if command == "simulate" else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, *base, "--set", f"{key}={value}"])
+    assert rc in (0, 2, 3)
+    if rc == 3:
+        assert key in err.getvalue()
+    text = out.getvalue()
+    if command == "droop-map":
+        text = NO_DROOP_CELL.sub("", text)
+    assert not NON_FINITE.search(text), text
+
+
+@settings(max_examples=750, deadline=None)
+@given(key=OVERRIDE_KEYS, value=OVERRIDE_VALUES,
+       command=st.sampled_from(["gain-design", "smallsignal", "simulate",
+                                "deload-table", "droop-map"]))
 # an int beyond int64 made numpy build an object array: a casting traceback
 @example(key="network.b_g", value=str(2 ** 63 + 1), command="smallsignal")
 @example(key="turbine.R", value=str(10 ** 400), command="gain-design")
 @example(key="scenario.sample_dt", value="1", command="simulate")
 def test_any_single_override_keeps_exit_contract(key, value, command):
-    base = SHORT_RUN if command == "simulate" else []
     if command == "simulate":
         assume(fuzz_steps(key, value) <= FUZZ_MAX_STEPS)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        rc = cli.main([command, *base, "--set", f"{key}={value}"])
-    assert rc in (0, 2, 3)
-    if rc == 3:
-        assert key in err.getvalue()
+    check_single_override(command, key, value)
 
 
-def test_gain_design_does_not_import_numpy_ma():
-    # numpy.ma costs ~10 ms of import; the design chain must not load it
-    src = str(Path(windgfm.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = ("import sys; from windgfm.cli import main; "
-            "assert main(['gain-design']) == 0; "
-            "print('numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+@settings(max_examples=20, deadline=None)
+@given(key=OVERRIDE_KEYS, value=OVERRIDE_VALUES)
+def test_any_single_override_keeps_exit_contract_on_the_pure_kernel(key, value):
+    assume(fuzz_steps(key, value) <= PURE_FUZZ_MAX_STEPS)
+    with pure_kernel():
+        check_single_override("simulate", key, value)
+
+
+def test_pure_kernel_divergence_is_a_simulation_failure(capsys):
+    # sin(inf) in an RK4 stage: math raised a ValueError traceback (exit 1)
+    # where the compiled kernel carries NaN on to its divergence check
+    argv = ["simulate", *SHORT_RUN, "--set", "sg.t_g=5e-324"]
+    assert cli.main(argv) == 2
+    compiled = capsys.readouterr().err
+    with pure_kernel():
+        assert cli.main(argv) == 2
+    assert capsys.readouterr().err == compiled == \
+        "simulation failure: state 1 diverged at t=1.000500\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["deload-table", "--out", "table.csv"],
+    ["droop-map", "--out", "map.csv", "--plot", "map.svg"],
+    ["gain-design"]], ids=lambda argv: argv[0])
+def test_design_commands_do_not_import_numpy(tmp_path, kernel_build, argv):
+    # importing numpy took about half of a design command's run time
+    mod, _ = kernel_build
+    pkg = tmp_path / "windgfm"
+    shutil.copytree(Path(windgfm.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if mod is not None:
+        shutil.copy(mod.__file__, pkg / "_kernel")
+    want = "python" if mod is None or os.environ.get("WINDGFM_PURE") else mod.BACKEND
+    code = ("import sys, windgfm; from windgfm.cli import main; "
+            "print(windgfm.KERNEL_BACKEND, 'numpy' in sys.modules); "
+            "assert main(sys.argv[1:]) == 0; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"{want} False"
+    assert lines[-1] == "False"

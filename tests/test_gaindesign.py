@@ -184,7 +184,7 @@ def test_droop_map_csv(turbine, surface):
     v_g = np.array([8.0, 10.0])
     e_g = np.array([0.9, 1.0])
     m, status = droop_map(turbine, surface, v_g, e_g)
-    assert status[0, 1] == "no-droop" and math.isinf(m[0, 1])
+    assert status[0][1] == "no-droop" and math.isinf(m[0][1])
     text = droop_map_to_csv(v_g, e_g, m, status)
     lines = text.strip().split("\n")
     assert lines[0] == "v_w,eta,m_p,status"

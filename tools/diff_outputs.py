@@ -55,6 +55,19 @@ def probes(pure_args: list) -> dict:
                                "--out", "sim.csv"], False),
         "simulate-GFL_MPPT": (["simulate", "--set", "scenario.mode=GFL_MPPT",
                                "--out", "sim.csv"], False),
+        # design-chain branches: the pitch fallback above omega_max = 1.2,
+        # infeasible droop cells, the capped speed above rated wind and the
+        # deepest curtailment
+        "deload-table-omega_max-1.3": (["deload-table", "--set",
+                                        "turbine.omega_max=1.3",
+                                        "--out", "deload.csv"], False),
+        "droop-map-target_droop": (["droop-map", "--set",
+                                    "control.target_droop=0.05",
+                                    "--out", "map.csv", "--plot", "map.svg"],
+                                   False),
+        "gain-design-14ms": (["gain-design", "--set", "scenario.v_w=14"], False),
+        "gain-design-eta-0.7": (["gain-design", "--set", "scenario.eta=0.7"],
+                                False),
         "pure_fallback": ([*pure_args, "--out", "pure.csv"], True),
     }
 
