@@ -3,8 +3,9 @@
 The compiled kernel is the hand-written C extension ``_ode_cy.c``; it exports
 ``simulate``, ``csv_rows`` and ``BACKEND`` only, and mirrors ``_ode_py``:
 the two ``simulate`` give bit-identical rows and the two ``csv_rows`` the
-same text.  Set WINDGFM_PURE=1 to force the pure-Python kernel and writer.  ``derivative`` is always the pure-Python
-reference; the equilibrium check calls it once per run.
+same text.  Set WINDGFM_PURE=1 to force the pure-Python kernel and writer.
+``derivative`` is always the pure-Python reference; the equilibrium check
+calls it once per run.
 """
 import os
 

@@ -10,7 +10,8 @@
  * have the same bits would return the same state and outputs, so it is
  * skipped.  Before a load event the equilibrium is such a fixed point: a run
  * integrates only from its first event on, and its rows are bit for bit
- * those of the full integration.
+ * those of the full integration.  A settled tail after a load step can be
+ * one too, since the state holds angle differences, not angles.
  *
  * The module also writes the trace CSV (csv_rows): every value as Python's
  * '%.17g' % v, from exact integer arithmetic where it applies and from
@@ -27,7 +28,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define N 13
+#define N 11        /* layout.STATES, in its order */
 #define N_OUT 3     /* P_wt, P_gsc, w_gsc (keep in sync with layout.py) */
 #define BETZ (16.0 / 27.0)
 
@@ -65,7 +66,7 @@ static double cp(const double *p, double lam, double beta)
     double v = p[P_CPMAX] * h * g;
     if (v < 0.0)
         return 0.0;
-    return v < BETZ ? v : BETZ;
+    return v > BETZ ? BETZ : v;  /* NaN stays NaN */
 }
 
 /* control.limiter_pi: returns the output, stores d integ/dt in *di */
@@ -97,29 +98,28 @@ static double load(const Model *m, double t)
 static void deriv(const Model *m, const double *x, double pl, double *out)
 {
     const double *p = m->p;
-    double om_g = x[2], p_g = x[3];
-    if (m->mode == 0) {
+    double om_g = x[1], p_g = x[2];
+    if (m->mode == 0) {  /* the WT side, rho_1 with it, is held */
         memset(out, 0, N * sizeof(double));
-        out[1] = om_g - 1.0;
-        out[2] = (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g);
-        out[3] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG];
+        out[1] = (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g);
+        out[2] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG];
         out[N] = out[N + 1] = p[P_PCONST];
         out[N + 2] = om_g;
         return;
     }
-    double vdc = x[4], om_r = x[7], xg = x[8], xm = x[9], beta = x[10];
+    double vdc = x[3], om_r = x[5], xg = x[6], xm = x[7], beta = x[8];
     /* control.pd_filter_realization, both converters on one t_dc */
     double tdc = p[P_TDC];
     double u = vdc - 1.0;
     double yg = (p[P_KTG] - p[P_KDG] / tdc) * xg + (p[P_KDG] / tdc) * u;
     double ym = (p[P_KTM] - p[P_KDM] / tdc) * xm + (p[P_KDM] / tdc) * u;
-    double p_pmsg = p[P_BM] * sin(x[6] - x[5]);
-    double p_gsc = p[P_BG] * sin(x[0] - x[1]);
+    double p_pmsg = p[P_BM] * sin(x[4]);
+    double p_gsc = p[P_BG] * sin(x[0]);
     double p_wt = p[P_PSCALE] * cp(p, p[P_LAMC] * om_r, beta);
     double disp, dipw;
-    double usp = limiter_pi(p[P_KPLIM], p[P_KILIM], om_r - p[P_OMMAX], x[11],
+    double usp = limiter_pi(p[P_KPLIM], p[P_KILIM], om_r - p[P_OMMAX], x[9],
                             &disp);
-    double upw = limiter_pi(p[P_KPLIM], p[P_KILIM], p_pmsg - p[P_PMAX], x[12],
+    double upw = limiter_pi(p[P_KPLIM], p[P_KILIM], p_pmsg - p[P_PMAX], x[10],
                             &dipw);
     /* control.pitch_rate */
     double bref = p[P_BETADEL] + p[P_KP] * (om_r - p[P_OMDEL]) + usp + upw;
@@ -129,19 +129,17 @@ static void deriv(const Model *m, const double *x, double pl, double *out)
     dbeta = dbeta > p[P_RATE] ? p[P_RATE]
         : dbeta < -p[P_RATE] ? -p[P_RATE] : dbeta;
     double w_gsc = 1.0 + yg;
-    out[0] = w_gsc - 1.0;
-    out[1] = om_g - 1.0;
-    out[2] = (p_g + p_gsc - pl) / (p[P_JG] * om_g);
-    out[3] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG];
-    out[4] = (p_pmsg - p_gsc) / (p[P_CDC] * vdc);
-    out[5] = (p[P_OMDEL] + ym) - p[P_OMDEL];
-    out[6] = om_r - p[P_OMDEL];
-    out[7] = (p_wt - p_pmsg) / (p[P_JWT] * om_r);
-    out[8] = (u - xg) / tdc;
-    out[9] = (u - xm) / tdc;
-    out[10] = dbeta;
-    out[11] = disp;
-    out[12] = dipw;
+    out[0] = w_gsc - om_g;
+    out[1] = (p_g + p_gsc - pl) / (p[P_JG] * om_g);
+    out[2] = (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG];
+    out[3] = (p_pmsg - p_gsc) / (p[P_CDC] * vdc);
+    out[4] = om_r - (p[P_OMDEL] + ym);
+    out[5] = (p_wt - p_pmsg) / (p[P_JWT] * om_r);
+    out[6] = (u - xg) / tdc;
+    out[7] = (u - xm) / tdc;
+    out[8] = dbeta;
+    out[9] = disp;
+    out[10] = dipw;
     out[N] = p_wt;
     out[N + 1] = p_gsc;
     out[N + 2] = w_gsc;
@@ -477,7 +475,7 @@ static PyMethodDef methods[] = {
     {"simulate", (PyCFunction)simulate, METH_VARARGS | METH_KEYWORDS,
      "simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), "
      "ev_dp=())\n--\n\nFixed-step RK4 over n_steps; records every `stride` "
-     "steps (plus t=0)\nas rows (t, 13 states, P_wt, P_gsc, w_gsc).  Raises "
+     "steps (plus t=0)\nas rows (t, 11 states, P_wt, P_gsc, w_gsc).  Raises "
      "FloatingPointError on\ndivergence (any |state| > 1e6)."},
     {"csv_rows", csv_rows, METH_VARARGS,
      "csv_rows(header, columns)\n--\n\nThe ASCII header, then the CSV rows "

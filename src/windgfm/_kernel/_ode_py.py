@@ -12,7 +12,8 @@ the same bits returns the same state and the same outputs, so ``simulate``
 reuses them instead of making the step's four derivative calls.  Before a
 load event the equilibrium is such a fixed point, so a run integrates only
 from its first event on, and its rows are those of the full integration bit
-for bit.
+for bit.  The state holds angle differences, not angles, so the settled
+tail after a load step can be such a fixed point too.
 
 numpy is imported by the functions that take or return arrays, not by the
 module: the design commands import the package and never run a kernel.
@@ -58,21 +59,20 @@ def _same_bits(a, b) -> bool:
 
 
 def _deriv(x, pl, p, cp_coeffs, mode):
-    """The 13 state derivatives followed by the N_OUT outputs at x, under
-    load pl."""
-    (th_gsc, th_g, om_g, p_g, vdc, th_msc, th_r, om_r,
-     xg, xm, beta, isp, ipw) = x
+    """The N_STATES derivatives, then the N_OUT outputs at x, under load pl."""
+    rho1, om_g, p_g, vdc, rho2, om_r, xg, xm, beta, isp, ipw = x
     if mode == MODE_GFL_MPPT:
-        return [0.0, om_g - 1.0,
+        # the WT side, rho_1 with it, is held; no output reads it
+        return [0.0,
                 (p_g + p[P_PCONST] - pl) / (p[P_JG] * om_g),
                 (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG],
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                 p[P_PCONST], p[P_PCONST], om_g]
     u = vdc - 1.0
     yg, dxg = pd_filter_realization(p[P_KTG], p[P_KDG], p[P_TDC], xg, u)
     ym, dxm = pd_filter_realization(p[P_KTM], p[P_KDM], p[P_TDC], xm, u)
-    p_pmsg = p[P_BM] * math.sin(th_r - th_msc)
-    p_gsc = p[P_BG] * math.sin(th_gsc - th_g)
+    p_pmsg = p[P_BM] * math.sin(rho2)
+    p_gsc = p[P_BG] * math.sin(rho1)
     p_wt = p[P_PSCALE] * _cp_calibrated(p[P_LAMC] * om_r, beta, cp_coeffs,
                                         p[P_CPMAX])
     u_sp, disp = limiter_pi(p[P_KPLIM], p[P_KILIM], om_r - p[P_OMMAX], isp)
@@ -81,14 +81,11 @@ def _deriv(x, pl, p, cp_coeffs, mode):
     dbeta = pitch_rate(beta, bref, p[P_TSERVO], p[P_RATE], p[P_BETAMIN],
                        p[P_BETAMAX])
     w_gsc = 1.0 + yg
-    # (a + b) - a is kept unsimplified: it is the compiled kernel's order
-    return [w_gsc - 1.0,
-            om_g - 1.0,
+    return [w_gsc - om_g,
             (p_g + p_gsc - pl) / (p[P_JG] * om_g),
             (-(p_g - p[P_PG0]) - p[P_KG] * (om_g - 1.0)) / p[P_TG],
             (p_pmsg - p_gsc) / (p[P_CDC] * vdc),
-            (p[P_OMDEL] + ym) - p[P_OMDEL],
-            om_r - p[P_OMDEL],
+            om_r - (p[P_OMDEL] + ym),
             (p_wt - p_pmsg) / (p[P_JWT] * om_r),
             dxg, dxm, dbeta, disp, dipw,
             p_wt, p_gsc, w_gsc]
@@ -106,7 +103,7 @@ def _args(params, mode) -> tuple:
 
 
 def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()):
-    """d state/dt for the 13-state closed loop (numpy array out)."""
+    """d state/dt in layout.STATES order (numpy array out)."""
     import numpy as np
     pl = _load(float(t), float(base_load), _floats(ev_t), _floats(ev_dp))
     return np.array(_deriv(_floats(x), pl, *_args(params, mode))[:N_STATES])

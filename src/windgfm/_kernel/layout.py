@@ -1,4 +1,4 @@
-"""Flat parameter-vector layout shared by the compiled and pure kernels."""
+"""Parameter, state and row layout shared by the compiled and pure kernels."""
 
 P_JG = 0        # SG inertia coefficient (system pu)
 P_TG = 1        # governor time constant (s)
@@ -33,16 +33,18 @@ N_PARAMS = 42
 # The per-unit setpoints are not parameters: both kernels write the nominal
 # GSC frequency and DC voltage as the literal 1.0.
 
-N_STATES = 13
-# state ordering:
-#   0 th_gsc, 1 th_g, 2 om_g, 3 P_g, 4 v_dc, 5 th_msc, 6 th_r, 7 om_r,
-#   8 x_gsc, 9 x_msc, 10 beta, 11 i_speed, 12 i_power
+# The closed loop's states in the kernels' order; rho_1 = theta_gsc - theta_g
+# and rho_2 = theta_r - theta_msc are smallsignal's angle differences.
+STATES = ("rho_1", "omega_g", "P_g", "v_dc", "rho_2", "omega_r", "x_gsc",
+          "x_msc", "beta", "i_speed", "i_power")
+N_STATES = len(STATES)
 
-N_OUT = 3
-# simulate() rows are t, the 13 states, then the outputs at that state:
-#   P_wt, P_gsc and the GSC frequency w_gsc (pu).  In GFL_MPPT mode these
-#   are the constant injection twice and the grid frequency omega_g.
+# The outputs at a state: P_wt, P_gsc and the GSC frequency w_gsc (pu).  In
+# GFL_MPPT mode they are the constant injection twice and omega_g.
+OUTPUTS = ("P_wt", "P_gsc", "w_gsc")
+N_OUT = len(OUTPUTS)
+
+# A simulate() row: the time, the states, then the outputs at that state.
+ROW = ("t", *STATES, *OUTPUTS)
 
 MODE_GFL_MPPT = 0
-MODE_GFM_MPPT = 1
-MODE_GFM_FR = 2

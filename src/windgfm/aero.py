@@ -101,7 +101,7 @@ def _cp_calibrated(lam: float, beta: float, c, cpmax: float) -> float:
     v = cpmax * h * g
     if v < 0.0:
         return 0.0
-    return v if v < BETZ else BETZ
+    return BETZ if v > BETZ else v  # NaN stays NaN
 
 
 def cp(surface: CpSurface, lam: float, beta: float) -> float:

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _kernel
+from ._kernel.layout import ROW
 from .aero import AeroDomainError, CpSurface
 # config defines Scenario and its design rule without numpy, for the design
 # commands; harness still exports them.
@@ -54,7 +55,7 @@ class SimTrace:
 class RunResult:
     trace: SimTrace
     design: GainDesign
-    states: np.ndarray      # kernel rows: t, 13 states, P_wt, P_gsc, w_gsc
+    states: np.ndarray      # kernel rows, columns layout.ROW
     p_wt0: float
     scenario: Scenario
 
@@ -87,15 +88,14 @@ def run_scenario(plant: PlantParams, surface: CpSurface, scenario: Scenario,
 
 def _trace_from_states(f_base: float, states: np.ndarray) -> SimTrace:
     """The trace's columns, sliced from the kernel's rows."""
-    om_r = states[:, 8]
+    c = dict(zip(ROW, states.T))  # views of the kernel's columns
     # The kernel's Cp evaluation skips aero.cp's domain check; make it here.
-    if np.any(om_r <= 0):
+    if np.any(c["omega_r"] <= 0):
         raise AeroDomainError("lambda must be positive")
-    p_wt, p_gsc, w_gsc = states[:, 14:].T
-    return SimTrace(t=states[:, 0], f_g=f_base * states[:, 3],
-                    f_gsc=f_base * w_gsc, v_dc=states[:, 5], omega_r=om_r,
-                    beta=states[:, 11], p_wt=p_wt, p_gsc=p_gsc,
-                    p_g=states[:, 4])
+    return SimTrace(t=c["t"], f_g=f_base * c["omega_g"],
+                    f_gsc=f_base * c["w_gsc"], v_dc=c["v_dc"],
+                    omega_r=c["omega_r"], beta=c["beta"], p_wt=c["P_wt"],
+                    p_gsc=c["P_gsc"], p_g=c["P_g"])
 
 
 def run_checks(result: RunResult) -> None:
@@ -106,14 +106,13 @@ def run_checks(result: RunResult) -> None:
     gains = result.design.gains
     states = result.states
     tail = states[states[:, 0] >= states[-1, 0] - SETTLE_WINDOW]
-    om_g = tail[:, 3].mean()
-    v = tail[:, 5].mean()
-    om_r = tail[:, 8].mean()
-    xm = tail[:, 10].mean()
-    dv = v - 1.0
+    tail = dict(zip(ROW, tail.T))
+    om_g = tail["omega_g"].mean()
+    dv = tail["v_dc"].mean() - 1.0
+    om_r = tail["omega_r"].mean()
     ym, _ = pd_filter_realization(gains.msc.k_theta, gains.msc.k_d,
-                                  gains.t_dc, xm, dv)
-    om_gsc = tail[:, 16].mean()  # the kernel's w_gsc
+                                  gains.t_dc, tail["x_msc"].mean(), dv)
+    om_gsc = tail["w_gsc"].mean()
     om_msc = gains.omega_del + ym
     if abs((om_gsc - 1.0) - gains.gsc.k_theta * dv) >= 1e-3:
         raise HarnessAssertionError("GSC frequency/DC-voltage relation violated")

@@ -15,7 +15,7 @@ from ._kernel.layout import (
     N_PARAMS, P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0,
     P_CPMAX, P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG,
     P_KTM, P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE,
-    P_RATE, P_TDC, P_TG, P_TSERVO,
+    P_RATE, P_TDC, P_TG, P_TSERVO, STATES,
 )
 from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
 from .control import ControlGains
@@ -146,11 +146,12 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
 
 def closed_loop_derivative(x, t: float, p_arr: np.ndarray, mode: Mode,
                            load: LoadProfile) -> np.ndarray:
-    """d state/dt of the 13-state closed loop via the active kernel."""
+    """d state/dt in layout.STATES order, via the active kernel."""
     import numpy as np
     x = np.asarray(x, dtype=float)
-    if x[4] <= 0 or x[7] <= 0:
-        raise PlantError(f"invalid state: v_dc={x[4]}, omega_r={x[7]}")
+    v_dc, om_r = x[STATES.index("v_dc")], x[STATES.index("omega_r")]
+    if v_dc <= 0 or om_r <= 0:
+        raise PlantError(f"invalid state: v_dc={v_dc}, omega_r={om_r}")
     return _kernel.derivative(x, t, p_arr, int(mode), load.base,
                               load.ev_times, load.ev_steps)
 
@@ -160,9 +161,9 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
                      mode: Mode = Mode.GFM_FR) -> tuple[np.ndarray, np.ndarray, float]:
     """Pre-disturbance equilibrium (state, packed params, initial WT power).
 
-    The algebraic solution (angle differences arcsin(P/b), v_dc = 1,
-    omega_g = 1, omega_r = omega_del) is exact for this model; the residual
-    of the closed-loop derivative is verified < 1e-9.  On the whole envelope
+    The algebraic solution (rho = arcsin(P/b) on both links, v_dc = 1,
+    omega_g = 1, omega_r = omega_del, the other states 0) is exact for this
+    model; the residual of the closed-loop derivative is verified < 1e-9.  On the whole envelope
     (v_w 5-25 m/s, every mode) it is also an exact fixed point of the
     kernels' RK4 step, bit for bit, so they integrate nothing before the
     first load event.
@@ -178,10 +179,10 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
     p_arr = pack_params(plant, gains, surface, v_w, p_g0, p_const)
     if p_wt0 >= nw.b_g or p_wt0 >= nw.b_msc:
         raise PlantError("synchronizing coefficients too small for this power")
-    rho1 = math.asin(p_wt0 / nw.b_g)
-    rho2 = math.asin(p_wt0 / nw.b_msc)
-    x0 = np.array([rho1, 0.0, 1.0, p_g0, 1.0, 0.0, rho2, om_del,
-                   0.0, 0.0, beta_del, 0.0, 0.0])
+    state = {"rho_1": math.asin(p_wt0 / nw.b_g), "omega_g": 1.0,
+             "P_g": p_g0, "v_dc": 1.0, "rho_2": math.asin(p_wt0 / nw.b_msc),
+             "omega_r": om_del, "beta": beta_del}
+    x0 = np.array([state.get(name, 0.0) for name in STATES])
     pre_load = LoadProfile(base=base, events=())
     resid = np.max(np.abs(closed_loop_derivative(x0, 0.0, p_arr, mode, pre_load)))
     if resid > 1e-9:
@@ -201,8 +202,8 @@ def sample_grid(duration: float, dt: float, sample_dt: float) -> tuple[int, int]
 
 def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
              duration: float, dt: float, sample_dt: float = 1e-3) -> np.ndarray:
-    """Integrate with the active kernel; rows are (t, 13 states, P_wt,
-    P_gsc, w_gsc), the outputs taken at the row's state."""
+    """Integrate with the active kernel; rows are layout.ROW: t, the
+    states, then P_wt, P_gsc and w_gsc taken at the row's state."""
     import numpy as np
     n_steps, stride = sample_grid(duration, dt, sample_dt)
     for t_ev in load.ev_times:

@@ -18,7 +18,7 @@ from windgfm.gaindesign import (
 )
 from windgfm.harness import Scenario, compare_modes, run_scenario, trace_to_csv
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
-from windgfm._kernel.layout import P_BG, P_BM, P_CDC
+from windgfm._kernel.layout import N_STATES, P_BG, P_BM, P_CDC, ROW
 
 from test_smallsignal import numerical_jacobian, reduced_rhs
 
@@ -131,12 +131,12 @@ def test_criterion_6_closed_loop_steady_state(plant, surface):
         res = run_scenario(plant, surface, sc, check=True)
         gains = res.design.gains
         states = res.states
-        tail = states[states[:, 0] >= 58.0]
-        om_g = tail[:, 3].mean()
-        v = tail[:, 5].mean()
-        om_r = tail[:, 8].mean()
-        xg = tail[:, 9].mean()
-        xm = tail[:, 10].mean()
+        tail = dict(zip(ROW, states[states[:, 0] >= 58.0].T))
+        om_g = tail["omega_g"].mean()
+        v = tail["v_dc"].mean()
+        om_r = tail["omega_r"].mean()
+        xg = tail["x_gsc"].mean()
+        xm = tail["x_msc"].mean()
         dv = v - 1.0
         # both converters settled: filter state equals its input
         yg = (gains.gsc.k_theta - gains.gsc.k_d / gains.t_dc) * xg \
@@ -217,7 +217,7 @@ def test_criterion_9a_rk4_convergence_order(plant, surface):
     ends = []
     for dt in (4e-3, 2e-3, 1e-3):
         states = simulate(x0, p_arr, Mode.GFM_FR, load, 2.0, dt, sample_dt=2.0)
-        ends.append(states[-1, 1:14])
+        ends.append(states[-1, 1:1 + N_STATES])
     d1 = np.linalg.norm(ends[0] - ends[1])
     d2 = np.linalg.norm(ends[1] - ends[2])
     order = math.log2(d1 / d2)
@@ -231,17 +231,14 @@ def test_criterion_9b_dc_energy_residual(plant, surface):
                                     Mode.GFM_FR)
     dt = 5e-4
     states = simulate(x0, p_arr, Mode.GFM_FR, load, 4.0, dt, sample_dt=dt)
-    v = states[:, 5]
-    th_gsc, th_g = states[:, 1], states[:, 2]
-    th_msc, th_r = states[:, 6], states[:, 7]
+    col = dict(zip(ROW, states.T))
+    v, rho1, rho2 = col["v_dc"], col["rho_1"], col["rho_2"]
     # midpoint-rule power balance across each step:
     # C_dc v dv/dt = P_pmsg - P_gsc
     v_mid = 0.5 * (v[1:] + v[:-1])
     dv = (v[1:] - v[:-1]) / dt
-    p_pm = p_arr[P_BM] * np.sin(0.5 * (th_r[1:] + th_r[:-1])
-                                - 0.5 * (th_msc[1:] + th_msc[:-1]))
-    p_gs = p_arr[P_BG] * np.sin(0.5 * (th_gsc[1:] + th_gsc[:-1])
-                                - 0.5 * (th_g[1:] + th_g[:-1]))
+    p_pm = p_arr[P_BM] * np.sin(0.5 * (rho2[1:] + rho2[:-1]))
+    p_gs = p_arr[P_BG] * np.sin(0.5 * (rho1[1:] + rho1[:-1]))
     resid = np.abs(p_arr[P_CDC] * v_mid * dv - (p_pm - p_gs))
     # exclude the step instant itself (discontinuous forcing)
     mask = np.abs(0.5 * (states[1:, 0] + states[:-1, 0]) - 1.0) > dt

@@ -76,6 +76,13 @@ def test_cp_respects_betz_limit(lam, beta):
     assert 0.0 <= v <= BETZ
 
 
+def test_betz_clamp_keeps_nan(surface):
+    # a NaN Cp must reach the kernel's divergence check, not the Betz limit
+    v = aero._cp_calibrated(float("nan"), 0.0, surface.coeffs,
+                            surface.cpmax_scale)
+    assert v != v
+
+
 def test_cp_rejects_nonpositive_lambda(surface):
     with pytest.raises(AeroDomainError):
         cp(surface, 0.0, 0.0)

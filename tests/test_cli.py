@@ -284,8 +284,9 @@ def test_compare_at_eta_1_passes(capsys):
     assert doc["GFM_MPPT"]["nadir_hz"] >= doc["GFL_MPPT"]["nadir_hz"]
 
 
-# simulate's base run for the override fuzz: 6,000 RK4 steps, 4,000 of them
-# integrated, with the load step's settled tail just inside the trace
+# simulate's and compare's base run for the override fuzz: 6,000 RK4 steps,
+# 4,000 of them integrated, with the load step's settled tail just inside the
+# trace
 SHORT_RUN = ["--set", "scenario.duration=3",
              "--set", "scenario.events=[[1.0,0.4]]"]
 # Most RK4 steps an override may ask of SHORT_RUN: runs with more steps but
@@ -335,9 +336,10 @@ def pure_kernel():
 
 
 def check_single_override(command, key, value):
-    """Run command with key=value (simulate on SHORT_RUN): it exits with 0,
-    2 or 3 and prints no non-finite number but droop-map's documented inf."""
-    base = SHORT_RUN if command == "simulate" else []
+    """Run command with key=value (simulate and compare on SHORT_RUN): it
+    exits with 0, 2 or 3 and prints no non-finite number but droop-map's
+    documented inf."""
+    base = SHORT_RUN if command in ("simulate", "compare") else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main([command, *base, "--set", f"{key}={value}"])
@@ -350,16 +352,16 @@ def check_single_override(command, key, value):
     assert not NON_FINITE.search(text), text
 
 
-@settings(max_examples=750, deadline=None)
+@settings(max_examples=900, deadline=None)
 @given(key=OVERRIDE_KEYS, value=OVERRIDE_VALUES,
        command=st.sampled_from(["gain-design", "smallsignal", "simulate",
-                                "deload-table", "droop-map"]))
+                                "compare", "deload-table", "droop-map"]))
 # an int beyond int64 made numpy build an object array: a casting traceback
 @example(key="network.b_g", value=str(2 ** 63 + 1), command="smallsignal")
 @example(key="turbine.R", value=str(10 ** 400), command="gain-design")
 @example(key="scenario.sample_dt", value="1", command="simulate")
 def test_any_single_override_keeps_exit_contract(key, value, command):
-    if command == "simulate":
+    if command in ("simulate", "compare"):
         assume(fuzz_steps(key, value) <= FUZZ_MAX_STEPS)
     check_single_override(command, key, value)
 
@@ -381,7 +383,7 @@ def test_pure_kernel_divergence_is_a_simulation_failure(capsys):
     with pure_kernel():
         assert cli.main(argv) == 2
     assert capsys.readouterr().err == compiled == \
-        "simulation failure: state 1 diverged at t=1.000500\n"
+        "simulation failure: state 0 diverged at t=1.000500\n"
 
 
 @pytest.mark.parametrize("argv", [

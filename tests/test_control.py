@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from windgfm import _kernel
-from windgfm._kernel.layout import MODE_GFM_FR, P_BM, P_PCONST
+from windgfm._kernel.layout import P_BM, P_PCONST, STATES
 from windgfm.aero import find_mpp
 from windgfm.control import (
     ControlGains, ConverterGains, PitchGains, limiter_pi, pd_filter_realization,
@@ -28,17 +28,21 @@ def make_gains(ktg=0.5, kdg=0.0067, ktm=6.6, kp=22.7, beta_del=3.0,
 def kernel_rates(plant, surface, gains, beta=0.0, omega_r=1.0, p_msc=0.5,
                  v_dc=1.0, x_gsc=0.0, x_msc=0.0, i_speed=0.0, i_power=0.0):
     """Closed-loop derivative from the active kernel at a state with the
-    given MSC power."""
+    given MSC power, as state name -> rate."""
     p = pack_params(plant, gains, surface, 8.0, 1.5, 0.0)
-    th_r = math.asin(p_msc / p[P_BM])
-    x = [0.0, 0.0, 1.0, 1.5, v_dc, 0.0, th_r, omega_r, x_gsc, x_msc, beta,
-         i_speed, i_power]
-    return _kernel.derivative(x, 0.0, p, MODE_GFM_FR, 2.0)
+    state = dict(rho_1=0.0, omega_g=1.0, P_g=1.5, v_dc=v_dc,
+                 rho_2=math.asin(p_msc / p[P_BM]), omega_r=omega_r,
+                 x_gsc=x_gsc, x_msc=x_msc, beta=beta, i_speed=i_speed,
+                 i_power=i_power)
+    d = _kernel.derivative([state[n] for n in STATES], 0.0, p, Mode.GFM_FR,
+                           2.0)
+    return dict(zip(STATES, d))
 
 
 def pitch_rates(plant, surface, gains, **state):
     """(d beta/dt, d i_speed/dt, d i_power/dt) from the active kernel."""
-    return tuple(kernel_rates(plant, surface, gains, **state)[10:])
+    d = kernel_rates(plant, surface, gains, **state)
+    return d["beta"], d["i_speed"], d["i_power"]
 
 
 def test_pd_filter_step_example():
@@ -75,10 +79,12 @@ def test_dual_port_frequencies_at_steady_state(plant, surface):
     # filters settled at u = dv: both converters sit at setpoint + k_theta * dv
     d = kernel_rates(plant, surface, g, omega_r=g.omega_del, v_dc=1.0 + dv,
                      x_gsc=dv, x_msc=dv)
-    assert d[0] == pytest.approx(g.gsc.k_theta * dv, abs=1e-12)  # om_gsc - 1
-    assert d[5] == pytest.approx(g.msc.k_theta * dv, abs=1e-12)  # om_msc - om_del
-    assert d[8] == pytest.approx(0.0, abs=1e-12)
-    assert d[9] == pytest.approx(0.0, abs=1e-12)
+    # rho_1' = om_gsc - om_g with om_g = 1; rho_2' = om_r - om_msc with
+    # om_r = om_del
+    assert d["rho_1"] == pytest.approx(g.gsc.k_theta * dv, abs=1e-12)
+    assert -d["rho_2"] == pytest.approx(g.msc.k_theta * dv, abs=1e-12)
+    assert d["x_gsc"] == pytest.approx(0.0, abs=1e-12)
+    assert d["x_msc"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_theorem1_ratio_flag_and_fix():
@@ -155,7 +161,7 @@ def test_pitch_servo_rate_and_range_limits(plant, surface):
     def servo(beta, beta_ref):
         g = make_gains(kp=0.0, beta_del=beta_ref, omega_del=1.1,
                        rate_limit=8.0, t_servo=0.3)
-        return kernel_rates(plant, surface, g, beta=beta, omega_r=1.1)[10]
+        return kernel_rates(plant, surface, g, beta=beta, omega_r=1.1)["beta"]
 
     assert servo(0.0, 30.0) == 8.0
     assert servo(30.0, 0.0) == -8.0

@@ -75,3 +75,29 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
         assert probes[probe][0][:3] == ["simulate", "--set", override]
         assert "--out" in probes[probe][0]
     assert probes["pure_fallback"][0][-2:] == ["--out", "pure.csv"]
+
+
+def test_csv_difference_is_sized_per_column():
+    base = b"t,f_g,status\n0,50,ok\n0.001,49.9,ok\n0.002,49.5,ok\n0.003,1,ok\n"
+    change = b"t,f_g,status\n0,50,ok\n0.001,49.8,ok\n0.002,49.25,ok\n0.003,1,nan\n"
+    assert diff_outputs.size_csv_difference(base, change) == [
+        "    bit-equal rows: 1 of 4 (25.0%)",
+        "    largest |change - base|: t 0, f_g 0.25, status text"]
+    # -0 and 0 are equal numbers but not equal bits
+    assert diff_outputs.size_csv_difference(b"x\n0\n1\n", b"x\n-0\n1\n") == [
+        "    bit-equal rows: 1 of 2 (50.0%)", "    largest |change - base|: x 0"]
+
+
+@pytest.mark.parametrize("change, why", [
+    (b"t,f_gsc\n0,50\n", "the headers differ"),
+    (b"t,f_g\n0,50\n", "2 rows against 1")])
+def test_csv_difference_not_sized_across_layouts(change, why):
+    base = b"t,f_g\n0,50\n0.001,49.9\n"
+    assert diff_outputs.size_csv_difference(base, change) == \
+        [f"    not sized: {why}"]
+
+
+def test_probe_list_has_a_long_run():
+    args, pure = diff_outputs.probes([])["simulate-240s"]
+    assert args == ["simulate", "--set", "scenario.duration=240",
+                    "--out", "sim.csv"] and not pure

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from windgfm import aero, harness
 from windgfm._kernel._ode_py import BLOCK
+from windgfm._kernel.layout import ROW
 from windgfm.control import pd_filter_realization
 from windgfm.harness import (
     HarnessAssertionError, Scenario, SimTrace, compute_metrics,
@@ -17,6 +18,10 @@ from windgfm.harness import (
 from windgfm.plant import (
     MAX_STEPS, LoadProfile, Mode, find_equilibrium, simulate,
 )
+
+
+# index of a column in the kernel's rows
+COL = {name: k for k, name in enumerate(ROW)}
 
 
 def synthetic_trace(dt=1e-3, t_end=40.0, t_ev=10.0, nadir=49.644,
@@ -172,7 +177,8 @@ def scalar_p_wt(plant, surface, v_w, states):
     scale = tb.swept_k * v_w ** 3 / tb.P_rated
     lam_c = tb.R * tb.omega_nom / v_w
     return np.array([scale * aero.cp(surface, lam_c * o, b)
-                     for o, b in zip(states[:, 8], states[:, 11])])
+                     for o, b in zip(states[:, COL["omega_r"]],
+                                     states[:, COL["beta"]])])
 
 
 @pytest.mark.parametrize("mode", [Mode.GFM_FR, Mode.GFM_MPPT])
@@ -193,8 +199,9 @@ def test_trace_p_gsc_and_f_gsc_bit_identical_to_scalar_equations(
     tr = harness._trace_from_states(plant.network.f_hz, states)
     b_g, f_base = plant.network.b_g, plant.network.f_hz
     p_gsc, f_gsc = [], []
-    for th_gsc, th_g, v, xg in states[:, [1, 2, 5, 9]].tolist():
-        p_gsc.append(b_g * math.sin(th_gsc - th_g))
+    cols = [COL[name] for name in ("rho_1", "v_dc", "x_gsc")]
+    for rho1, v, xg in states[:, cols].tolist():
+        p_gsc.append(b_g * math.sin(rho1))
         y, _ = pd_filter_realization(gains.gsc.k_theta, gains.gsc.k_d,
                                      gains.t_dc, xg, v - 1.0)
         f_gsc.append(f_base * (1.0 + y))
@@ -208,7 +215,7 @@ def test_trace_p_gsc_and_f_gsc_bit_identical_to_scalar_equations(
     pytest.param(slice(0, BLOCK), 0.0, id="block0-0.0")])
 def test_trace_rejects_nonpositive_rotor_speed(plant, surface, row, omega_r):
     _, states = short_run(plant, surface, Mode.GFM_FR, 8.0)
-    states[row, 8] = omega_r
+    states[row, COL["omega_r"]] = omega_r
     with pytest.raises(aero.AeroDomainError):
         harness._trace_from_states(plant.network.f_hz, states)
 

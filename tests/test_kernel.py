@@ -9,10 +9,14 @@ import windgfm
 from windgfm._kernel import _ode_py
 from windgfm._kernel._ode_py import _floats
 from windgfm._kernel.layout import (
-    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_PCONST, P_TG,
+    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_PCONST, P_TG, ROW, STATES,
 )
-from windgfm.harness import Scenario, gains_for_scenario
+from windgfm.harness import Scenario, gains_for_scenario, run_scenario
 from windgfm.plant import Mode, find_equilibrium
+
+# index of a state in a state vector, and of a column in the kernel's rows
+S = {name: k for k, name in enumerate(STATES)}
+COL = {name: k for k, name in enumerate(ROW)}
 
 
 def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
@@ -92,8 +96,9 @@ def test_derivative_backends_bit_identical(plant, surface, ode_cy):
     for v_w in (8.0, 10.0, 12.0):
         x0, p_arr = equilibrium(plant, surface, Scenario(v_w=v_w))
         for _ in range(50):
-            x = x0 + rng.uniform(-0.05, 0.05, size=13)
-            x[[7, 10, 11, 12]] += rng.uniform(-1.0, 1.0, size=4) * (0.1, 20, 1, 1)
+            x = x0 + rng.uniform(-0.05, 0.05, size=N_STATES)
+            x[[S["omega_r"], S["beta"], S["i_speed"], S["i_power"]]] += \
+                rng.uniform(-1.0, 1.0, size=4) * (0.1, 20, 1, 1)
             t = rng.uniform(0.0, 60.0)
             for mode in (0, 1, 2):
                 assert one_step(_ode_py, x, p_arr, mode, t) == \
@@ -117,8 +122,11 @@ def test_derivative_bit_identical_on_random_parameter_vectors(ode_cy):
     # draws reach both sides of the Cp clamp, the limiters and the pitch
     # range and rate limits
     rng = np.random.default_rng(11)
-    lo = [-1, -1, 0.9, 0.5, 0.8, -1, -1, 0.5, -1, -1, -5, -1, -1]
-    hi = [1, 1, 1.1, 2.0, 1.2, 1, 1, 1.5, 1, 1, 35, 1, 1]
+    bounds = {"rho_1": (-2, 2), "omega_g": (0.9, 1.1), "P_g": (0.5, 2.0),
+              "v_dc": (0.8, 1.2), "rho_2": (-2, 2), "omega_r": (0.5, 1.5),
+              "x_gsc": (-1, 1), "x_msc": (-1, 1), "beta": (-5, 35),
+              "i_speed": (-1, 1), "i_power": (-1, 1)}
+    lo, hi = zip(*(bounds[name] for name in STATES))
     for _ in range(200):
         p = rng.uniform(0.5, 2.0, size=N_PARAMS)
         x = rng.uniform(lo, hi)
@@ -153,12 +161,14 @@ def test_simulate_outputs_are_those_of_each_row_state(packed, ode_cy, n_steps,
         if mode == MODE_GFL_MPPT:
             # the constant injection twice and omega_g; the WT-side states
             # keep x0's bits
-            assert n_steps < 20 or np.ptp(out[:, 3]) > 0
-            assert np.all(out[:, 14:16] == p_arr[P_PCONST])
-            assert out[:, 16].tobytes() == out[:, 3].tobytes()
-            for j in (4, 7, 10):  # v_dc, omega_r, beta
-                assert out[:, 1 + j].tobytes() == \
-                    np.full(len(out), x0[j]).tobytes()
+            om_g = out[:, COL["omega_g"]]
+            assert n_steps < 20 or np.ptp(om_g) > 0
+            assert np.all(out[:, COL["P_wt"]] == p_arr[P_PCONST])
+            assert np.all(out[:, COL["P_gsc"]] == p_arr[P_PCONST])
+            assert out[:, COL["w_gsc"]].tobytes() == om_g.tobytes()
+            for name in ("v_dc", "omega_r", "beta"):
+                assert out[:, COL[name]].tobytes() == \
+                    np.full(len(out), x0[S[name]]).tobytes()
         else:
             assert n_steps < 20 or np.ptp(out[:, 1 + N_STATES]) > 0
         for row in out:
@@ -260,13 +270,39 @@ def test_equilibrium_is_an_exact_rk4_fixed_point(plant, surface, mode):
         assert out[1, 1:1 + N_STATES].tobytes() == x0.tobytes(), v_w
 
 
+@pytest.mark.parametrize("mode, eta, t_fixed", [(Mode.GFM_FR, 0.9, 125.0),
+                                                (Mode.GFL_MPPT, 1.0, 60.0)],
+                         ids=["GFM_FR", "GFL_MPPT"])
+def test_settled_tail_is_a_bit_exact_fixed_point(plant, surface, mode, eta,
+                                                 t_fixed):
+    # the state holds angle differences, so after the +0.4 pu step at 30 s
+    # the settled state repeats bit for bit (from 119.3 s and 56.8 s) and
+    # the kernels stop integrating; absolute angles would keep rotating
+    sc = Scenario(mode=mode, eta=eta, duration=150.0)
+    rows = run_scenario(plant, surface, sc, check=False).states
+    tail = rows[rows[:, 0] >= t_fixed, 1:].view("i8")
+    assert len(tail) > 1 and np.all(tail == tail[-1])
+
+
+def test_nan_cp_diverges_on_both_kernels(packed, ode_cy):
+    # exp overflows in the Cp surface at beta = -3000 deg: the pure kernel
+    # raises there, and the compiled one carries the NaN Cp, which the Betz
+    # clamp must not turn into finite wind power, to its divergence check
+    x0, p_arr = packed
+    x = x0.copy()
+    x[S["beta"]] = -3000.0
+    for kernel in (_ode_py, ode_cy):
+        with pytest.raises(FloatingPointError):
+            kernel.simulate(x, p_arr, 2, 5e-4, 4, 1, 2.0)
+
+
 def test_simulate_sampling_layout(packed):
     x0, p_arr = packed
     out = _ode_py.simulate(x0, p_arr, 2, 1e-3, 100, 10, 2.0, (), ())
-    assert out.shape == (11, 17)
+    assert out.shape == (11, len(ROW))
     assert out[0, 0] == 0.0
     np.testing.assert_allclose(out[:, 0], np.arange(11) * 0.01, atol=1e-12)
-    np.testing.assert_array_equal(out[0, 1:14], x0)
+    np.testing.assert_array_equal(out[0, 1:1 + N_STATES], x0)
 
 
 def test_repeat_runs_byte_identical(packed):

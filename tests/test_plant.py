@@ -10,7 +10,9 @@ from windgfm.plant import (
     LoadProfile, Mode, NetworkParams, PlantError, SgParams, closed_loop_derivative,
     find_equilibrium, simulate, wind_power_pu,
 )
-from windgfm._kernel.layout import P_BG, P_BM, P_CDC, P_OMMAX
+from windgfm._kernel.layout import (
+    N_STATES, P_BG, P_BM, P_CDC, P_OMMAX, ROW, STATES,
+)
 from windgfm.aero import cp, tip_speed_ratio
 
 
@@ -22,6 +24,11 @@ def rk4_step(f, x, t: float, dt: float):
     k3 = np.asarray(f(x + 0.5 * dt * k2, t + 0.5 * dt))
     k4 = np.asarray(f(x + dt * k3, t + dt))
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# index of a state in a state vector, and of a column in the kernel's rows
+S = {name: k for k, name in enumerate(STATES)}
+COL = {name: k for k, name in enumerate(ROW)}
 
 
 def equilibrium(plant, surface, v_w=8.0, eta=0.9, mode=Mode.GFM_FR,
@@ -36,10 +43,10 @@ def test_pmsg_power_example(plant, surface):
     p = p_arr.copy()
     p[P_BM] = 1.5
     x = x0.copy()
-    x[5], x[6] = 0.0, 0.1       # theta_r - theta_msc = 0.1
-    x[0] = x[1]                 # no GSC power
+    x[S["rho_2"]] = 0.1         # theta_r - theta_msc = 0.1
+    x[S["rho_1"]] = 0.0         # no GSC power
     d = _kernel.derivative(x, 0.0, p, int(Mode.GFM_FR), 2.0)
-    p_pmsg = p[P_CDC] * x[4] * d[4]
+    p_pmsg = p[P_CDC] * x[S["v_dc"]] * d[S["v_dc"]]
     assert p_pmsg == pytest.approx(0.14975, abs=1e-5)
 
 
@@ -48,15 +55,15 @@ def test_gsc_power_antisymmetry(plant, surface):
     p = p_arr.copy()
     p[P_BG] = 1.3
 
-    def p_gsc(th_gsc, th_g):
+    def p_gsc(rho1):
         x = x0.copy()
-        x[0], x[1] = th_gsc, th_g
-        x[5] = x[6]             # no machine-side power
+        x[S["rho_1"]] = rho1    # theta_gsc - theta_g
+        x[S["rho_2"]] = 0.0     # no machine-side power
         d = _kernel.derivative(x, 0.0, p, int(Mode.GFM_FR), 2.0)
-        return -p[P_CDC] * x[4] * d[4]
+        return -p[P_CDC] * x[S["v_dc"]] * d[S["v_dc"]]
 
-    assert p_gsc(0.5, 0.2) == pytest.approx(1.3 * math.sin(0.3), abs=1e-14)
-    assert p_gsc(0.5, 0.2) == pytest.approx(-p_gsc(0.2, 0.5), abs=1e-15)
+    assert p_gsc(0.5 - 0.2) == pytest.approx(1.3 * math.sin(0.3), abs=1e-14)
+    assert p_gsc(0.5 - 0.2) == pytest.approx(-p_gsc(0.2 - 0.5), abs=1e-15)
 
 
 def test_sg_per_unit_conversion():
@@ -82,7 +89,7 @@ def test_load_profile_steps(plant, surface):
     for t, dp in ((0.0, 0.0), (29.999, 0.0), (30.0, 0.4), (50.0, 0.3)):
         d = _kernel.derivative(x0, t, p_arr, int(Mode.GFM_FR), load.base,
                                load.ev_times, load.ev_steps)
-        assert d[2] == pytest.approx(-dp / j_g, abs=1e-12), t
+        assert d[S["omega_g"]] == pytest.approx(-dp / j_g, abs=1e-12), t
 
 
 def test_rk4_linear_oracle():
@@ -97,14 +104,14 @@ def test_equilibrium_residual_is_tiny(plant, surface):
         pre = LoadProfile(base=2.0, events=())
         resid = closed_loop_derivative(x0, 0.0, p_arr, mode, pre)
         assert np.max(np.abs(resid)) < 1e-10
-        assert x0[4] == 1.0 and x0[2] == 1.0
+        assert x0[S["v_dc"]] == 1.0 and x0[S["omega_g"]] == 1.0
 
 
 def test_equilibrium_angles_match_power(plant, surface):
     _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
-    assert p_arr[P_BM] * math.sin(x0[6] - x0[5]) == pytest.approx(
+    assert p_arr[P_BM] * math.sin(x0[S["rho_2"]]) == pytest.approx(
         p_wt0, abs=1e-12)
-    assert p_arr[P_BG] * math.sin(x0[0] - x0[1]) == pytest.approx(
+    assert p_arr[P_BG] * math.sin(x0[S["rho_1"]]) == pytest.approx(
         p_wt0, abs=1e-12)
 
 
@@ -113,7 +120,7 @@ def test_derivative_load_step_hits_sg_swing(plant, surface):
     stepped = LoadProfile(base=2.1, events=())
     d = closed_loop_derivative(x0, 0.0, p_arr, Mode.GFM_FR, stepped)
     j_g = plant.sg.j_g(plant.network.s_base)
-    assert d[2] == pytest.approx(-0.1 / j_g, abs=1e-12)
+    assert d[S["omega_g"]] == pytest.approx(-0.1 / j_g, abs=1e-12)
 
 
 def test_derivative_dc_power_balance_identity(plant, surface):
@@ -122,18 +129,19 @@ def test_derivative_dc_power_balance_identity(plant, surface):
     _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     load = LoadProfile(base=2.0, events=())
     for _ in range(20):
-        x = x0 + rng.uniform(-0.02, 0.02, size=13)
+        x = x0 + rng.uniform(-0.02, 0.02, size=N_STATES)
         d = closed_loop_derivative(x, 0.0, p_arr, Mode.GFM_FR, load)
-        p_pm = p_arr[P_BM] * math.sin(x[6] - x[5])
-        p_gs = p_arr[P_BG] * math.sin(x[0] - x[1])
-        assert p_arr[P_CDC] * x[4] * d[4] == pytest.approx(p_pm - p_gs,
+        p_pm = p_arr[P_BM] * math.sin(x[S["rho_2"]])
+        p_gs = p_arr[P_BG] * math.sin(x[S["rho_1"]])
+        v = S["v_dc"]
+        assert p_arr[P_CDC] * x[v] * d[v] == pytest.approx(p_pm - p_gs,
                                                            abs=1e-12)
 
 
 def test_derivative_rejects_invalid_state(plant, surface):
     _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
     bad = x0.copy()
-    bad[4] = -0.1
+    bad[S["v_dc"]] = -0.1
     with pytest.raises(PlantError):
         closed_loop_derivative(bad, 0.0, p_arr, Mode.GFM_FR, LoadProfile())
 
@@ -143,7 +151,7 @@ def test_no_disturbance_run_stays_at_equilibrium(plant, surface):
                                      load=LoadProfile(base=2.0, events=()))
     states = simulate(x0, p_arr, Mode.GFM_FR,
                       LoadProfile(base=2.0, events=()), 10.0, 5e-4)
-    drift = np.max(np.abs(states[-1, 1:14] - x0))
+    drift = np.max(np.abs(states[-1, 1:1 + N_STATES] - x0))
     assert drift < 1e-9
 
 
@@ -157,7 +165,8 @@ def test_step_rk4_matches_kernel_simulate(plant, surface):
                                                           Mode.GFM_FR, load),
                      x, i * dt, dt)
     states = simulate(x0, p_arr, Mode.GFM_FR, load, 40 * dt, dt, sample_dt=dt)
-    np.testing.assert_allclose(states[-1, 1:14], x, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(states[-1, 1:1 + N_STATES], x, rtol=0,
+                               atol=1e-13)
 
 
 def test_event_off_grid_rejected(plant, surface):
@@ -184,9 +193,11 @@ def test_gfl_mode_freezes_wt_states(plant, surface):
                                      mode=Mode.GFL_MPPT)
     states = simulate(x0, p_arr, Mode.GFL_MPPT, LoadProfile(), 40.0, 5e-4)
     # WT-side states identical over the whole run; SG responds to the step
-    for col in (1, 5, 6, 7, 8, 9, 10, 11, 12, 13):
-        assert np.all(states[:, col] == states[0, col])
-    assert states[-1, 3] < 1.0  # omega_g settles below nominal
+    for name in STATES:
+        if name not in ("omega_g", "P_g"):
+            col = COL[name]
+            assert np.all(states[:, col] == states[0, col]), name
+    assert states[-1, COL["omega_g"]] < 1.0  # settles below nominal
 
 
 def test_wind_power_pu_consistency(plant, surface):
@@ -208,4 +219,4 @@ def test_speed_limit_is_the_turbine_omega_max(cfg, surface):
     _, (_, p_arr, _) = equilibrium(plant, surface, v_w=10.0)
     assert p_arr[P_OMMAX] == plant.turbine.omega_max == 1.1
     res = run_from_config(cfg, check=False)
-    assert res.states[-1, 8] < 1.108
+    assert res.states[-1, COL["omega_r"]] < 1.108

@@ -9,6 +9,7 @@ from pathlib import Path
 import windgfm
 from windgfm import aero, cli
 from windgfm._kernel import _ode_py
+from windgfm._kernel.layout import ROW
 from windgfm.config import DEFAULT_CONFIG, make_plant, make_surface
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import LoadProfile, Mode, find_equilibrium
@@ -41,7 +42,7 @@ def run_pure_kernel() -> None:
     x0, p_arr, _ = find_equilibrium(plant, gains, surface, 8.0, load)
     out = _ode_py.simulate(x0, p_arr, Mode.GFM_FR, 5e-4, 400, 100, load.base,
                            load.ev_times, load.ev_steps)
-    assert out.shape == (5, 17)
+    assert out.shape == (5, len(ROW))
     assert _ode_py.csv_rows("", list(out.T)).count("\n") == 5
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from windgfm import smallsignal as ss
+from windgfm._kernel.layout import ROW
 from windgfm.aero import cp, tip_speed_ratio
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
@@ -192,7 +193,7 @@ def test_steady_state_satisfies_dual_port_relations(plant, surface):
 
 def test_linear_response_matches_nonlinear_small_step(plant, surface):
     # 0.1% load step: peak grid-frequency deviation of the 6-state linear
-    # model within 5% of the 13-state nonlinear simulation
+    # model within 5% of the 11-state nonlinear simulation
     sc = Scenario()
     d = gains_for_scenario(plant, surface, sc)
     x0, p_arr, _ = find_equilibrium(plant, d.gains, surface, 8.0, sc.load,
@@ -200,7 +201,7 @@ def test_linear_response_matches_nonlinear_small_step(plant, surface):
     dP = 0.002
     load = LoadProfile(base=2.0, events=((1.0, dP),))
     states = simulate(x0, p_arr, Mode.GFM_FR, load, 21.0, 5e-4)
-    peak_nl = (states[:, 3] - 1.0).min()
+    peak_nl = (states[:, ROW.index("omega_g")] - 1.0).min()
     model = ss.model_from_params(plant, d.gains, d.k_wr, d.k_b)
     t, X = linear_response(model, dP, 20.0, 1e-3)
     peak_lin = X[:, 2].min()

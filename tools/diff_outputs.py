@@ -11,15 +11,17 @@ is staged with its own ``perfbench/build.py`` (compiled kernel, nothing
 written under ``src/``), and the fixed list of ``probes`` runs on both, each
 probe in an empty directory.  A probe's exit code, its stdout and every file
 it writes are compared byte for byte.  For each artefact that differs the
-first differing line is printed; the exit status is 1 if any differs, else
-0.  ``--keep DIR`` keeps both sides' outputs under ``DIR/base`` and
-``DIR/change``.
+first differing line is printed, and for a differing CSV file the share of
+its rows that are bit-equal and each column's largest absolute difference;
+the exit status is 1 if any differs, else 0.  ``--keep DIR`` keeps both
+sides' outputs under ``DIR/base`` and ``DIR/change``.
 """
 from __future__ import annotations
 
 import argparse
 import importlib.util
 import itertools
+import math
 import shutil
 import subprocess
 import sys
@@ -55,6 +57,9 @@ def probes(pure_args: list) -> dict:
                                "--out", "sim.csv"], False),
         "simulate-GFL_MPPT": (["simulate", "--set", "scenario.mode=GFL_MPPT",
                                "--out", "sim.csv"], False),
+        # a long run: the settled tail after the load step
+        "simulate-240s": (["simulate", "--set", "scenario.duration=240",
+                           "--out", "sim.csv"], False),
         # design-chain branches: the pitch fallback above omega_max = 1.2,
         # infeasible droop cells, the capped speed above rated wind and the
         # deepest curtailment
@@ -120,6 +125,39 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"line {i}: base {_clip(x, col)!r} | change {_clip(y, col)!r}"
 
 
+def size_csv_difference(a: bytes, b: bytes) -> list:
+    """Lines sizing the difference of two CSV texts with one header: the
+    share of rows that are bit-equal, then each column's largest absolute
+    difference ("text" where a differing cell is not a finite number).
+    Values written with %.17g are bit-equal exactly where their text is."""
+    ra, rb = a.decode().splitlines(), b.decode().splitlines()
+    if not ra or not rb or ra[0] != rb[0]:
+        return ["    not sized: the headers differ"]
+    if len(ra) != len(rb):
+        return [f"    not sized: {len(ra) - 1} rows against {len(rb) - 1}"]
+    names = ra[0].split(",")
+    largest = [0.0] * len(names)
+    equal = 0
+    for x, y in zip(ra[1:], rb[1:]):
+        if x == y:
+            equal += 1
+            continue
+        for k, (u, v) in enumerate(zip(x.split(","), y.split(","))):
+            if u != v:
+                try:
+                    d = abs(float(v) - float(u))
+                except ValueError:
+                    d = math.inf
+                # inf marks a text difference; so does a NaN d
+                largest[k] = max(largest[k], d) if d == d else math.inf
+    n = len(ra) - 1
+    cols = ", ".join(f"{name} {f'{d:.3g}' if math.isfinite(d) else 'text'}"
+                     for name, d in zip(names, largest))
+    share = 100 * equal / max(n, 1)
+    return [f"    bit-equal rows: {equal} of {n} ({share:.1f}%)",
+            f"    largest |change - base|: {cols}"]
+
+
 def compare_dirs(base: Path, change: Path) -> list:
     """(relative path, what differs) for every file not byte-identical on the
     two sides, including files present on one side only."""
@@ -155,8 +193,12 @@ def main(argv=None) -> int:
         run_probes(base_tree, "base", out / "base", workloads.CLI, probe_list)
         run_probes(ROOT, "change", out / "change", workloads.CLI, probe_list)
         diffs = compare_dirs(out / "base", out / "change")
-    for rel, what in diffs:
-        print(f"DIFFERS {rel}: {what}")
+        for rel, what in diffs:
+            print(f"DIFFERS {rel}: {what}")
+            if rel.endswith(".csv") and not what.startswith("missing"):
+                for line in size_csv_difference((out / "base" / rel).read_bytes(),
+                                                (out / "change" / rel).read_bytes()):
+                    print(line)
     print(f"{len(probe_list)} probes, {len(diffs)} differing artefacts")
     return 1 if diffs else 0
 
