@@ -23,8 +23,8 @@ P_PMAX = 19     # MSC power limit (pu)
 P_OMMAX = 20    # rotor speed limit (pu)
 P_PG0 = 21      # governor power reference (pu)
 P_PCONST = 22   # GFL constant injection (pu)
-P_PSCALE = 23   # swept_k * v_w^3 / P_rated (pu power scale)
-P_LAMC = 24     # R * omega_nom / v_w (lambda per pu rotor speed)
+P_PSCALE = 23   # TurbineParams.power_scale(v_w) (pu power per unit Cp)
+P_LAMC = 24     # TurbineParams.lam_per_pu(v_w) (lambda per pu rotor speed)
 P_CP0 = 25      # 14 calibrated surface coefficients occupy 25..38
 P_CPMAX = 39    # surface peak scale
 P_BETAMIN = 40

@@ -1,7 +1,6 @@
 """Aerodynamic power-coefficient surface and its sensitivities."""
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +80,16 @@ class TurbineParams:
         """0.5*rho*pi*R^2, the swept-area factor of the power equation."""
         return 0.5 * self.rho * math.pi * self.R ** 2
 
+    # P_wt (pu) = power_scale(v_w) * Cp(lam_per_pu(v_w) * omega_r, beta), omega_r
+    # in pu: every evaluation, the kernels' included, takes these two factors
+    def lam_per_pu(self, v_w: float) -> float:
+        """Tip-speed ratio per pu rotor speed at wind speed v_w."""
+        return self.R * self.omega_nom / v_w
+
+    def power_scale(self, v_w: float) -> float:
+        """P_wt in pu of P_rated per unit Cp at wind speed v_w."""
+        return self.swept_k * v_w ** 3 / self.P_rated
+
 
 def _cp_calibrated(lam: float, beta: float, c, cpmax: float) -> float:
     """Calibrated Cp clamped to [0, Betz limit].
@@ -134,12 +143,6 @@ def cp_partials(surface: CpSurface, lam: float, beta: float) -> tuple[float, flo
     return cpm * h * dg / w, cpm * (dh * g + h * dg * (-dlr / w))
 
 
-def tip_speed_ratio(R: float, omega_r: float, v_w: float) -> float:
-    if v_w <= 0:
-        raise AeroDomainError("v_w must be positive")
-    return R * omega_r / v_w
-
-
 def arange(start: float, stop: float, step: float) -> list:
     """numpy.arange(start, stop, step) as a list of floats.
 
@@ -151,35 +154,18 @@ def arange(start: float, stop: float, step: float) -> list:
     return [start + k * delta for k in range(math.ceil((stop - start) / step))]
 
 
-@functools.lru_cache(maxsize=None)
 def find_mpp(surface: CpSurface) -> tuple[float, float]:
-    """(lam_mpp, cp_max) of Cp(., 0): coarse grid scan + golden-section refine.
+    """(lam_mpp, cp_max) of Cp(., 0), in closed form.
 
-    Memoized: a surface is a frozen dataclass, so each distinct surface is
-    solved once per process.  A raised error is not cached.
+    At beta = 0 the ridge is lam_ridge = lam0 and h = 1, so Cp(., 0) =
+    cpmax * g((lambda - lam0) / w).  With D, E >= 0 both factors of g peak
+    at u = 0 only, so the maximum is at lambda = lam0.
     """
-    grid = arange(2.0, 15.0, 1e-2)
-    vals = [cp(surface, l, 0.0) for l in grid]
-    i = vals.index(max(vals))  # the first maximum, as numpy's argmax
-    srt = sorted(vals)
-    mid = len(srt) // 2
-    median = srt[mid] if len(srt) % 2 else 0.5 * (srt[mid - 1] + srt[mid])
-    if vals[i] - median < 1e-9:
-        raise AeroDomainError("Cp(.,0) is flat; no distinct maximum")
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c_ = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    while b - a > 1e-9:
-        if cp(surface, c_, 0.0) > cp(surface, d_, 0.0):
-            b, d_ = d_, c_
-            c_ = b - invphi * (b - a)
-        else:
-            a, c_ = c_, d_
-            d_ = a + invphi * (b - a)
-    lam_mpp = 0.5 * (a + b)
-    return lam_mpp, cp(surface, lam_mpp, 0.0)
+    lam0 = surface.coeffs[5]
+    cp_max = cp(surface, lam0, 0.0)
+    if not cp_max > 0.0:
+        raise AeroDomainError("Cp(.,0) has no positive maximum")
+    return lam0, cp_max
 
 
 def power_sensitivities(params: TurbineParams, surface: CpSurface, v_w: float,
@@ -191,10 +177,10 @@ def power_sensitivities(params: TurbineParams, surface: CpSurface, v_w: float,
     deloaded branch.  Values with |K_omega_r| < 1e-4, or small-negative
     above -1e-3 (numerical noise at the MPP), are reported as 0.
     """
-    lam = tip_speed_ratio(params.R, omega_del * params.omega_nom, v_w)
-    dl, db = cp_partials(surface, lam, beta_del)
-    scale = params.swept_k * v_w ** 3 / params.P_rated  # per-turbine pu
-    k_wr = -scale * dl * (params.R * params.omega_nom / v_w)
+    lam_c = params.lam_per_pu(v_w)
+    dl, db = cp_partials(surface, lam_c * omega_del, beta_del)
+    scale = params.power_scale(v_w)  # per-turbine pu
+    k_wr = -scale * dl * lam_c
     k_b = -scale * db
     if not (math.isfinite(k_wr) and math.isfinite(k_b)):
         raise AeroDomainError("power sensitivities are not finite")

@@ -17,12 +17,15 @@ from .config import (
 from .plant import PlantError
 
 
-def _add_common(sub):
+def _add_arguments(sub, outputs):
+    """--config, --set and, of --out and --plot, those in outputs."""
     sub.add_argument("--config", help="scenario JSON file")
     sub.add_argument("--set", dest="sets", action="append", default=[],
                      metavar="KEY=VALUE", help="dotted config override")
-    sub.add_argument("--out", help="output file (CSV)")
-    sub.add_argument("--plot", help="optional SVG output path")
+    if "--out" in outputs:
+        sub.add_argument("--out", help="output file (CSV)")
+    if "--plot" in outputs:
+        sub.add_argument("--plot", help="optional SVG output path")
 
 
 def _cfg(args) -> dict:
@@ -154,13 +157,14 @@ def cmd_smallsignal(args) -> int:
 # import numpy.
 ARRAY_COMMANDS = ("simulate", "compare", "smallsignal")
 
+# Each command with the output flags it reads
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "deload-table": cmd_deload_table,
-    "gain-design": cmd_gain_design,
-    "droop-map": cmd_droop_map,
-    "smallsignal": cmd_smallsignal,
+    "simulate": (cmd_simulate, ("--out", "--plot")),
+    "compare": (cmd_compare, ("--out", "--plot")),
+    "deload-table": (cmd_deload_table, ("--out",)),
+    "gain-design": (cmd_gain_design, ()),
+    "droop-map": (cmd_droop_map, ("--out", "--plot")),
+    "smallsignal": (cmd_smallsignal, ()),
 }
 
 
@@ -170,16 +174,17 @@ def main(argv=None) -> int:
         description="Reduced-order dual-port GFM wind turbine toolkit "
                     f"(kernel backend: {_kernel.BACKEND})")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        _add_common(subs.add_parser(name))
+    for name, (_, outputs) in COMMANDS.items():
+        _add_arguments(subs.add_parser(name), outputs)
     args = parser.parse_args(argv)
+    command, _ = COMMANDS[args.command]
     try:
         if args.command not in ARRAY_COMMANDS:
-            return COMMANDS[args.command](args)
+            return command(args)
         import numpy as np
         # a float overflow or NaN raises, so no inf or NaN reaches an output
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return COMMANDS[args.command](args)
+            return command(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3

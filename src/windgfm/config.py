@@ -210,6 +210,11 @@ class Scenario:
                     f" s: the trace ends at {self.t_end:g} s (duration on the "
                     f"grid of dt and sample_dt) and its last "
                     f"{SETTLE_WINDOW:g} s are the settled tail")
+            # off the grid, a load step would fall inside an RK4 step
+            if abs(round(t_ev / self.dt) * self.dt - t_ev) > 1e-12:
+                raise ValueError(f"events must lie on the grid of dt: "
+                                 f"{t_ev} s is not a multiple of dt = "
+                                 f"{self.dt} s")
 
     @property
     def t_end(self) -> float:

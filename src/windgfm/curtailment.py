@@ -5,7 +5,7 @@ import io
 from dataclasses import dataclass
 
 from .aero import (CpSurface, DesignError, TurbineParams, arange, cp, find_mpp,
-                   require_finite, tip_speed_ratio)
+                   require_finite)
 
 
 class CurtailmentError(DesignError):
@@ -20,7 +20,7 @@ class DeloadPoint:
     omega_del: float    # pu of omega_nom
     beta_del: float     # degrees
     p_wt_del: float     # pu of P_rated (one turbine)
-    omega_mpp: float    # pu, lam_mpp * v_w / (R omega_nom), not capped
+    omega_mpp: float    # pu, lam_mpp / lam_per_pu(v_w), not capped
 
     def __post_init__(self):
         require_finite("deload point", vars(self))
@@ -72,25 +72,25 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
     Above rated wind the target power is clamped to eta * P_rated.
     """
     lam_mpp, cp_max = find_mpp(surface)
-    k3 = params.swept_k * v_w ** 3
-    target_cp = min(cp_max, params.P_rated / k3)  # Cp equivalent of the clamped target
-    lam_cap = tip_speed_ratio(params.R, params.omega_max * params.omega_nom, v_w)
+    scale = params.power_scale(v_w)
+    lam_c = params.lam_per_pu(v_w)
+    target_cp = min(cp_max, 1.0 / scale)  # Cp equivalent of the clamped target
+    lam_cap = lam_c * params.omega_max
 
     try:
         lam_del = solve_speed_deload_target(surface, eta * target_cp, lam_mpp)
     except CurtailmentError:
         lam_del = None
     if lam_del is not None and lam_del <= lam_cap:
-        om = lam_del * v_w / (params.R * params.omega_nom)
+        om = lam_del / lam_c
         beta = 0.0
     else:
         om = params.omega_max
         lam_del = lam_cap
         beta = solve_pitch_deload(surface, lam_cap, eta, target_cp)
-    p_pu = k3 * cp(surface, lam_del, beta) / params.P_rated
     return DeloadPoint(v_w=v_w, eta=eta, lam_del=lam_del, omega_del=om,
-                       beta_del=beta, p_wt_del=p_pu,
-                       omega_mpp=lam_mpp * v_w / (params.R * params.omega_nom))
+                       beta_del=beta, p_wt_del=scale * cp(surface, lam_del, beta),
+                       omega_mpp=lam_mpp / lam_c)
 
 
 def solve_speed_deload_target(surface: CpSurface, target: float,

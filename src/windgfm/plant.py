@@ -17,7 +17,7 @@ from ._kernel.layout import (
     P_KTM, P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE,
     P_RATE, P_TDC, P_TG, P_TSERVO, STATES,
 )
-from .aero import CpSurface, TurbineParams, cp, tip_speed_ratio
+from .aero import CpSurface, TurbineParams, cp
 from .control import ControlGains
 
 if TYPE_CHECKING:
@@ -101,9 +101,10 @@ class LoadProfile:
 
 def wind_power_pu(params: TurbineParams, surface: CpSurface, v_w: float,
                   omega_pu: float, beta: float) -> float:
-    """WT power in system pu (aggregate base = n_agg * P_rated)."""
-    lam = tip_speed_ratio(params.R, omega_pu * params.omega_nom, v_w)
-    return params.swept_k * cp(surface, lam, beta) * v_w ** 3 / params.P_rated
+    """WT power in system pu (aggregate base = n_agg * P_rated), by the
+    kernels' operations on the packed P_PSCALE and P_LAMC."""
+    lam = params.lam_per_pu(v_w) * omega_pu
+    return params.power_scale(v_w) * cp(surface, lam, beta)
 
 
 def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
@@ -135,8 +136,8 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     p[P_OMMAX] = tb.omega_max
     p[P_PG0] = p_g0
     p[P_PCONST] = p_const
-    p[P_PSCALE] = tb.swept_k * v_w ** 3 / tb.P_rated
-    p[P_LAMC] = tb.R * tb.omega_nom / v_w
+    p[P_PSCALE] = tb.power_scale(v_w)
+    p[P_LAMC] = tb.lam_per_pu(v_w)
     p[P_CP0:P_CP0 + 14] = surface.coeffs
     p[P_CPMAX] = surface.cpmax_scale
     p[P_BETAMIN] = gains.pitch.beta_min
@@ -206,9 +207,6 @@ def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
     states, then P_wt, P_gsc and w_gsc taken at the row's state."""
     import numpy as np
     n_steps, stride = sample_grid(duration, dt, sample_dt)
-    for t_ev in load.ev_times:
-        if abs(round(t_ev / dt) * dt - t_ev) > 1e-12:
-            raise PlantError(f"event time {t_ev} not aligned to dt grid")
     try:
         return _kernel.simulate(np.asarray(x0, dtype=float), p_arr, int(mode),
                                 dt, n_steps, stride, load.base,

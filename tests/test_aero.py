@@ -3,20 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from windgfm import aero, curtailment, gaindesign
+from windgfm import aero
 from windgfm.aero import (
     BETZ, AeroDomainError, CpSurface, TurbineParams, cp, cp_partials,
-    find_mpp, power_sensitivities, tip_speed_ratio,
+    find_mpp, power_sensitivities,
 )
-
-
-def test_tip_speed_ratio_example():
-    assert tip_speed_ratio(63.0, 1.22, 10.0) == pytest.approx(7.686, abs=1e-9)
-
-
-def test_tip_speed_ratio_rejects_nonpositive_wind():
-    with pytest.raises(AeroDomainError):
-        tip_speed_ratio(63.0, 1.22, 0.0)
 
 
 def test_calibrated_mpp_location(surface):
@@ -40,33 +31,20 @@ def test_find_mpp_first_order_condition(surface):
     assert abs(dl) < 1e-5
 
 
+def test_find_mpp_is_the_zero_pitch_ridge(surface):
+    # closed form: the ridge lam0, where Cp(., 0) is cpmax exactly and flat
+    lam, cpm = find_mpp(surface)
+    assert lam == aero.CALIBRATED_COEFFS[5]
+    assert cpm == aero.CALIBRATED_CPMAX
+    assert cp_partials(surface, lam, 0.0)[0] == 0.0
+    # independent oracle: no point of a dense scan lies above it
+    grid = np.arange(2.0, 15.0, 1e-3)
+    assert max(cp(surface, l, 0.0) for l in grid) <= cpm
+
+
 def test_find_mpp_flat_surface_raises():
-    flat = CpSurface(cpmax_scale=0.0)
     with pytest.raises(AeroDomainError):
-        find_mpp(flat)
-    # a failure is not memoized: the second call solves and raises again
-    with pytest.raises(AeroDomainError):
-        find_mpp(flat)
-
-
-def test_find_mpp_solves_once_per_surface(monkeypatch, turbine, surface):
-    v_grid = np.linspace(5.0, 14.0, 10)
-    eta_grid = np.array([0.7, 0.8, 0.9, 0.95, 1.0])
-
-    def outputs():
-        table = curtailment.build_table(turbine, surface)
-        m, status = gaindesign.droop_map(turbine, surface, v_grid, eta_grid)
-        return (curtailment.table_to_csv(table),
-                gaindesign.droop_map_to_csv(v_grid, eta_grid, m, status))
-
-    find_mpp.cache_clear()
-    cached = outputs()
-    info = find_mpp.cache_info()
-    assert info.misses == 1 and info.hits > 100
-    # deload_point is the design chain's only caller
-    monkeypatch.setattr(curtailment, "find_mpp", find_mpp.__wrapped__)
-    assert outputs() == cached
-    assert find_mpp.cache_info() == info
+        find_mpp(CpSurface(cpmax_scale=0.0))
 
 
 @given(lam=st.floats(0.5, 20.0), beta=st.floats(0.0, 30.0))
@@ -150,7 +128,7 @@ def test_sensitivities_agree_with_secant_oracle(v_w, eta):
                                     pt.beta_del)
 
     def p_pu(om, b):
-        lam = tip_speed_ratio(turbine.R, om * turbine.omega_nom, v_w)
+        lam = turbine.R * om * turbine.omega_nom / v_w
         return turbine.swept_k * cp(surface, lam, b) * v_w ** 3 / turbine.P_rated
 
     h = 5e-5
@@ -172,7 +150,7 @@ def test_sensitivities_fd_method_matches_analytic(turbine, surface):
     a = power_sensitivities(turbine, surface, 8.0, pt.omega_del, pt.beta_del)
 
     def p_pu(om):
-        lam = tip_speed_ratio(turbine.R, om * turbine.omega_nom, 8.0)
+        lam = turbine.R * om * turbine.omega_nom / 8.0
         return (turbine.swept_k * cp(surface, lam, pt.beta_del) * 8.0 ** 3
                 / turbine.P_rated)
 

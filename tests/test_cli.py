@@ -198,6 +198,10 @@ BAD_OVERRIDES = [
     # NaN and Infinity
     ("turbine.omega_nom=5e-324", {"simulate": 2, "gain-design": 2,
                                   "deload-table": 2, "droop-map": 2}),
+    # an event off the dt grid: simulate and compare exited 2 with a
+    # simulation failure, gain-design and smallsignal 0
+    ("scenario.events=[[30.0001,0.4]]", {"simulate": 3, "gain-design": 3,
+                                         "smallsignal": 3}),
 ]
 
 
@@ -239,6 +243,23 @@ def test_unwritable_output_is_an_output_error(tmp_path, command, flag, capsys):
         path = path.with_name("out_GFL_MPPT.csv")  # the first mode's trace
     assert rc == 3
     assert err == f"output error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gain-design", "--out", "g.json"], ["gain-design", "--plot", "s.svg"],
+    ["smallsignal", "--out", "s.json"], ["smallsignal", "--plot", "s.svg"],
+    ["deload-table", "--plot", "d.svg"]], ids=" ".join)
+def test_output_flag_a_command_does_not_read_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv):
+    # these calls exited 0 and wrote nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: windgfm") and "Traceback" not in err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -294,18 +315,22 @@ SHORT_RUN = ["--set", "scenario.duration=3",
 FUZZ_MAX_STEPS = 10 ** 5
 
 
-def fuzz_steps(key, value) -> float:
-    """RK4 steps of SHORT_RUN with key=value (default dt 5e-4), where the
-    override sets a valid duration or dt; 0 for any other override."""
-    if key not in ("scenario.duration", "scenario.dt"):
-        return 0
-    try:
-        x = json.loads(value)
-    except json.JSONDecodeError:
-        return 0
-    if type(x) not in (int, float) or not 0 < x < math.inf:
-        return 0
-    steps = x / 5e-4 if key == "scenario.duration" else 3.0 / x
+def fuzz_steps(overrides) -> float:
+    """RK4 steps of SHORT_RUN (default dt 5e-4) with the (key, value)
+    overrides, applied in order; 0 where they set an invalid duration or dt
+    or more than MAX_STEPS steps, which the config rejects."""
+    run = {"scenario.duration": 3.0, "scenario.dt": 5e-4}
+    for key, value in overrides:
+        if key not in run:
+            continue
+        try:
+            x = json.loads(value)
+        except json.JSONDecodeError:
+            return 0
+        if type(x) not in (int, float) or not 0 < x < math.inf:
+            return 0
+        run[key] = x
+    steps = run["scenario.duration"] / run["scenario.dt"]
     return steps if steps < MAX_STEPS + 0.5 else 0
 
 
@@ -335,17 +360,19 @@ def pure_kernel():
         yield
 
 
-def check_single_override(command, key, value):
-    """Run command with key=value (simulate and compare on SHORT_RUN): it
-    exits with 0, 2 or 3 and prints no non-finite number but droop-map's
-    documented inf."""
+def check_overrides(command, overrides):
+    """Run command with each key=value of the (key, value) overrides
+    (simulate and compare on SHORT_RUN): it exits with 0, 2 or 3, a config
+    error names one of the keys, and it prints no non-finite number but
+    droop-map's documented inf."""
     base = SHORT_RUN if command in ("simulate", "compare") else []
+    sets = [a for key, value in overrides for a in ("--set", f"{key}={value}")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main([command, *base, "--set", f"{key}={value}"])
+        rc = cli.main([command, *base, *sets])
     assert rc in (0, 2, 3)
     if rc == 3:
-        assert key in err.getvalue()
+        assert any(key in err.getvalue() for key, _ in overrides)
     text = out.getvalue()
     if command == "droop-map":
         text = NO_DROOP_CELL.sub("", text)
@@ -362,16 +389,26 @@ def check_single_override(command, key, value):
 @example(key="scenario.sample_dt", value="1", command="simulate")
 def test_any_single_override_keeps_exit_contract(key, value, command):
     if command in ("simulate", "compare"):
-        assume(fuzz_steps(key, value) <= FUZZ_MAX_STEPS)
-    check_single_override(command, key, value)
+        assume(fuzz_steps([(key, value)]) <= FUZZ_MAX_STEPS)
+    check_overrides(command, [(key, value)])
 
 
 @settings(max_examples=20, deadline=None)
 @given(key=OVERRIDE_KEYS, value=OVERRIDE_VALUES)
 def test_any_single_override_keeps_exit_contract_on_the_pure_kernel(key, value):
-    assume(fuzz_steps(key, value) <= PURE_FUZZ_MAX_STEPS)
+    assume(fuzz_steps([(key, value)]) <= PURE_FUZZ_MAX_STEPS)
     with pure_kernel():
-        check_single_override("simulate", key, value)
+        check_overrides("simulate", [(key, value)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(overrides=st.lists(st.tuples(OVERRIDE_KEYS, OVERRIDE_VALUES),
+                          min_size=2, max_size=2),
+       command=st.sampled_from(["gain-design", "simulate"]))
+def test_any_two_overrides_keep_exit_contract(overrides, command):
+    if command == "simulate":
+        assume(fuzz_steps(overrides) <= FUZZ_MAX_STEPS)
+    check_overrides(command, overrides)
 
 
 def test_pure_kernel_divergence_is_a_simulation_failure(capsys):

@@ -101,3 +101,26 @@ def test_probe_list_has_a_long_run():
     args, pure = diff_outputs.probes([])["simulate-240s"]
     assert args == ["simulate", "--set", "scenario.duration=240",
                     "--out", "sim.csv"] and not pure
+
+
+def test_json_stdout_difference_is_sized_per_key_path():
+    # two documents one after another, as smallsignal prints them
+    base = (b'{\n  "GFM_FR": {"nadir_hz": 49.7, "t_nadir_s": 10.7},\n'
+            b'  "A": [[1.0, 2.0], [3.0, 4.0]], "status": "ok", "ok": true\n}\n'
+            b'{"lasalle": 0.5}\n')
+    change = (b'{\n  "GFM_FR": {"nadir_hz": 49.75, "t_nadir_s": 10.7},\n'
+              b'  "A": [[1.0, 2.5], [3.0, 3.75]], "status": "no-droop",'
+              b' "ok": false\n}\n{"lasalle": 0.5}\n')
+    assert diff_outputs.size_json_difference(base, change) == [
+        "    largest |change - base|: A 0.5, GFM_FR.nadir_hz 0.05, "
+        "GFM_FR.t_nadir_s 0, ok text, status text, lasalle 0"]
+    # a missing key, a list of another length and NaN are text differences
+    assert diff_outputs.size_json_difference(
+        b'{"a": NaN, "b": [1], "c": 1}', b'{"a": 1, "b": [1, 2]}') == [
+        "    largest |change - base|: a text, b text, c text"]
+
+
+@pytest.mark.parametrize("text", [b"v_w,eta\n8,0.9\n", b"", b'{"a": 1} x'])
+def test_json_difference_not_sized_for_other_text(text):
+    assert diff_outputs.size_json_difference(b'{"a": 1}', text) == \
+        ["    not sized: not JSON"]

@@ -13,7 +13,7 @@ from windgfm.plant import (
 from windgfm._kernel.layout import (
     N_STATES, P_BG, P_BM, P_CDC, P_OMMAX, ROW, STATES,
 )
-from windgfm.aero import cp, tip_speed_ratio
+from windgfm.aero import cp
 
 
 def rk4_step(f, x, t: float, dt: float):
@@ -169,11 +169,12 @@ def test_step_rk4_matches_kernel_simulate(plant, surface):
                                atol=1e-13)
 
 
-def test_event_off_grid_rejected(plant, surface):
-    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
+def test_event_off_grid_rejected():
+    # the scenario rejects it, so every command, simulating or not, does
     load = LoadProfile(base=2.0, events=((30.00031, 0.4),))
-    with pytest.raises(PlantError):
-        simulate(x0, p_arr, Mode.GFM_FR, load, 60.0, 5e-4)
+    with pytest.raises(ValueError, match="events must lie on the grid of dt"):
+        Scenario(load=load, dt=5e-4)
+    Scenario(load=LoadProfile(base=2.0, events=((30.0005, 0.4),)), dt=5e-4)
 
 
 def test_divergence_detected(plant, surface):
@@ -204,9 +205,27 @@ def test_wind_power_pu_consistency(plant, surface):
     # system pu on the aggregate base: n_agg * 0.5 rho pi R^2 * Cp * v^3
     tb = plant.turbine
     p = wind_power_pu(tb, surface, 8.0, 1.1, 0.0)
-    lam = tip_speed_ratio(tb.R, 1.1 * tb.omega_nom, 8.0)
+    lam = tb.R * 1.1 * tb.omega_nom / 8.0
     expect = tb.n_agg * tb.swept_k * cp(surface, lam, 0.0) * 8.0 ** 3
     assert p * plant.network.s_base == pytest.approx(expect, rel=1e-12)
+
+
+def test_equilibrium_p_wt_is_the_kernels(plant, surface):
+    # p_wt0 and the kernel's P_wt at x0 take the same operations: equal bits
+    # over 5-25 m/s, every curtailment and both GFM modes (410 points)
+    no_events = LoadProfile(base=2.0, events=())
+    differ = []
+    for v_w in (5.0 + 0.5 * k for k in range(41)):
+        for eta in (0.7, 0.8, 0.9, 0.95, 1.0):
+            for mode in (Mode.GFM_FR, Mode.GFM_MPPT):
+                sc = Scenario(mode=mode, v_w=v_w, eta=eta, load=no_events)
+                gains = gains_for_scenario(plant, surface, sc).gains
+                x0, p_arr, p_wt0 = find_equilibrium(plant, gains, surface,
+                                                    v_w, no_events, mode)
+                row = simulate(x0, p_arr, mode, no_events, 0.0, sc.dt)[0]
+                if row[ROW.index("P_wt")] != p_wt0:
+                    differ.append((v_w, eta, mode.name))
+    assert differ == []
 
 
 def test_speed_limit_is_the_turbine_omega_max(cfg, surface):

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import windgfm
-from windgfm import aero, cli
+from windgfm import cli
 from windgfm._kernel import _ode_py
 from windgfm._kernel.layout import ROW
 from windgfm.config import DEFAULT_CONFIG, make_plant, make_surface
@@ -47,7 +47,6 @@ def run_pure_kernel() -> None:
 
 
 def test_every_function_is_reached(tmp_path, capsys):
-    aero.find_mpp.cache_clear()
     d = tmp_path
     commands = [
         ["simulate", "--out", f"{d}/sim.csv", "--plot", f"{d}/sim.svg"],

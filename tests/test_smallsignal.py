@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from windgfm import smallsignal as ss
 from windgfm._kernel.layout import ROW
-from windgfm.aero import cp, tip_speed_ratio
+from windgfm.aero import cp
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
 
@@ -60,8 +60,8 @@ def reduced_rhs(model, params, surface, v_w, omega_del, beta_del, k_p):
     def p_wt_dev(om_dev):
         om = (omega_del + om_dev) * params.omega_nom
         beta = max(beta_del + k_p * om_dev, 0.0)
-        lam = tip_speed_ratio(params.R, om, v_w)
-        base = tip_speed_ratio(params.R, omega_del * params.omega_nom, v_w)
+        lam = params.R * om / v_w
+        base = params.R * omega_del * params.omega_nom / v_w
         return scale * (cp(surface, lam, beta) - cp(surface, base, beta_del))
 
     def f(x):

@@ -11,16 +11,18 @@ is staged with its own ``perfbench/build.py`` (compiled kernel, nothing
 written under ``src/``), and the fixed list of ``probes`` runs on both, each
 probe in an empty directory.  A probe's exit code, its stdout and every file
 it writes are compared byte for byte.  For each artefact that differs the
-first differing line is printed, and for a differing CSV file the share of
-its rows that are bit-equal and each column's largest absolute difference;
-the exit status is 1 if any differs, else 0.  ``--keep DIR`` keeps both
-sides' outputs under ``DIR/base`` and ``DIR/change``.
+first differing line is printed; for a differing CSV file the share of its
+rows that are bit-equal and each column's largest absolute difference, and
+for a differing JSON stdout each numeric key path's largest absolute
+difference.  The exit status is 1 if any differs, else 0.  ``--keep DIR``
+keeps both sides' outputs under ``DIR/base`` and ``DIR/change``.
 """
 from __future__ import annotations
 
 import argparse
 import importlib.util
 import itertools
+import json
 import math
 import shutil
 import subprocess
@@ -158,6 +160,57 @@ def size_csv_difference(a: bytes, b: bytes) -> list:
             f"    largest |change - base|: {cols}"]
 
 
+def _json_documents(text: bytes):
+    """The JSON documents of a stdout, written one after another (as
+    smallsignal prints two), or None if it is not such a text."""
+    s, dec = text.decode(errors="replace"), json.JSONDecoder()
+    docs, i = [], 0
+    try:
+        while s[i:].strip():
+            i = len(s) - len(s[i:].lstrip())
+            doc, i = dec.raw_decode(s, i)
+            docs.append(doc)
+    except json.JSONDecodeError:
+        return None
+    return docs or None
+
+
+def _walk(a, b, path: str, largest: dict) -> None:
+    """Record in largest each numeric key path's largest |b - a| (the
+    elements of a list share their list's path), and inf for a path whose
+    values differ otherwise."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{k}" if path else k
+            if k in a and k in b:
+                _walk(a[k], b[k], sub, largest)
+            else:
+                largest[sub] = math.inf
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _walk(x, y, path, largest)
+    elif type(a) in (int, float) and type(b) in (int, float):
+        d = abs(b - a)
+        # a NaN d marks a text difference, as in a CSV cell
+        largest[path] = max(largest.get(path, 0.0), d) if d == d else math.inf
+    elif a != b or type(a) is not type(b):
+        largest[path] = math.inf
+
+
+def size_json_difference(a: bytes, b: bytes) -> list:
+    """A line sizing the difference of two JSON stdouts: each numeric key
+    path's largest absolute difference, "text" for a path whose values
+    differ otherwise (a string, a missing key, a list's length)."""
+    da, db = _json_documents(a), _json_documents(b)
+    if da is None or db is None:
+        return ["    not sized: not JSON"]
+    largest = {}
+    _walk(da, db, "", largest)
+    paths = ", ".join(f"{path or '.'} {f'{d:.3g}' if math.isfinite(d) else 'text'}"
+                      for path, d in largest.items())
+    return [f"    largest |change - base|: {paths}"]
+
+
 def compare_dirs(base: Path, change: Path) -> list:
     """(relative path, what differs) for every file not byte-identical on the
     two sides, including files present on one side only."""
@@ -195,9 +248,13 @@ def main(argv=None) -> int:
         diffs = compare_dirs(out / "base", out / "change")
         for rel, what in diffs:
             print(f"DIFFERS {rel}: {what}")
-            if rel.endswith(".csv") and not what.startswith("missing"):
-                for line in size_csv_difference((out / "base" / rel).read_bytes(),
-                                                (out / "change" / rel).read_bytes()):
+            if what.startswith("missing"):
+                continue
+            size = (size_csv_difference if rel.endswith(".csv") else
+                    size_json_difference if rel.endswith("/stdout") else None)
+            if size:
+                for line in size((out / "base" / rel).read_bytes(),
+                                 (out / "change" / rel).read_bytes()):
                     print(line)
     print(f"{len(probe_list)} probes, {len(diffs)} differing artefacts")
     return 1 if diffs else 0
