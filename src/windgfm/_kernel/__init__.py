@@ -3,7 +3,11 @@
 The compiled kernel is the hand-written C extension ``_ode_cy.c``; it exports
 ``simulate``, ``csv_rows`` and ``BACKEND`` only, and mirrors ``_ode_py``:
 the two ``simulate`` give bit-identical rows and the two ``csv_rows`` the
-same text.  Set WINDGFM_PURE=1 to force the pure-Python kernel and writer.
+same text.  ``csv_rows(columns)`` writes exactly the rows of the columns it
+is given, with no header: ``harness.trace_csv`` yields the header and then
+one ``csv_rows`` per block of ``harness.BLOCK`` rows, so a trace CSV is
+never built whole.  Set WINDGFM_PURE=1 to force the pure-Python kernel and
+writer.
 ``derivative`` is always the pure-Python reference; the equilibrium check
 calls it once per run.
 """

@@ -13,9 +13,12 @@
  * those of the full integration.  A settled tail after a load step can be
  * one too, since the state holds angle differences, not angles.
  *
- * The module also writes the trace CSV (csv_rows): every value as Python's
- * '%.17g' % v, from exact integer arithmetic where it applies and from
- * CPython's own formatter elsewhere.
+ * The module also writes the trace CSV's rows (csv_rows): every value as
+ * Python's '%.17g' % v, from exact integer arithmetic where it applies and
+ * from CPython's own formatter elsewhere.  It formats exactly the rows it is
+ * given, with no header; harness.trace_csv cuts a trace into blocks of
+ * harness.BLOCK rows and calls it once per block, so no text longer than a
+ * block is ever built.
  *
  * Importing the module does not import numpy: the design commands load the
  * package and never call the kernel.  Each entry point loads the numpy C API
@@ -389,7 +392,7 @@ static int g17(double v, char *s)
     return (int)n;
 }
 
-static PyObject *csv_rows(PyObject *self, PyObject *args)
+static PyObject *csv_rows(PyObject *self, PyObject *columns)
 {
     /* per column: the array, and the bits, offset and length of the value
      * last written */
@@ -399,18 +402,13 @@ static PyObject *csv_rows(PyObject *self, PyObject *args)
         Py_ssize_t at;
         int len;
     } Col;
-    PyObject *header, *columns, *seq;
+    PyObject *seq;
     if (PyArray_API == NULL && _import_array() < 0)
         return NULL;
-    if (!PyArg_ParseTuple(args, "UO:csv_rows", &header, &columns))
-        return NULL;
-    if (!PyUnicode_IS_ASCII(header))
-        return PyErr_Format(PyExc_ValueError, "csv_rows expects an ASCII header");
     if (!(seq = PySequence_Fast(columns,
                                 "csv_rows expects a sequence of columns")))
         return NULL;
-    Py_ssize_t nc = PySequence_Fast_GET_SIZE(seq), nr = 0, i, j,
-        nh = PyUnicode_GET_LENGTH(header);
+    Py_ssize_t nc = PySequence_Fast_GET_SIZE(seq), nr = 0, i, j;
     Col *c = PyMem_Calloc(nc ? nc : 1, sizeof *c);
     PyObject *res = NULL;
     if (!c) {
@@ -430,18 +428,17 @@ static PyObject *csv_rows(PyObject *self, PyObject *args)
         nr = PyArray_DIM(c[j].a, 0);
     }
     if (!nr || !nc) {
-        res = Py_NewRef(header);
+        res = PyUnicode_New(0, 0);
         goto done;
     }
-    if (nr > (PY_SSIZE_T_MAX - nh) / nc / (G17_MAX + 1)) {
+    if (nr > PY_SSIZE_T_MAX / nc / (G17_MAX + 1)) {
         PyErr_NoMemory();
         goto done;
     }
     /* one worst-case buffer, written in place and shrunk to fit */
-    if (!(res = PyUnicode_New(nh + nr * nc * (G17_MAX + 1), 127)))
+    if (!(res = PyUnicode_New(nr * nc * (G17_MAX + 1), 127)))
         goto done;
-    char *buf = (char *)PyUnicode_1BYTE_DATA(res), *p = buf + nh;
-    memcpy(buf, PyUnicode_1BYTE_DATA(header), nh);
+    char *buf = (char *)PyUnicode_1BYTE_DATA(res), *p = buf;
     for (i = 0; i < nr; i++)
         for (j = 0; j < nc; j++) {
             Col *cj = c + j;
@@ -477,10 +474,10 @@ static PyMethodDef methods[] = {
      "ev_dp=())\n--\n\nFixed-step RK4 over n_steps; records every `stride` "
      "steps (plus t=0)\nas rows (t, 11 states, P_wt, P_gsc, w_gsc).  Raises "
      "FloatingPointError on\ndivergence (any |state| > 1e6)."},
-    {"csv_rows", csv_rows, METH_VARARGS,
-     "csv_rows(header, columns)\n--\n\nThe ASCII header, then the CSV rows "
-     "of equal-length 1-D float64\ncolumns: each value as '%.17g' % v, "
-     "joined by ',', each row ended by '\\n'."},
+    {"csv_rows", csv_rows, METH_O,
+     "csv_rows(columns)\n--\n\nThe CSV rows of equal-length 1-D float64 "
+     "columns, no header: each\nvalue as '%.17g' % v, joined by ',', each "
+     "row ended by '\\n'."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -15,6 +15,11 @@ from its first event on, and its rows are those of the full integration bit
 for bit.  The state holds angle differences, not angles, so the settled
 tail after a load step can be such a fixed point too.
 
+``csv_rows`` is the pure trace CSV writer: it formats exactly the rows it is
+given, with no header.  ``harness.trace_csv`` cuts a trace into blocks of
+``harness.BLOCK`` rows and calls it once per block, as it does the compiled
+writer.
+
 numpy is imported by the functions that take or return arrays, not by the
 module: the design commands import the package and never run a kernel.
 """
@@ -33,13 +38,6 @@ from .layout import (
 )
 
 BACKEND = "python"
-# Rows csv_rows writes per block: large enough to amortise the per-block
-# numpy calls, small enough that no block-sized copy shows in peak memory.
-# Before the first load step the trace sits on an exact fixed point of the
-# RK4 step (see the module docstring), so there a column holds one value,
-# bit for bit, across whole blocks; such a column is formatted once per
-# block.
-BLOCK = 512
 
 
 def _load(t, base, ev_t, ev_dp):
@@ -182,28 +180,24 @@ def _constant(a) -> bool:
     return bits.min() == bits.max()
 
 
-def csv_rows(header: str, columns) -> str:
-    """The header, then the CSV rows of equal-length 1-D float64 columns:
-    every value written with %.17g, so it reads back bit for bit.  Each
-    block of rows is one %-format of a flat tuple of its varying columns; a
-    block-constant column is formatted once, into the block's row template.
+def csv_rows(columns) -> str:
+    """The CSV rows of equal-length 1-D float64 columns, no header: every
+    value written with %.17g, so it reads back bit for bit.  The rows are one
+    %-format of a flat tuple of the varying columns; a column whose bits are
+    constant over the rows is formatted once, into the row template.
     """
     import numpy as np
     n = len(columns[0]) if len(columns) else 0
-    # One growing buffer, not a list of block strings joined at the end: the
-    # list's freed blocks stay resident and raise the peak RSS.
-    buf = bytearray(header.encode("ascii"))
-    for i in range(0, n, BLOCK):
-        fields, varying = [], []
-        for c in columns:
-            c = c[i:i + BLOCK]
-            if _constant(c):
-                fields.append("%.17g" % float(c[0]))
-            else:
-                fields.append("%.17g")
-                varying.append(c)
-        rows = (",".join(fields) + "\n") * min(BLOCK, n - i)
-        if varying:
-            rows %= tuple(np.column_stack(varying).ravel().tolist())
-        buf += rows.encode()
-    return buf.decode()
+    if not n:
+        return ""
+    fields, varying = [], []
+    for c in columns:
+        if _constant(c):
+            fields.append("%.17g" % float(c[0]))
+        else:
+            fields.append("%.17g")
+            varying.append(c)
+    rows = (",".join(fields) + "\n") * n
+    if varying:
+        rows %= tuple(np.column_stack(varying).ravel().tolist())
+    return rows

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import _kernel, curtailment, gaindesign, plotting
@@ -36,11 +37,12 @@ class OutputError(Exception):
     pass
 
 
-def _write(path: str, text: str) -> None:
-    """Write text to the output file path; OutputError if it cannot."""
+def _write(path: str, parts) -> None:
+    """Write the str parts, in order, to the output file path; OutputError
+    if it cannot."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as e:
         raise OutputError(f"cannot write {path}: {e.strerror or e}") from e
 
@@ -51,13 +53,13 @@ def cmd_simulate(args) -> int:
     res = harness.run_from_config(cfg)
     t_ev = res.scenario.load.events[0][0] if res.scenario.load.events else None
     if args.out:
-        _write(args.out, harness.trace_to_csv(res.trace))
+        _write(args.out, harness.trace_csv(res.trace))
     if t_ev is not None:
         metrics = harness.compute_metrics(res.trace, t_ev,
                                           f_base=cfg["network"]["f_hz"])
         print(harness.metrics_to_json({res.scenario.mode.name: metrics}))
     if args.plot:
-        _write(args.plot, plotting.trace_svg(res.trace))
+        _write(args.plot, (plotting.trace_svg(res.trace),))
     return 0
 
 
@@ -75,9 +77,9 @@ def cmd_compare(args) -> int:
     if args.out:
         stem = args.out[:-4] if args.out.endswith(".csv") else args.out
         for name, res in rep.results.items():
-            _write(f"{stem}_{name}.csv", harness.trace_to_csv(res.trace))
+            _write(f"{stem}_{name}.csv", harness.trace_csv(res.trace))
     if args.plot:
-        _write(args.plot, plotting.trace_svg(rep.results["GFM_FR"].trace))
+        _write(args.plot, (plotting.trace_svg(rep.results["GFM_FR"].trace),))
     return 0
 
 
@@ -86,7 +88,7 @@ def cmd_deload_table(args) -> int:
     table = curtailment.build_table(make_turbine(cfg), make_surface(cfg))
     text = curtailment.table_to_csv(table)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, (text,))
     else:
         sys.stdout.write(text)
     return 0
@@ -124,11 +126,11 @@ def cmd_droop_map(args) -> int:
     m, status = gaindesign.droop_map(turbine, surface, v_grid, eta_grid, spec)
     text = gaindesign.droop_map_to_csv(v_grid, eta_grid, m, status)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, (text,))
     else:
         sys.stdout.write(text)
     if args.plot:
-        _write(args.plot, plotting.heatmap_svg(v_grid, eta_grid, m))
+        _write(args.plot, (plotting.heatmap_svg(v_grid, eta_grid, m),))
     return 0
 
 
@@ -177,6 +179,21 @@ def main(argv=None) -> int:
     for name, (_, outputs) in COMMANDS.items():
         _add_arguments(subs.add_parser(name), outputs)
     args = parser.parse_args(argv)
+    try:
+        rc = _run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # fd 1 to /dev/null, so that the flush at exit cannot raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        print("output error: stdout closed", file=sys.stderr)
+        return 3
+    return rc
+
+
+def _run(args) -> int:
+    """Run the parsed command; its exit code."""
     command, _ = COMMANDS[args.command]
     try:
         if args.command not in ARRAY_COMMANDS:

@@ -28,6 +28,13 @@ TRACE_COLUMNS = ("t", "f_g", "f_gsc", "v_dc", "omega_r", "beta",
 DROOP_DP_FLOOR = 1e-4
 # Window (s) of the frequency difference a RoCoF is measured over.
 ROCOF_WINDOW = 0.1
+# Rows of a trace CSV formatted per writer call: enough to amortise the
+# call's numpy work, few enough that a block's text (about 85 kB) never shows
+# in peak memory.  Before the first load step the trace sits on an exact
+# fixed point of the RK4 step, so a column there holds one value, bit for
+# bit, across whole blocks; the pure writer formats such a column once per
+# block.
+BLOCK = 512
 
 @dataclass(frozen=True)
 class SimTrace:
@@ -197,12 +204,19 @@ def compare_modes(plant: PlantParams, surface: CpSurface,
     return ModeComparison(metrics=metrics, results=results)
 
 
+def trace_csv(trace: SimTrace):
+    """The CSV text of a trace in parts: the header, then the rows of each
+    block of BLOCK rows.  Every value is written with %.17g, so it reads
+    back bit for bit."""
+    yield ",".join(TRACE_COLUMNS) + "\n"
+    cols = [trace.column(c) for c in TRACE_COLUMNS]
+    for i in range(0, trace.t.size, BLOCK):
+        yield _kernel.csv_rows([c[i:i + BLOCK] for c in cols])
+
+
 def trace_to_csv(trace: SimTrace) -> str:
-    """CSV text of a trace; every value is written with %.17g, so it reads
-    back bit for bit.  The header goes to the writer, which builds the text
-    in one buffer: a header + rows concatenation would copy it."""
-    return _kernel.csv_rows(",".join(TRACE_COLUMNS) + "\n",
-                            [trace.column(c) for c in TRACE_COLUMNS])
+    """The CSV text of a trace, whole."""
+    return "".join(trace_csv(trace))
 
 
 def metrics_to_json(metrics: dict) -> str:

@@ -401,12 +401,13 @@ def test_any_single_override_keeps_exit_contract_on_the_pure_kernel(key, value):
         check_overrides("simulate", [(key, value)])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(overrides=st.lists(st.tuples(OVERRIDE_KEYS, OVERRIDE_VALUES),
                           min_size=2, max_size=2),
-       command=st.sampled_from(["gain-design", "simulate"]))
+       command=st.sampled_from(["gain-design", "simulate", "compare",
+                                "smallsignal"]))
 def test_any_two_overrides_keep_exit_contract(overrides, command):
-    if command == "simulate":
+    if command in ("simulate", "compare"):
         assume(fuzz_steps(overrides) <= FUZZ_MAX_STEPS)
     check_overrides(command, overrides)
 
@@ -423,6 +424,18 @@ def test_pure_kernel_divergence_is_a_simulation_failure(capsys):
         "simulation failure: state 0 diverged at t=1.000500\n"
 
 
+def staged_env(tmp_path, kernel_build) -> dict:
+    """The environment of a child interpreter that imports a copy of the
+    package under tmp_path, with the session's compiled kernel if any."""
+    mod, _ = kernel_build
+    pkg = tmp_path / "windgfm"
+    shutil.copytree(Path(windgfm.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if mod is not None:
+        shutil.copy(mod.__file__, pkg / "_kernel")
+    return dict(os.environ, PYTHONPATH=str(tmp_path))
+
+
 @pytest.mark.parametrize("argv", [
     ["deload-table", "--out", "table.csv"],
     ["droop-map", "--out", "map.csv", "--plot", "map.svg"],
@@ -430,19 +443,31 @@ def test_pure_kernel_divergence_is_a_simulation_failure(capsys):
 def test_design_commands_do_not_import_numpy(tmp_path, kernel_build, argv):
     # importing numpy took about half of a design command's run time
     mod, _ = kernel_build
-    pkg = tmp_path / "windgfm"
-    shutil.copytree(Path(windgfm.__file__).parent, pkg,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    if mod is not None:
-        shutil.copy(mod.__file__, pkg / "_kernel")
+    env = staged_env(tmp_path, kernel_build)
     want = "python" if mod is None or os.environ.get("WINDGFM_PURE") else mod.BACKEND
     code = ("import sys, windgfm; from windgfm.cli import main; "
             "print(windgfm.KERNEL_BACKEND, 'numpy' in sys.modules); "
             "assert main(sys.argv[1:]) == 0; "
             "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-                          capture_output=True, text=True, check=True)
+                          env=env, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert lines[0] == f"{want} False"
     assert lines[-1] == "False"
+
+
+# compare on FAST, not SHORT_RUN: a 3 s run fails its checks (exit 2)
+# before compare prints
+@pytest.mark.parametrize("argv", [
+    ["smallsignal"], ["gain-design"], ["deload-table"], ["compare", *FAST]],
+    ids=lambda argv: argv[0])
+def test_closed_stdout_is_an_output_error(tmp_path, kernel_build, argv):
+    # smallsignal | head -1 exited 1 with a BrokenPipeError traceback
+    code = "import sys; from windgfm.cli import main; sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                            env=staged_env(tmp_path, kernel_build),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child writes anything
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 3
+    assert err == "output error: stdout closed\n"

@@ -1,6 +1,7 @@
 """The two trace CSV writers: the compiled csv_rows formats with exact
-integer arithmetic, the pure one with blocks of Python %-formats.  Both
-must write every value exactly as '%.17g' % v, and so the same text."""
+integer arithmetic, the pure one with a Python %-format.  Both must write
+every value of the rows they are given exactly as '%.17g' % v, and so the
+same text."""
 import math
 import struct
 
@@ -69,28 +70,23 @@ def power_of_ten_neighbourhoods() -> np.ndarray:
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=tables(), reverse=st.booleans(),
-       header=st.sampled_from(["", "a,b\n"]))
-@example(table=np.array([[0.0], [-0.0], [-0.0], [0.0], [0.0]]), reverse=False,
-         header="")
+@given(table=tables(), reverse=st.booleans())
+@example(table=np.array([[0.0], [-0.0], [-0.0], [0.0], [0.0]]), reverse=False)
 @example(table=np.array([[1234567890123456.25, 0.0001, 9.9999999999999999e-5],
-                         [1e-16, 1e17, 99999999999999984.0]]), reverse=False,
-         header="")
-@example(table=power_of_ten_neighbourhoods(), reverse=False, header="")
-@example(table=np.zeros((0, 3)), reverse=False, header="a,b,c\n")
-def test_writers_match_percent_17g(ode_cy, table, reverse, header):
+                         [1e-16, 1e17, 99999999999999984.0]]), reverse=False)
+@example(table=power_of_ten_neighbourhoods(), reverse=False)
+@example(table=np.zeros((0, 3)), reverse=False)
+def test_writers_match_percent_17g(ode_cy, table, reverse):
     # columns are strided views into the table, read in place
     rows = table[::-1] if reverse else table
     columns = [rows[:, j] for j in range(rows.shape[1])]
-    want = header + oracle(columns)
-    assert _ode_py.csv_rows(header, columns) == want
-    assert ode_cy.csv_rows(header, columns) == want
+    want = oracle(columns)
+    assert _ode_py.csv_rows(columns) == want
+    assert ode_cy.csv_rows(columns) == want
 
 
-def test_compiled_writer_rejects_bad_columns_and_header(ode_cy):
+def test_compiled_writer_rejects_bad_columns(ode_cy):
     with pytest.raises(ValueError, match="equal length"):
-        ode_cy.csv_rows("", [np.zeros(3), np.zeros(4)])
+        ode_cy.csv_rows([np.zeros(3), np.zeros(4)])
     with pytest.raises(ValueError):
-        ode_cy.csv_rows("", [np.zeros((2, 2))])
-    with pytest.raises(ValueError, match="ASCII"):
-        ode_cy.csv_rows("\u03b2\n", [np.zeros(3)])
+        ode_cy.csv_rows([np.zeros((2, 2))])

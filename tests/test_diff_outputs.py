@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,24 @@ def test_json_stdout_difference_is_sized_per_key_path():
 def test_json_difference_not_sized_for_other_text(text):
     assert diff_outputs.size_json_difference(b'{"a": 1}', text) == \
         ["    not sized: not JSON"]
+
+
+def test_child_peak_rss_is_recorded(tmp_path):
+    # a child that holds 40 MB and exits with 5
+    code = "b = bytearray(40 << 20); print('held'); raise SystemExit(5)"
+    with open(tmp_path / "stdout", "wb") as out:
+        rc, rss = diff_outputs.run_child([sys.executable, "-c", code],
+                                         tmp_path, None, out)
+    assert rc == 5
+    assert (tmp_path / "stdout").read_bytes() == b"held\n"
+    assert 40 < rss < 400
+
+
+def test_probe_lines_give_verdict_and_peak_rss():
+    diffs = [("compare/files/cmp_GFM_FR.csv", "line 2: ..."),
+             ("compare/stdout", "line 3: ...")]
+    assert diff_outputs.probe_lines({"simulate": 67.125, "compare": 50.0},
+                                    {"simulate": 55.25, "compare": 50.0},
+                                    diffs) == [
+        "simulate: identical; peak RSS 67.1 -> 55.2 MB (-17.7%)",
+        "compare: 2 differing; peak RSS 50.0 -> 50.0 MB (+0.0%)"]

@@ -1,19 +1,21 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windgfm import aero, harness
-from windgfm._kernel._ode_py import BLOCK
+from windgfm import _kernel, aero, cli, harness
+from windgfm._kernel import _ode_py
 from windgfm._kernel.layout import ROW
 from windgfm.control import pd_filter_realization
 from windgfm.harness import (
-    HarnessAssertionError, Scenario, SimTrace, compute_metrics,
-    gains_for_scenario, run_scenario, scenario_from_config, trace_to_csv,
+    BLOCK, HarnessAssertionError, Scenario, SimTrace, compute_metrics,
+    gains_for_scenario, run_scenario, scenario_from_config, trace_csv,
+    trace_to_csv,
 )
 from windgfm.plant import (
     MAX_STEPS, LoadProfile, Mode, find_equilibrium, simulate,
@@ -158,6 +160,64 @@ def test_trace_csv_block_constant_columns_match_per_row_writer(n, pool, order,
     tr = SimTrace(**{name.lower(): makers[order[k]]()
                      for k, name in enumerate(harness.TRACE_COLUMNS)})
     assert_same_text(trace_to_csv(tr), per_row_csv(tr))
+
+
+@pytest.fixture(params=["python", "compiled"])
+def writer(request, monkeypatch):
+    """Each CSV writer in turn in place of the session's."""
+    mod = (_ode_py if request.param == "python"
+           else request.getfixturevalue("ode_cy"))
+    monkeypatch.setattr(_kernel, "csv_rows", mod.csv_rows)
+
+
+def trace_of(columns) -> SimTrace:
+    return SimTrace(**{name.lower(): np.asarray(c, dtype=float)
+                       for name, c in zip(harness.TRACE_COLUMNS, columns)})
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 1])
+def test_trace_csv_is_the_header_then_one_part_per_block(writer, n):
+    rng = np.random.default_rng(n)
+    values = np.array(CSV_SPECIALS + [0.0, 2.5])
+    tr = trace_of([block_runs(rng, n, values) if n else []
+                   for _ in harness.TRACE_COLUMNS])
+    parts = list(trace_csv(tr))
+    assert parts[0] == ",".join(harness.TRACE_COLUMNS) + "\n"
+    assert [p.count("\n") for p in parts[1:]] == \
+        [min(BLOCK, n - i) for i in range(0, n, BLOCK)]
+    assert "".join(parts) == trace_to_csv(tr)
+    assert_same_text(trace_to_csv(tr), per_row_csv(tr))
+
+
+@pytest.mark.parametrize("last, first", [(2.5, 2.5), (0.0, -0.0),
+                                         (-0.0, 0.0)])
+def test_trace_csv_across_a_block_boundary(writer, last, first):
+    # the last row of one block and the first of the next: the compiled
+    # writer copies a value repeated from the previous row's text, the pure
+    # one formats a block-constant column once, and -0.0 == 0.0
+    n = 2 * BLOCK
+    ramp = np.arange(n) * 0.125
+    ramp[BLOCK - 1], ramp[BLOCK] = last, first
+    steps = np.where(np.arange(n) < BLOCK, last, first)
+    tr = trace_of([ramp, steps] * 4 + [ramp[::-1]])
+    assert_same_text(trace_to_csv(tr), per_row_csv(tr))
+
+
+def test_trace_csv_write_streams(writer, cfg, tmp_path):
+    # the default 60 s trace's CSV is 7.7 MB; written a block at a time, it
+    # never stands whole in memory, as text or as encoded bytes
+    trace = harness.run_from_config(cfg, check=False).trace
+    out = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        cli._write(str(out), trace_csv(trace))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 7e6
+    assert peak < 1e6
+    assert out.read_text() == trace_to_csv(trace)
 
 
 def short_run(plant, surface, mode, v_w):

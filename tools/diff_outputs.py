@@ -14,8 +14,12 @@ it writes are compared byte for byte.  For each artefact that differs the
 first differing line is printed; for a differing CSV file the share of its
 rows that are bit-equal and each column's largest absolute difference, and
 for a differing JSON stdout each numeric key path's largest absolute
-difference.  The exit status is 1 if any differs, else 0.  ``--keep DIR``
-keeps both sides' outputs under ``DIR/base`` and ``DIR/change``.
+difference.  Each probe's line then gives its verdict ("identical" or the
+number of its differing artefacts) beside its child's peak resident set on
+both sides (``ru_maxrss`` from ``os.wait4``), so that a memory change shows
+without the benchmark.  The exit status is 1 if any artefact differs, else
+0.  ``--keep DIR`` keeps both sides' outputs under ``DIR/base`` and
+``DIR/change``.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -88,21 +93,45 @@ def load_build(side: Path, name: str):
     return mod
 
 
-def run_probes(side: Path, name: str, out: Path, cli: str, probe_list: dict) -> None:
+def run_child(argv: list, cwd: Path, env: dict, stdout) -> tuple:
+    """Run argv to its end with its stdout into the open file stdout and its
+    stderr dropped: (exit code, the child's peak resident set in MB)."""
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=stdout,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024
+
+
+def run_probes(side: Path, name: str, out: Path, cli: str, probe_list: dict) -> dict:
     """Run every probe on one side with ``python -c cli ARGS``; probe P
     leaves ``out/P/exit_code``, ``out/P/stdout`` and the files it wrote
-    under ``out/P/files``."""
+    under ``out/P/files``.  Returns probe -> peak RSS (MB)."""
     build = load_build(side, name)
     stage = build.ensure_stage()
+    rss = {}
     for probe, (args, pure) in probe_list.items():
         files = out / probe / "files"
         files.mkdir(parents=True)
-        proc = subprocess.run([sys.executable, "-c", cli, *args], cwd=files,
-                              env=build.child_env(stage, pure),
-                              capture_output=True)
-        (out / probe / "exit_code").write_text(f"{proc.returncode}\n")
-        (out / probe / "stdout").write_bytes(proc.stdout)
-        print(f"{name} {probe}: exit {proc.returncode}", file=sys.stderr)
+        with open(out / probe / "stdout", "wb") as stdout:
+            code, rss[probe] = run_child([sys.executable, "-c", cli, *args],
+                                         files, build.child_env(stage, pure),
+                                         stdout)
+        (out / probe / "exit_code").write_text(f"{code}\n")
+        print(f"{name} {probe}: exit {code}", file=sys.stderr)
+    return rss
+
+
+def probe_lines(rss_base: dict, rss_change: dict, diffs: list) -> list:
+    """One line per probe: its verdict and its peak RSS on both sides."""
+    lines = []
+    for probe, a in rss_base.items():
+        b = rss_change[probe]
+        n = sum(rel.startswith(f"{probe}/") for rel, _ in diffs)
+        verdict = f"{n} differing" if n else "identical"
+        lines.append(f"{probe}: {verdict}; peak RSS {a:.1f} -> {b:.1f} MB "
+                     f"({100 * (b - a) / a:+.1f}%)")
+    return lines
 
 
 def _files(root: Path) -> set:
@@ -243,8 +272,10 @@ def main(argv=None) -> int:
         out = args.keep or tmp / "out"
         for side in ("base", "change"):
             shutil.rmtree(out / side, ignore_errors=True)
-        run_probes(base_tree, "base", out / "base", workloads.CLI, probe_list)
-        run_probes(ROOT, "change", out / "change", workloads.CLI, probe_list)
+        rss_base = run_probes(base_tree, "base", out / "base", workloads.CLI,
+                              probe_list)
+        rss_change = run_probes(ROOT, "change", out / "change", workloads.CLI,
+                                probe_list)
         diffs = compare_dirs(out / "base", out / "change")
         for rel, what in diffs:
             print(f"DIFFERS {rel}: {what}")
@@ -256,6 +287,8 @@ def main(argv=None) -> int:
                 for line in size((out / "base" / rel).read_bytes(),
                                  (out / "change" / rel).read_bytes()):
                     print(line)
+    for line in probe_lines(rss_base, rss_change, diffs):
+        print(line)
     print(f"{len(probe_list)} probes, {len(diffs)} differing artefacts")
     return 1 if diffs else 0
 
