@@ -100,17 +100,15 @@ def cmd_gain_design(args) -> int:
     surface = make_surface(cfg)
     d = gains_for_scenario(plant, surface, scenario_from_config(cfg))
     out = {
-        "v_w": float(d.v_w), "eta": float(d.eta), "status": d.status,
-        "m_p": None if math.isinf(d.m_p) else float(d.m_p),
-        "omega_del_pu": float(d.omega_del), "beta_del_deg": float(d.beta_del),
-        "omega_mpp_pu": float(d.omega_mpp), "k_wr": float(d.k_wr),
-        "k_b": float(d.k_b),
-        "k_theta_gsc": float(d.gains.gsc.k_theta),
-        "k_d_gsc": float(d.gains.gsc.k_d),
-        "k_theta_msc": float(d.gains.msc.k_theta),
-        "k_d_msc": float(d.gains.msc.k_d),
-        "k_p": float(d.gains.pitch.k_p),
-        "theorem1_ratio_ok": bool(d.gains.theorem1_ratio_ok),
+        "v_w": d.v_w, "eta": d.eta, "status": d.status,
+        "m_p": None if math.isinf(d.m_p) else d.m_p,
+        "omega_del_pu": d.gains.omega_del,
+        "beta_del_deg": d.gains.pitch.beta_del,
+        "omega_mpp_pu": d.omega_mpp, "k_wr": d.k_wr, "k_b": d.k_b,
+        "k_theta_gsc": d.gains.gsc.k_theta, "k_d_gsc": d.gains.gsc.k_d,
+        "k_theta_msc": d.gains.msc.k_theta, "k_d_msc": d.gains.msc.k_d,
+        "k_p": d.gains.pitch.k_p,
+        "theorem1_ratio_ok": d.gains.theorem1_ratio_ok,
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
@@ -142,8 +140,8 @@ def cmd_smallsignal(args) -> int:
     design = gains_for_scenario(plant, surface, scenario_from_config(cfg))
     model = smallsignal.model_from_params(plant, design.gains, design.k_wr,
                                           design.k_b)
-    print(smallsignal.model_to_json(model))
     lam, stable = smallsignal.stability_verdict(model)
+    print(smallsignal.model_to_json(model, lam, stable))
     rep = smallsignal.lasalle_verify(model)
     print(json.dumps({"lasalle_max_eig_S": rep.max_eig_S,
                       "lasalle_certified": rep.certified,

@@ -7,7 +7,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .aero import CpSurface, TurbineParams
 from .gaindesign import PRESETS, DesignSpec, GainDesign, design_gains, mppt_gains
@@ -28,31 +28,6 @@ class ConfigError(ValueError):
 
 class HarnessAssertionError(AssertionError):
     pass
-
-
-DEFAULT_CONFIG = {
-    "turbine": {
-        "rho": 1.225, "R": 63.0, "J_wt": 35.328e6, "omega_nom": 1.37,
-        "omega_max": 1.2, "P_rated": 5e6, "n_agg": 10,
-    },
-    "sg": {
-        "h_g": 4.0, "t_g": 0.5, "droop": 0.05, "rating": 210e6,
-    },
-    "network": {
-        "b_g": 100.0, "b_msc": 5.0, "c_dc": 0.3999435264,
-        "s_base": 50e6, "f_hz": 50.0,
-    },
-    "control": {
-        "preset": "table3",
-        "d_omega_max": None, "d_v_max": 0.02, "msc_floor": 1.0,
-        "target_droop": None, "k_d_gsc": 0.0067, "t_dc": 0.005,
-    },
-    "scenario": {
-        "mode": "GFM_FR", "v_w": 8.0, "eta": 0.9,
-        "base_load": 2.0, "events": [[30.0, 0.4]],
-        "duration": 60.0, "dt": 5e-4, "sample_dt": 1e-3,
-    },
-}
 
 
 def load_config(path: str | None) -> dict:
@@ -155,7 +130,7 @@ def make_design_spec(cfg: dict) -> DesignSpec:
         raise ConfigError(f"control.preset must be one of "
                           f"{', '.join(PRESETS)}, got {preset!r}")
     if c["d_omega_max"] is None:
-        c["d_omega_max"] = PRESETS[preset].d_omega_max
+        c["d_omega_max"] = PRESETS[preset]
     return build("control", DesignSpec, **c)
 
 
@@ -221,6 +196,26 @@ class Scenario:
         """Time of the trace's last row, as the kernel computes it."""
         n_steps, stride = sample_grid(self.duration, self.dt, self.sample_dt)
         return n_steps // stride * stride * self.dt
+
+
+# Each section's defaults are the field defaults of the class it builds.
+# control.d_omega_max is null for "the preset's"; scenario.mode is the
+# Mode's name and scenario.events a list of [t, dP] lists, as in JSON.
+DEFAULT_CONFIG = {
+    **{name: {f.name: f.default for f in fields(cls)}
+       for name, cls in (("turbine", TurbineParams), ("sg", SgParams),
+                         ("network", NetworkParams))},
+    "control": {"preset": "table3",
+                **{f.name: f.default for f in fields(DesignSpec)},
+                "d_omega_max": None},
+    "scenario": {
+        "mode": Scenario.mode.name, "v_w": Scenario.v_w, "eta": Scenario.eta,
+        "base_load": Scenario.load.base,
+        "events": [list(ev) for ev in Scenario.load.events],
+        "duration": Scenario.duration, "dt": Scenario.dt,
+        "sample_dt": Scenario.sample_dt,
+    },
+}
 
 
 def scenario_from_config(cfg: dict) -> Scenario:

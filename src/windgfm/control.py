@@ -45,8 +45,8 @@ class ControlGains:
     gsc: ConverterGains
     msc: ConverterGains
     pitch: PitchGains
+    t_dc: float             # s, DC-filter time constant of both converters
     omega_del: float = 1.0  # pu, MSC (rotor) frequency setpoint
-    t_dc: float = 0.005     # s, DC-filter time constant of both converters
 
     def __post_init__(self):
         if not self.t_dc > 0:

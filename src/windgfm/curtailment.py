@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .aero import (CpSurface, DesignError, TurbineParams, arange, cp, find_mpp,
                    require_finite)
+from .control import PitchGains
 
 
 class CurtailmentError(DesignError):
@@ -19,7 +20,6 @@ class DeloadPoint:
     lam_del: float      # tip-speed ratio at the deloaded point
     omega_del: float    # pu of omega_nom
     beta_del: float     # degrees
-    p_wt_del: float     # pu of P_rated (one turbine)
     omega_mpp: float    # pu, lam_mpp / lam_per_pu(v_w), not capped
 
     def __post_init__(self):
@@ -28,8 +28,6 @@ class DeloadPoint:
 
 @dataclass(frozen=True)
 class DeloadTable:
-    v_grid: list
-    eta_grid: list
     points: tuple  # row-major (v, eta) tuple of DeloadPoint
 
 
@@ -56,13 +54,15 @@ def _bisect(f, lo: float, hi: float) -> float:
 
 def solve_pitch_deload(surface: CpSurface, lam_capped: float, eta: float,
                        target_cp: float) -> float:
-    """beta_del in [0, 30] with Cp(lam_capped, beta_del) = eta * target_cp."""
+    """beta_del in the servo's range [beta_min, beta_max] with
+    Cp(lam_capped, beta_del) = eta * target_cp."""
+    lo, hi = PitchGains.beta_min, PitchGains.beta_max
     goal = eta * target_cp
-    if cp(surface, lam_capped, 0.0) <= goal:
-        return 0.0
-    if cp(surface, lam_capped, 30.0) > goal:
-        raise CurtailmentError("target below reach even at beta = 30 deg")
-    return _bisect(lambda b: cp(surface, lam_capped, b) - goal, 0.0, 30.0)
+    if cp(surface, lam_capped, lo) <= goal:
+        return lo
+    if cp(surface, lam_capped, hi) > goal:
+        raise CurtailmentError(f"target below reach even at beta = {hi:g} deg")
+    return _bisect(lambda b: cp(surface, lam_capped, b) - goal, lo, hi)
 
 
 def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
@@ -89,8 +89,7 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
         lam_del = lam_cap
         beta = solve_pitch_deload(surface, lam_cap, eta, target_cp)
     return DeloadPoint(v_w=v_w, eta=eta, lam_del=lam_del, omega_del=om,
-                       beta_del=beta, p_wt_del=scale * cp(surface, lam_del, beta),
-                       omega_mpp=lam_mpp / lam_c)
+                       beta_del=beta, omega_mpp=lam_mpp / lam_c)
 
 
 def solve_speed_deload_target(surface: CpSurface, target: float,
@@ -109,11 +108,9 @@ def build_table(params: TurbineParams, surface: CpSurface,
         v_grid = arange(4.0, 14.01, 0.5)
     if eta_grid is None:
         eta_grid = arange(0.70, 1.001, 0.05)
-    v_grid = [float(v) for v in v_grid]
-    eta_grid = [float(e) for e in eta_grid]
-    pts = tuple(deload_point(params, surface, v, e)
-                for v in v_grid for e in eta_grid)
-    return DeloadTable(v_grid=v_grid, eta_grid=eta_grid, points=pts)
+    return DeloadTable(points=tuple(
+        deload_point(params, surface, float(v), float(e))
+        for v in v_grid for e in eta_grid))
 
 
 def table_to_csv(table: DeloadTable) -> str:

@@ -15,9 +15,14 @@ class ZeroStiffnessError(DesignError):
     pass
 
 
+# d_omega_max (pu) per published operating assumption
+PRESETS = {"table3": 0.01, "fig7": 0.005}
+
+
 @dataclass(frozen=True)
 class DesignSpec:
-    d_omega_max: float = 0.01   # pu, largest expected grid-frequency deviation
+    # pu, largest expected grid-frequency deviation
+    d_omega_max: float = PRESETS["table3"]
     d_v_max: float = 0.02       # pu, allowed DC-voltage excursion
     msc_floor: float = 1.0      # pu, MSC gain floor when headroom vanishes
     target_droop: float | None = None  # pu, optional feasibility target
@@ -37,11 +42,6 @@ class DesignSpec:
                              "positive")
 
 
-# presets per the two published operating assumptions
-PRESETS = {"table3": DesignSpec(d_omega_max=0.01),
-           "fig7": DesignSpec(d_omega_max=0.005)}
-
-
 @dataclass(frozen=True)
 class GainDesign:
     v_w: float
@@ -50,8 +50,6 @@ class GainDesign:
     m_p: float              # pu droop (inf when no steady-state response)
     k_wr: float
     k_b: float
-    omega_del: float
-    beta_del: float
     omega_mpp: float
     status: str             # "ok" | "no-droop" | "infeasible"
 
@@ -119,8 +117,7 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         pitch=PitchGains(k_p=k_p, beta_del=pt.beta_del),
         omega_del=pt.omega_del, t_dc=spec.t_dc)
     return GainDesign(v_w=v_w, eta=eta, gains=gains, m_p=m_p, k_wr=k_wr,
-                      k_b=k_b, omega_del=pt.omega_del, beta_del=pt.beta_del,
-                      omega_mpp=pt.omega_mpp, status=status)
+                      k_b=k_b, omega_mpp=pt.omega_mpp, status=status)
 
 
 def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
@@ -135,8 +132,7 @@ def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         pitch=PitchGains(k_p=0.0, beta_del=pt.beta_del),
         omega_del=pt.omega_del, t_dc=spec.t_dc)
     return GainDesign(v_w=v_w, eta=1.0, gains=gains, m_p=math.inf, k_wr=0.0,
-                      k_b=0.0, omega_del=pt.omega_del, beta_del=pt.beta_del,
-                      omega_mpp=pt.omega_mpp, status="no-droop")
+                      k_b=0.0, omega_mpp=pt.omega_mpp, status="no-droop")
 
 
 def droop_map(params: TurbineParams, surface: CpSurface, v_grid, eta_grid,

@@ -154,7 +154,7 @@ def run_checks(result: RunResult) -> None:
 
 
 def compute_metrics(trace: SimTrace, t_event: float,
-                    f_base: float = 50.0) -> FrequencyMetrics:
+                    f_base: float) -> FrequencyMetrics:
     if trace.t[-1] < t_event + SETTLE_WINDOW:
         raise ValueError("trace too short for metrics")
     pre = trace.t < t_event

@@ -159,7 +159,7 @@ def closed_loop_derivative(x, t: float, p_arr: np.ndarray, mode: Mode,
 
 def find_equilibrium(plant: PlantParams, gains: ControlGains,
                      surface: CpSurface, v_w: float, load: LoadProfile,
-                     mode: Mode = Mode.GFM_FR) -> tuple[np.ndarray, np.ndarray, float]:
+                     mode: Mode) -> tuple[np.ndarray, np.ndarray, float]:
     """Pre-disturbance equilibrium (state, packed params, initial WT power).
 
     The algebraic solution (rho = arcsin(P/b) on both links, v_dc = 1,
@@ -202,7 +202,7 @@ def sample_grid(duration: float, dt: float, sample_dt: float) -> tuple[int, int]
 
 
 def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
-             duration: float, dt: float, sample_dt: float = 1e-3) -> np.ndarray:
+             duration: float, dt: float, sample_dt: float) -> np.ndarray:
     """Integrate with the active kernel; rows are layout.ROW: t, the
     states, then P_wt, P_gsc and w_gsc taken at the row's state."""
     import numpy as np

@@ -160,8 +160,9 @@ def lasalle_verify(model: SmallSignalModel) -> LaSalleReport:
         m_positive_definite=bool(eigM.min() > 0))
 
 
-def model_to_json(model: SmallSignalModel) -> str:
-    lam, stable = stability_verdict(model)
+def model_to_json(model: SmallSignalModel, lam: np.ndarray,
+                  stable: bool) -> str:
+    """The model's JSON, with stability_verdict's (lam, stable)."""
     return json.dumps({
         "labels": list(model.labels),
         "T": model.T.tolist(),

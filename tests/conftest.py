@@ -20,20 +20,15 @@ CFLAGS = ["-O3", "-fPIC", "-shared", "-DNDEBUG", "-ffp-contract=off"]
 NO_CC = "no C compiler found"
 
 
-@pytest.fixture(scope="session")
-def kernel_build(tmp_path_factory):
-    """(compiled kernel module, None) or (None, why it is missing).
-
-    The built extension if one is installed, else _ode_cy.c compiled with
-    the system C compiler into a temp dir (never under src/)."""
-    if _kernel.impl is not _ode_py:
-        return _kernel.impl, None
+def compile_kernel(out_dir: Path, *flags):
+    """(module, None) of _ode_cy.c compiled with the system C compiler and
+    the extra flags into out_dir (never under src/), or (None, why not)."""
     cc = shutil.which(os.environ.get("CC", "cc"))
     if cc is None:
         return None, NO_CC
-    so = tmp_path_factory.mktemp("kernel") / (
-        "_ode_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    proc = subprocess.run([cc, *CFLAGS, f"-I{sysconfig.get_paths()['include']}",
+    so = out_dir / ("_ode_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run([cc, *CFLAGS, *flags,
+                           f"-I{sysconfig.get_paths()['include']}",
                            f"-I{np.get_include()}", str(KERNEL_C), "-o", str(so)],
                           capture_output=True, text=True)
     if proc.returncode:
@@ -42,6 +37,36 @@ def kernel_build(tmp_path_factory):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod, None
+
+
+def compiled_or_skip(mod, why):
+    """mod; the test skips where no C compiler is found and fails where
+    the build failed."""
+    if why == NO_CC:
+        pytest.skip(why)
+    if mod is None:
+        pytest.fail(why, pytrace=False)
+    return mod
+
+
+@pytest.fixture(scope="session")
+def kernel_build(tmp_path_factory):
+    """(compiled kernel module, None) or (None, why it is missing).
+
+    The built extension if one is installed, else _ode_cy.c compiled into
+    a temp dir."""
+    if _kernel.impl is not _ode_py:
+        return _kernel.impl, None
+    return compile_kernel(tmp_path_factory.mktemp("kernel"))
+
+
+@pytest.fixture(scope="session")
+def kernel_without_int128(tmp_path_factory):
+    """_ode_cy.c compiled as for a C compiler without unsigned __int128: its
+    CSV writer formats every value with PyOS_double_to_string."""
+    return compiled_or_skip(*compile_kernel(
+        tmp_path_factory.mktemp("kernel_without_int128"),
+        "-U__SIZEOF_INT128__"))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -63,12 +88,7 @@ def session_kernel(kernel_build):
 @pytest.fixture
 def ode_cy(kernel_build):
     """The compiled kernel, for comparisons with the pure one."""
-    mod, why = kernel_build
-    if why == NO_CC:
-        pytest.skip(why)
-    if mod is None:
-        pytest.fail(why, pytrace=False)
-    return mod
+    return compiled_or_skip(*kernel_build)
 
 
 @pytest.fixture

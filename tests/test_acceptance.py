@@ -93,7 +93,8 @@ def test_criterion_4_linearization_consistency(plant, surface):
         d = design_gains(plant.turbine, surface, v_w, 0.9)
         model = ss.model_from_params(plant, d.gains, d.k_wr, d.k_b)
         f = reduced_rhs(model, plant.turbine, surface, v_w,
-                        d.omega_del, d.beta_del, d.gains.pitch.k_p)
+                        d.gains.omega_del, d.gains.pitch.beta_del,
+                        d.gains.pitch.k_p)
         J = numerical_jacobian(f, np.zeros(6))
         Asys = ss.system_matrix(model)
         assert np.max(np.abs(J - Asys)) < 1e-8, f"mismatch at {v_w} m/s"

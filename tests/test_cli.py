@@ -100,7 +100,7 @@ def test_gain_design_mppt_branch(capsys):
         d = gains_for_scenario(make_plant(cfg), make_surface(cfg),
                                scenario_from_config(cfg))
         assert doc["eta"] == d.eta == 1.0
-        assert doc["omega_del_pu"] == d.omega_del
+        assert doc["omega_del_pu"] == d.gains.omega_del
         assert doc["k_theta_msc"] == d.gains.msc.k_theta
         assert doc["k_p"] == d.gains.pitch.k_p == 0.0
 
@@ -305,23 +305,31 @@ def test_compare_at_eta_1_passes(capsys):
     assert doc["GFM_MPPT"]["nadir_hz"] >= doc["GFL_MPPT"]["nadir_hz"]
 
 
-# simulate's and compare's base run for the override fuzz: 6,000 RK4 steps,
-# 4,000 of them integrated, with the load step's settled tail just inside the
-# trace
+# simulate's and compare's base run for the override fuzz: 12,500 RK4 steps
+# at dt = sample_dt = 2 ms, the load step at 1 s.  On the default config
+# both commands pass their checks (exit 0), so the fuzz reads their stdout.
+FUZZ_RUN = ["--set", "scenario.duration=25",
+            "--set", "scenario.events=[[1.0,0.4]]",
+            "--set", "scenario.dt=0.002", "--set", "scenario.sample_dt=0.002"]
+# A 3 s base of 6,000 RK4 steps, 4,000 of them integrated, with the load
+# step's settled tail just inside the trace.  On the default config it fails
+# its checks (exit 2): too short for the GSC to resynchronise.
 SHORT_RUN = ["--set", "scenario.duration=3",
              "--set", "scenario.events=[[1.0,0.4]]"]
-# Most RK4 steps an override may ask of SHORT_RUN: runs with more steps but
+# Most RK4 steps an override may ask of FUZZ_RUN: runs with more steps but
 # no more than plant.MAX_STEPS are valid and slow, and the fuzz skips them
 FUZZ_MAX_STEPS = 10 ** 5
 
 
-def fuzz_steps(overrides) -> float:
-    """RK4 steps of SHORT_RUN (default dt 5e-4) with the (key, value)
+def fuzz_steps(overrides, run=FUZZ_RUN) -> float:
+    """RK4 steps of the base run's --set arguments, then the (key, value)
     overrides, applied in order; 0 where they set an invalid duration or dt
     or more than MAX_STEPS steps, which the config rejects."""
-    run = {"scenario.duration": 3.0, "scenario.dt": 5e-4}
-    for key, value in overrides:
-        if key not in run:
+    grid = {f"scenario.{k}": DEFAULT_CONFIG["scenario"][k]
+            for k in ("duration", "dt")}
+    base = [arg.partition("=")[::2] for arg in run[1::2]]
+    for key, value in [*base, *overrides]:
+        if key not in grid:
             continue
         try:
             x = json.loads(value)
@@ -329,8 +337,8 @@ def fuzz_steps(overrides) -> float:
             return 0
         if type(x) not in (int, float) or not 0 < x < math.inf:
             return 0
-        run[key] = x
-    steps = run["scenario.duration"] / run["scenario.dt"]
+        grid[key] = x
+    steps = grid["scenario.duration"] / grid["scenario.dt"]
     return steps if steps < MAX_STEPS + 0.5 else 0
 
 
@@ -347,7 +355,7 @@ NON_FINITE = re.compile(r"\b(nan|NaN|Infinity|inf)\b")
 # droop-map's m_p is inf in the cells without droop, whose status is
 # no-droop, or infeasible under a target droop
 NO_DROOP_CELL = re.compile(r",inf,(no-droop|infeasible)$", re.M)
-# The pure kernel's bound in place of FUZZ_MAX_STEPS: SHORT_RUN is 6,000 steps
+# The pure kernel's bound in place of FUZZ_MAX_STEPS, on SHORT_RUN
 PURE_FUZZ_MAX_STEPS = 10 ** 4
 
 
@@ -360,12 +368,12 @@ def pure_kernel():
         yield
 
 
-def check_overrides(command, overrides):
+def check_overrides(command, overrides, run=FUZZ_RUN):
     """Run command with each key=value of the (key, value) overrides
-    (simulate and compare on SHORT_RUN): it exits with 0, 2 or 3, a config
-    error names one of the keys, and it prints no non-finite number but
-    droop-map's documented inf."""
-    base = SHORT_RUN if command in ("simulate", "compare") else []
+    (simulate and compare after the base run's arguments): it exits with 0,
+    2 or 3, a config error names one of the keys, and it prints no
+    non-finite number but droop-map's documented inf."""
+    base = run if command in ("simulate", "compare") else []
     sets = [a for key, value in overrides for a in ("--set", f"{key}={value}")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -396,9 +404,9 @@ def test_any_single_override_keeps_exit_contract(key, value, command):
 @settings(max_examples=20, deadline=None)
 @given(key=OVERRIDE_KEYS, value=OVERRIDE_VALUES)
 def test_any_single_override_keeps_exit_contract_on_the_pure_kernel(key, value):
-    assume(fuzz_steps([(key, value)]) <= PURE_FUZZ_MAX_STEPS)
+    assume(fuzz_steps([(key, value)], SHORT_RUN) <= PURE_FUZZ_MAX_STEPS)
     with pure_kernel():
-        check_overrides("simulate", [(key, value)])
+        check_overrides("simulate", [(key, value)], SHORT_RUN)
 
 
 @settings(max_examples=300, deadline=None)
@@ -410,6 +418,13 @@ def test_any_two_overrides_keep_exit_contract(overrides, command):
     if command in ("simulate", "compare"):
         assume(fuzz_steps(overrides) <= FUZZ_MAX_STEPS)
     check_overrides(command, overrides)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_fuzz_base_run_passes_its_checks(command, capsys):
+    # the override fuzz reads a command's stdout only where it exits 0
+    assert cli.main([command, *FUZZ_RUN]) == 0
+    assert "GFM_FR" in json.loads(capsys.readouterr().out)
 
 
 def test_pure_kernel_divergence_is_a_simulation_failure(capsys):

@@ -73,11 +73,23 @@ def test_factories(cfg):
 
 
 def test_default_config_matches_dataclass_defaults():
-    # every default is written twice, in DEFAULT_CONFIG and in its dataclass
+    # DEFAULT_CONFIG is derived from the dataclasses: the CLI's defaults
+    # are the library's, in a JSON-shaped schema of fixed keys
     assert make_plant(DEFAULT_CONFIG) == PlantParams(
         TurbineParams(), SgParams(), NetworkParams())
     assert make_design_spec(DEFAULT_CONFIG) == DesignSpec()
     assert scenario_from_config(DEFAULT_CONFIG) == Scenario()
+    for section in DEFAULT_CONFIG.values():
+        assert json.loads(json.dumps(section)) == section
+    assert {name: list(section) for name, section in DEFAULT_CONFIG.items()} \
+        == {"turbine": ["rho", "R", "J_wt", "omega_nom", "omega_max",
+                        "P_rated", "n_agg"],
+            "sg": ["h_g", "t_g", "droop", "rating"],
+            "network": ["b_g", "b_msc", "c_dc", "s_base", "f_hz"],
+            "control": ["preset", "d_omega_max", "d_v_max", "msc_floor",
+                        "target_droop", "k_d_gsc", "t_dc"],
+            "scenario": ["mode", "v_w", "eta", "base_load", "events",
+                         "duration", "dt", "sample_dt"]}
 
 
 def test_preset_selects_excursion_budget(cfg):

@@ -92,7 +92,7 @@ def test_theorem1_ratio_flag_and_fix():
     assert g.theorem1_ratio_ok
     bad = ControlGains(gsc=g.gsc,
                        msc=ConverterGains(k_theta=6.6, k_d=0.0),
-                       pitch=g.pitch, omega_del=1.2)
+                       pitch=g.pitch, t_dc=g.t_dc, omega_del=1.2)
     assert not bad.theorem1_ratio_ok
     kdm = g.gsc.k_d * bad.msc.k_theta / g.gsc.k_theta
     assert replace(bad, msc=replace(bad.msc, k_d=kdm)).theorem1_ratio_ok

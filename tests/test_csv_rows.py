@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from windgfm._kernel import _ode_py
+from windgfm.harness import BLOCK, TRACE_COLUMNS, run_from_config
 
 DMAX = 1.7976931348623157e308
 
@@ -90,3 +91,23 @@ def test_compiled_writer_rejects_bad_columns(ode_cy):
         ode_cy.csv_rows([np.zeros(3), np.zeros(4)])
     with pytest.raises(ValueError):
         ode_cy.csv_rows([np.zeros((2, 2))])
+
+
+def test_writer_without_int128_matches_the_pure_writer(kernel_without_int128,
+                                                       cfg):
+    # the fallback of a compiler without unsigned __int128, which a build
+    # with one never compiles
+    writer = kernel_without_int128
+    # the bounds of the integer path, and 1e-14, whose 17 digits carry to
+    # 10^17: the double lies just below 10^-14
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-16, -1e-16, 1e17,
+                      -1e17, 1e-14, -1e-14])
+    columns = [edges, edges[::-1]]
+    assert writer.csv_rows(columns) == _ode_py.csv_rows(columns) \
+        == oracle(columns)
+    # the default trace's block that holds the load step
+    trace = run_from_config(cfg).trace
+    i = int(np.searchsorted(trace.t, cfg["scenario"]["events"][0][0]))
+    i -= i % BLOCK
+    columns = [trace.column(c)[i:i + BLOCK] for c in TRACE_COLUMNS]
+    assert writer.csv_rows(columns) == _ode_py.csv_rows(columns)

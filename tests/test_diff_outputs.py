@@ -76,6 +76,9 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
         assert probes[probe][0][:3] == ["simulate", "--set", override]
         assert "--out" in probes[probe][0]
     assert probes["pure_fallback"][0][-2:] == ["--out", "pure.csv"]
+    # the fig7 preset of the design commands
+    for probe in ("gain-design-fig7", "droop-map-fig7"):
+        assert probes[probe][0][1:3] == ["--set", "control.preset=fig7"]
 
 
 def test_csv_difference_is_sized_per_column():

@@ -34,13 +34,14 @@ def test_design_spec_validation():
 
 
 def test_presets():
-    assert PRESETS["table3"].d_omega_max == 0.01
-    assert PRESETS["fig7"].d_omega_max == 0.005
+    assert PRESETS == {"table3": 0.01, "fig7": 0.005}
+    assert DesignSpec().d_omega_max == PRESETS["table3"]
 
 
 def test_max_gsc_gain_example():
     assert max_gsc_gain(DesignSpec()) == pytest.approx(0.5, abs=1e-12)
-    assert max_gsc_gain(PRESETS["fig7"]) == pytest.approx(0.25, abs=1e-12)
+    fig7 = DesignSpec(d_omega_max=PRESETS["fig7"])
+    assert max_gsc_gain(fig7) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_max_msc_gain_examples():
@@ -95,7 +96,7 @@ def test_design_chain_10ms(turbine, surface):
 
 def test_design_chain_8ms_overspeed_only(turbine, surface):
     d = design_gains(turbine, surface, 8.0, 0.9)
-    assert d.beta_del == 0.0
+    assert d.gains.pitch.beta_del == 0.0
     assert d.gains.pitch.k_p == 0.0
     assert d.k_b >= 0.0
     assert d.k_wr > 0.0
@@ -109,12 +110,13 @@ def test_design_satisfies_excursion_budget(turbine, surface):
     for v_w, eta in ((8.0, 0.9), (10.0, 0.9), (12.0, 0.8)):
         d = design_gains(turbine, surface, v_w, eta, spec)
         ktg, ktm = d.gains.gsc.k_theta, d.gains.msc.k_theta
-        head = d.omega_del - d.omega_mpp
+        head = d.gains.omega_del - d.omega_mpp
         if head > 1e-9:
             assert ktm * spec.d_omega_max / ktg <= head + 1e-9
-        if d.beta_del > 1e-12:
+        if d.gains.pitch.beta_del > 1e-12:
             kp = d.gains.pitch.k_p
-            assert (ktm / ktg) * kp * spec.d_omega_max <= d.beta_del + 1e-9
+            assert (ktm / ktg) * kp * spec.d_omega_max \
+                <= d.gains.pitch.beta_del + 1e-9
 
 
 @given(v_w=st.floats(6.0, 13.0), eta=st.floats(0.72, 0.95))
@@ -141,14 +143,14 @@ def test_mppt_gains_no_droop(turbine, surface):
     assert math.isinf(d.m_p)
     assert d.gains.pitch.k_p == 0.0
     assert d.gains.msc.k_theta == d.gains.gsc.k_theta
-    assert d.beta_del == 0.0
-    assert d.omega_del <= turbine.omega_max + 1e-12
+    assert d.gains.pitch.beta_del == 0.0
+    assert d.gains.omega_del <= turbine.omega_max + 1e-12
 
 
 def test_mppt_gains_above_rated_pitch(turbine, surface):
     d = mppt_gains(turbine, surface, 13.0)
-    assert d.beta_del > 0.0
-    assert d.omega_del == pytest.approx(turbine.omega_max, abs=1e-12)
+    assert d.gains.pitch.beta_del > 0.0
+    assert d.gains.omega_del == pytest.approx(turbine.omega_max, abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", [
@@ -162,12 +164,12 @@ def test_mppt_gains_is_the_eta_1_deload_point(variant, surface):
         v_w = float(v_w)
         d = mppt_gains(tb, surface, v_w)
         pt = deload_point(tb, surface, v_w, 1.0)
-        assert (d.omega_del, d.beta_del) == (pt.omega_del, pt.beta_del), v_w
-        assert d.gains.omega_del == pt.omega_del
-        assert d.gains.pitch.beta_del == pt.beta_del
+        assert d.gains.omega_del == pt.omega_del, v_w
+        assert d.gains.pitch.beta_del == pt.beta_del, v_w
         # the bisection's Cp tolerance, scaled to power
         tol = 1e-12 * tb.swept_k * v_w ** 3 / tb.P_rated
-        p = wind_power_pu(tb, surface, v_w, d.omega_del, d.beta_del)
+        p = wind_power_pu(tb, surface, v_w, d.gains.omega_del,
+                          d.gains.pitch.beta_del)
         assert p <= 1.0 + tol, v_w
 
 

@@ -47,7 +47,7 @@ def synthetic_trace(dt=1e-3, t_end=40.0, t_ev=10.0, nadir=49.644,
 
 
 def test_metrics_on_synthetic_trace():
-    m = compute_metrics(synthetic_trace(), 10.0)
+    m = compute_metrics(synthetic_trace(), 10.0, f_base=50.0)
     assert m.nadir_hz == pytest.approx(49.644, abs=1e-6)
     assert m.t_nadir_s == pytest.approx(10.0 + 0.356 / 0.1, abs=2e-3)
     assert m.rocof_hz_per_s == pytest.approx(0.1, abs=1e-6)
@@ -62,7 +62,7 @@ def test_metrics_on_synthetic_trace():
 def test_metrics_droop_null_when_power_step_is_noise(dp):
     tr = synthetic_trace()
     p_wt = np.where(tr.t >= 10.0, 0.7 + dp, 0.7)
-    m = compute_metrics(dataclasses.replace(tr, p_wt=p_wt), 10.0)
+    m = compute_metrics(dataclasses.replace(tr, p_wt=p_wt), 10.0, f_base=50.0)
     droop = json.loads(harness.metrics_to_json({"X": m}))["X"]["droop_measured"]
     if abs(dp) < 1e-4:  # pu, the noise floor of the steady-state power step
         assert m.droop_measured is None and droop is None
@@ -73,11 +73,11 @@ def test_metrics_droop_null_when_power_step_is_noise(dp):
 def test_metrics_rejects_short_trace():
     tr = synthetic_trace(t_end=11.0)
     with pytest.raises(ValueError):
-        compute_metrics(tr, 10.0)
+        compute_metrics(tr, 10.0, f_base=50.0)
 
 
 def test_metrics_to_dict_fields():
-    m = compute_metrics(synthetic_trace(), 10.0)
+    m = compute_metrics(synthetic_trace(), 10.0, f_base=50.0)
     d = json.loads(harness.metrics_to_json({"X": m}))["X"]
     assert set(d) == {"nadir_hz", "t_nadir_s", "rocof_hz_per_s", "f_ss_hz",
                       "dv_dc_ss_pu", "droop_measured"}
@@ -325,7 +325,8 @@ def test_scenario_t_end_is_the_last_row_time(plant, surface, duration, dt,
     sc = Scenario(duration=duration, dt=dt, sample_dt=sample_dt,
                   load=LoadProfile(events=()))
     gains = gains_for_scenario(plant, surface, sc).gains
-    x0, p_arr, _ = find_equilibrium(plant, gains, surface, sc.v_w, sc.load)
+    x0, p_arr, _ = find_equilibrium(plant, gains, surface, sc.v_w, sc.load,
+                                    sc.mode)
     states = simulate(x0, p_arr, sc.mode, sc.load, duration, dt, sample_dt)
     assert sc.t_end == states[-1, 0]
 
@@ -357,7 +358,7 @@ def test_short_fr_run_passes_checks(plant, surface):
     # event visible: frequency dips, DC voltage dips, rotor decelerates
     assert tr.f_g.min() < 49.9
     assert tr.v_dc.min() < 1.0 - 1e-4
-    assert tr.omega_r.min() < res.design.omega_del - 1e-4
+    assert tr.omega_r.min() < res.design.gains.omega_del - 1e-4
     # wind power rises towards the new steady state
     tail = tr.t >= tr.t[-1] - 2.0
     assert tr.p_wt[tail].mean() > res.p_wt0 + 1e-3
@@ -369,8 +370,8 @@ def test_gfl_run_trace_is_flat_on_wt_side(plant, surface):
     res = run_scenario(plant, surface, sc)
     tr = res.trace
     assert np.all(tr.v_dc == 1.0)
-    assert np.all(tr.omega_r == res.design.omega_del)
-    assert np.all(tr.beta == res.design.beta_del)
+    assert np.all(tr.omega_r == res.design.gains.omega_del)
+    assert np.all(tr.beta == res.design.gains.pitch.beta_del)
     assert np.all(tr.p_wt == min(res.p_wt0, 1.0))
     assert np.ptp(tr.p_gsc) == 0.0
     assert tr.f_gsc.tobytes() == tr.f_g.tobytes()
@@ -388,7 +389,7 @@ def test_run_checks_flag_drifting_droop(plant, surface):
 
 
 def test_metrics_json_shape():
-    m = compute_metrics(synthetic_trace(), 10.0)
+    m = compute_metrics(synthetic_trace(), 10.0, f_base=50.0)
     import json
     doc = json.loads(harness.metrics_to_json({"GFM_FR": m}))
     assert doc["GFM_FR"]["nadir_hz"] == pytest.approx(49.644, abs=1e-6)

@@ -150,7 +150,7 @@ def test_no_disturbance_run_stays_at_equilibrium(plant, surface):
     _, (x0, p_arr, p_wt0) = equilibrium(plant, surface,
                                      load=LoadProfile(base=2.0, events=()))
     states = simulate(x0, p_arr, Mode.GFM_FR,
-                      LoadProfile(base=2.0, events=()), 10.0, 5e-4)
+                      LoadProfile(base=2.0, events=()), 10.0, 5e-4, 1e-3)
     drift = np.max(np.abs(states[-1, 1:1 + N_STATES] - x0))
     assert drift < 1e-9
 
@@ -186,13 +186,14 @@ def test_divergence_detected(plant, surface):
     bad[P_TG] = -0.01
     load = LoadProfile(base=2.0, events=((0.5, 0.4),))
     with pytest.raises(PlantError):
-        simulate(x0, bad, Mode.GFM_FR, load, 20.0, 5e-4)
+        simulate(x0, bad, Mode.GFM_FR, load, 20.0, 5e-4, 1e-3)
 
 
 def test_gfl_mode_freezes_wt_states(plant, surface):
     _, (x0, p_arr, p_wt0) = equilibrium(plant, surface, eta=1.0,
                                      mode=Mode.GFL_MPPT)
-    states = simulate(x0, p_arr, Mode.GFL_MPPT, LoadProfile(), 40.0, 5e-4)
+    states = simulate(x0, p_arr, Mode.GFL_MPPT, LoadProfile(), 40.0, 5e-4,
+                      1e-3)
     # WT-side states identical over the whole run; SG responds to the step
     for name in STATES:
         if name not in ("omega_g", "P_g"):
@@ -222,7 +223,8 @@ def test_equilibrium_p_wt_is_the_kernels(plant, surface):
                 gains = gains_for_scenario(plant, surface, sc).gains
                 x0, p_arr, p_wt0 = find_equilibrium(plant, gains, surface,
                                                     v_w, no_events, mode)
-                row = simulate(x0, p_arr, mode, no_events, 0.0, sc.dt)[0]
+                row = simulate(x0, p_arr, mode, no_events, 0.0, sc.dt,
+                               sc.sample_dt)[0]
                 if row[ROW.index("P_wt")] != p_wt0:
                     differ.append((v_w, eta, mode.name))
     assert differ == []

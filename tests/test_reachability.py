@@ -44,7 +44,8 @@ def run_pure_kernel() -> None:
     plant, surface = make_plant(cfg), make_surface(cfg)
     load = LoadProfile(base=2.0, events=((0.1, 0.4),))
     gains = gains_for_scenario(plant, surface, Scenario()).gains
-    x0, p_arr, _ = find_equilibrium(plant, gains, surface, 8.0, load)
+    x0, p_arr, _ = find_equilibrium(plant, gains, surface, 8.0, load,
+                                    Mode.GFM_FR)
     out = _ode_py.simulate(x0, p_arr, Mode.GFM_FR, 5e-4, 400, 100, load.base,
                            load.ev_times, load.ev_steps)
     assert out.shape == (5, len(ROW))

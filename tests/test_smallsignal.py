@@ -200,7 +200,7 @@ def test_linear_response_matches_nonlinear_small_step(plant, surface):
                                     Mode.GFM_FR)
     dP = 0.002
     load = LoadProfile(base=2.0, events=((1.0, dP),))
-    states = simulate(x0, p_arr, Mode.GFM_FR, load, 21.0, 5e-4)
+    states = simulate(x0, p_arr, Mode.GFM_FR, load, 21.0, 5e-4, 1e-3)
     peak_nl = (states[:, ROW.index("omega_g")] - 1.0).min()
     model = ss.model_from_params(plant, d.gains, d.k_wr, d.k_b)
     t, X = linear_response(model, dP, 20.0, 1e-3)
@@ -241,7 +241,7 @@ def test_numerical_jacobian_quadratic_oracle():
 def test_model_json_round_trip(plant, surface):
     import json
     model, _ = default_model(plant, surface)
-    doc = json.loads(ss.model_to_json(model))
+    doc = json.loads(ss.model_to_json(model, *ss.stability_verdict(model)))
     assert doc["stable"] is True
     np.testing.assert_allclose(np.array(doc["A"]), model.A)
     assert doc["labels"] == list(ss.STATE_LABELS)

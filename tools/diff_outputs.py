@@ -80,6 +80,11 @@ def probes(pure_args: list) -> dict:
         "gain-design-14ms": (["gain-design", "--set", "scenario.v_w=14"], False),
         "gain-design-eta-0.7": (["gain-design", "--set", "scenario.eta=0.7"],
                                 False),
+        # the other preset's excursion budget
+        "gain-design-fig7": (["gain-design", "--set", "control.preset=fig7"],
+                             False),
+        "droop-map-fig7": (["droop-map", "--set", "control.preset=fig7",
+                            "--out", "map.csv"], False),
         "pure_fallback": ([*pure_args, "--out", "pure.csv"], True),
     }
 
