@@ -72,14 +72,19 @@ def cmd_compare(args) -> int:
     if not base.load.events:
         raise ConfigError("scenario.events must hold a load event to compare "
                           "the modes' responses to")
-    rep = harness.compare_modes(plant, surface, base)
-    print(harness.metrics_to_json(rep.metrics))
-    if args.out:
-        stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-        for name, res in rep.results.items():
+    stem = args.out[:-4] if args.out and args.out.endswith(".csv") else args.out
+    metrics = {}
+    # Each run's trace is written as it comes and dropped before the next
+    # runs; only GFM_FR's, the last, is kept for the plot.
+    for name, res, m in harness.compare_modes(plant, surface, base):
+        metrics[name] = m
+        if args.out:
             _write(f"{stem}_{name}.csv", harness.trace_csv(res.trace))
+        fr_trace = res.trace if name == "GFM_FR" else None
+        del res
+    print(harness.metrics_to_json(metrics))
     if args.plot:
-        _write(args.plot, (plotting.trace_svg(rep.results["GFM_FR"].trace),))
+        _write(args.plot, (plotting.trace_svg(fr_trace),))
     return 0
 
 

@@ -178,30 +178,25 @@ def compute_metrics(trace: SimTrace, t_event: float,
                             dv_dc_ss_pu=dv_ss, droop_measured=droop)
 
 
-@dataclass(frozen=True)
-class ModeComparison:
-    metrics: dict           # mode name -> FrequencyMetrics
-    results: dict           # mode name -> RunResult
-
-
-def compare_modes(plant: PlantParams, surface: CpSurface,
-                  base: Scenario) -> ModeComparison:
-    metrics = {}
-    results = {}
+def compare_modes(plant: PlantParams, surface: CpSurface, base: Scenario):
+    """Run GFL_MPPT, GFM_MPPT and GFM_FR on base's disturbance, one at a
+    time: yield (mode name, RunResult, FrequencyMetrics) of each run that
+    passes its checks, then check the nadir ordering.  No run is held
+    through the next, so the caller holds at most the one it keeps."""
+    nadir = {}
     for mode in (Mode.GFL_MPPT, Mode.GFM_MPPT, Mode.GFM_FR):
         res = run_scenario(plant, surface, replace(base, mode=mode))
-        results[mode.name] = res
-        metrics[mode.name] = compute_metrics(res.trace, base.load.events[0][0],
-                                             f_base=plant.network.f_hz)
-    n_fr = metrics["GFM_FR"].nadir_hz
-    n_mp = metrics["GFM_MPPT"].nadir_hz
-    n_gfl = metrics["GFL_MPPT"].nadir_hz
+        m = compute_metrics(res.trace, base.load.events[0][0],
+                            f_base=plant.network.f_hz)
+        nadir[mode.name] = m.nadir_hz
+        yield mode.name, res, m
+        del res
+    n_fr, n_mp, n_gfl = nadir["GFM_FR"], nadir["GFM_MPPT"], nadir["GFL_MPPT"]
     # At eta = 1 GFM_FR runs the MPPT design, so its nadir is GFM_MPPT's.
     if (base.eta < 1.0 and not n_fr > n_mp) or not n_mp >= n_gfl:
         raise HarnessAssertionError(
             f"nadir ordering violated: FR={n_fr:.4f} MPPT={n_mp:.4f} "
             f"GFL={n_gfl:.4f}")
-    return ModeComparison(metrics=metrics, results=results)
 
 
 def trace_csv(trace: SimTrace):

@@ -16,8 +16,8 @@ def _panel(title, t, series, labels, y0):
     import numpy as np  # not at module level: the design commands plot no trace
     lines = [f'<text x="{_ML}" y="{y0 + 14}" font-size="12" '
              f'font-family="sans-serif">{title}</text>']
-    ys = np.concatenate(series)
-    lo, hi = float(ys.min()), float(ys.max())
+    lo = min(float(y.min()) for y in series)
+    hi = max(float(y.max()) for y in series)
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)

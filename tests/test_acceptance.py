@@ -167,21 +167,25 @@ def test_criterion_6_closed_loop_steady_state(plant, surface):
 def test_criterion_7_mode_comparison(plant, surface):
     for v_w in (8.0, 10.0, 12.0):
         base = Scenario(mode=Mode.GFM_FR, v_w=v_w, eta=0.9)
-        rep = compare_modes(plant, surface, base)
-        n = {k: m.nadir_hz for k, m in rep.metrics.items()}
+        runs = list(compare_modes(plant, surface, base))
+        assert [name for name, _, _ in runs] == ["GFL_MPPT", "GFM_MPPT",
+                                                 "GFM_FR"]
+        metrics = {name: m for name, _, m in runs}
+        results = {name: res for name, res, _ in runs}
+        n = {k: m.nadir_hz for k, m in metrics.items()}
         assert n["GFM_FR"] > n["GFM_MPPT"] >= n["GFL_MPPT"], f"at {v_w} m/s"
-        f_ss = {k: m.f_ss_hz for k, m in rep.metrics.items()}
+        f_ss = {k: m.f_ss_hz for k, m in metrics.items()}
         assert f_ss["GFM_FR"] > max(f_ss["GFM_MPPT"], f_ss["GFL_MPPT"])
         # disturbance signatures on the GFM runs: DC voltage dips and the
         # rotor decelerates to release kinetic energy
         for name in ("GFM_FR", "GFM_MPPT"):
-            tr = rep.results[name].trace
+            tr = results[name].trace
             post = tr.t >= 30.0
             assert tr.v_dc[post].min() < 1.0 - 1e-4
             assert tr.omega_r[post].min() < tr.omega_r[0] - 1e-4
         # pitch decreases after the step at the pitch-deloaded winds
         if v_w >= 10.0:
-            tr = rep.results["GFM_FR"].trace
+            tr = results["GFM_FR"].trace
             post = tr.t >= 30.0
             assert tr.beta[0] > 0.0
             assert tr.beta[post].min() < tr.beta[0] - 1e-3

@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,13 +16,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import windgfm
-from windgfm import _kernel, cli
+from windgfm import _kernel, cli, harness
 from windgfm._kernel import _ode_py
 from windgfm.config import (
-    DEFAULT_CONFIG, apply_overrides, load_config, make_plant, make_surface,
+    DEFAULT_CONFIG, HarnessAssertionError, apply_overrides, load_config, make_plant, make_surface,
 )
 from windgfm.harness import gains_for_scenario, scenario_from_config
-from windgfm.plant import MAX_STEPS
+from windgfm.plant import MAX_STEPS, Mode
 
 from test_trace_csv import trace_from_csv
 
@@ -135,6 +137,74 @@ def test_compare_subcommand(tmp_path, capsys):
     assert doc["GFM_FR"]["nadir_hz"] > doc["GFL_MPPT"]["nadir_hz"]
     for name in doc:
         assert (tmp_path / f"cmp_{name}.csv").exists()
+
+
+def test_compare_frees_each_run_before_the_next(tmp_path, monkeypatch, capsys):
+    # compare held all three runs' kernel rows until it wrote anything
+    refs = []  # weak references to each finished run's rows and f_g
+
+    def run_scenario(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        res = real(*args, **kwargs)
+        refs.extend((weakref.ref(res.states), weakref.ref(res.trace.f_g)))
+        return res
+
+    real = harness.run_scenario
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    rc = cli.main(["compare", *FAST, "--out", str(tmp_path / "cmp.csv"),
+                   "--plot", str(tmp_path / "cmp.svg")])
+    assert rc == 0 and len(refs) == 6
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "GFL_MPPT", "GFM_MPPT", "GFM_FR"}
+    assert (tmp_path / "cmp.svg").read_text().startswith("<svg")
+
+
+def _fail_nadir_ordering(monkeypatch):
+    """GFL_MPPT, the first run, reports a nadir above the others'."""
+    real = harness.compute_metrics
+    calls = []
+
+    def compute_metrics(*args, **kwargs):
+        calls.append(None)
+        m = real(*args, **kwargs)
+        return replace(m, nadir_hz=60.0) if len(calls) == 1 else m
+
+    monkeypatch.setattr(harness, "compute_metrics", compute_metrics)
+
+
+def _fail_gfm_mppt_checks(monkeypatch):
+    """GFM_MPPT, the second run, fails its steady-state checks."""
+    real = harness.run_checks
+
+    def run_checks(result):
+        if result.scenario.mode == Mode.GFM_MPPT:
+            raise HarnessAssertionError("GSC lost synchronism with the grid")
+        real(result)
+
+    monkeypatch.setattr(harness, "run_checks", run_checks)
+
+
+@pytest.mark.parametrize("fail, passed, message", [
+    (_fail_nadir_ordering, ["GFL_MPPT", "GFM_MPPT", "GFM_FR"],
+     "nadir ordering violated"),
+    (_fail_gfm_mppt_checks, ["GFL_MPPT"], "GSC lost synchronism")],
+    ids=["nadir-ordering", "GFM_MPPT-checks"])
+def test_failing_compare_leaves_the_passed_modes_csvs(
+        tmp_path, monkeypatch, capsys, fail, passed, message):
+    # the modes' CSVs are written as they pass their checks; the metrics
+    # and the plot only once all three have passed and the nadirs are in
+    # order
+    fail(monkeypatch)
+    rc = cli.main(["compare", *FAST, "--out", str(tmp_path / "cmp.csv"),
+                   "--plot", str(tmp_path / "cmp.svg")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("assertion failure: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"cmp_{name}.csv" for name in passed)
+    for name in passed:
+        tr = trace_from_csv((tmp_path / f"cmp_{name}.csv").read_text())
+        assert tr.t[-1] == pytest.approx(40.0, abs=1e-9)
 
 
 # (override, exit code per command).  compare loads and checks the config as

@@ -102,9 +102,13 @@ def test_csv_difference_not_sized_across_layouts(change, why):
 
 
 def test_probe_list_has_a_long_run():
-    args, pure = diff_outputs.probes([])["simulate-240s"]
+    probes = diff_outputs.probes([])
+    args, pure = probes["simulate-240s"]
     assert args == ["simulate", "--set", "scenario.duration=240",
                     "--out", "sim.csv"] and not pure
+    args, pure = probes["compare-240s"]
+    assert args == ["compare", "--set", "scenario.duration=240",
+                    "--out", "cmp.csv", "--plot", "cmp.svg"] and not pure
 
 
 def test_json_stdout_difference_is_sized_per_key_path():
@@ -139,6 +143,25 @@ def test_child_peak_rss_is_recorded(tmp_path):
     assert rc == 5
     assert (tmp_path / "stdout").read_bytes() == b"held\n"
     assert 40 < rss < 400
+
+
+def test_child_peak_rss_is_its_own_not_the_parents(tmp_path):
+    # a child spawned directly read this process's high-water mark (vfork,
+    # then exec): a `pass` read over 100 MB while this test held 120 MB
+    held = bytearray(b"\x01") * (120 << 20)  # written, so resident
+    with open(tmp_path / "stdout", "wb") as out:
+        rc, rss = diff_outputs.run_child([sys.executable, "-c", "pass"],
+                                         tmp_path, None, out)
+    assert held[-1] == 1 and rc == 0
+    assert rss < 40
+
+
+def test_child_killed_by_a_signal_reports_it(tmp_path):
+    code = "import os, signal; os.kill(os.getpid(), signal.SIGTERM)"
+    with open(tmp_path / "stdout", "wb") as out:
+        rc, _ = diff_outputs.run_child([sys.executable, "-c", code],
+                                       tmp_path, None, out)
+    assert rc == -15
 
 
 def test_probe_lines_give_verdict_and_peak_rss():

@@ -16,10 +16,11 @@ rows that are bit-equal and each column's largest absolute difference, and
 for a differing JSON stdout each numeric key path's largest absolute
 difference.  Each probe's line then gives its verdict ("identical" or the
 number of its differing artefacts) beside its child's peak resident set on
-both sides (``ru_maxrss`` from ``os.wait4``), so that a memory change shows
-without the benchmark.  The exit status is 1 if any artefact differs, else
-0.  ``--keep DIR`` keeps both sides' outputs under ``DIR/base`` and
-``DIR/change``.
+both sides, so that a memory change shows without the benchmark.  That
+peak is the probe's own: a small launcher forks the probe and reads its
+``ru_maxrss`` from ``os.wait4`` (see ``LAUNCHER``).  The exit status is 1 if
+any artefact differs, else 0.  ``--keep DIR`` keeps both sides' outputs
+under ``DIR/base`` and ``DIR/change``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ import importlib.util
 import itertools
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -64,9 +64,12 @@ def probes(pure_args: list) -> dict:
                                "--out", "sim.csv"], False),
         "simulate-GFL_MPPT": (["simulate", "--set", "scenario.mode=GFL_MPPT",
                                "--out", "sim.csv"], False),
-        # a long run: the settled tail after the load step
+        # long runs: the settled tail after the load step, and compare's
+        # three 240 s runs, the largest peak resident set of any probe
         "simulate-240s": (["simulate", "--set", "scenario.duration=240",
                            "--out", "sim.csv"], False),
+        "compare-240s": (["compare", "--set", "scenario.duration=240",
+                          "--out", "cmp.csv", "--plot", "cmp.svg"], False),
         # design-chain branches: the pitch fallback above omega_max = 1.2,
         # infeasible droop cells, the capped speed above rated wind and the
         # deepest curtailment
@@ -98,14 +101,32 @@ def load_build(side: Path, name: str):
     return mod
 
 
+# Run with ``python -I -S -c LAUNCHER ARGV``: fork ARGV, wait for it, and
+# print on stderr its exit code and its peak resident set in kB.  The probe's
+# stdout is the launcher's; its stderr is dropped.  On Linux a spawned
+# child's ru_maxrss starts at the high-water mark of the process it was
+# spawned from (vfork, then exec), so a probe spawned from this script would
+# read this script's peak; forked from the launcher it reads at most the
+# launcher's, about 10 MB.
+LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 def run_child(argv: list, cwd: Path, env: dict, stdout) -> tuple:
     """Run argv to its end with its stdout into the open file stdout and its
-    stderr dropped: (exit code, the child's peak resident set in MB)."""
-    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=stdout,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024
+    stderr dropped: (exit code, the child's own peak resident set in MB)."""
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, *argv],
+                          cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, check=True)
+    code, kb = proc.stderr.split()
+    return int(code), int(kb) / 1024
 
 
 def run_probes(side: Path, name: str, out: Path, cli: str, probe_list: dict) -> dict:
