@@ -20,13 +20,10 @@
  * harness.BLOCK rows and calls it once per block, so no text longer than a
  * block is ever built.
  *
- * Importing the module does not import numpy: the design commands load the
- * package and never call the kernel.  Each entry point loads the numpy C API
- * on its first call. */
+ * It needs Python's headers only: simulate returns its rows as one float64
+ * bytearray, and csv_rows reads its columns through the buffer protocol. */
 #define PY_SSIZE_T_CLEAN
-#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <Python.h>
-#include <numpy/arrayobject.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -45,8 +42,8 @@ enum {
 
 /* One run's fixed inputs: parameters, load events, mode and base load */
 typedef struct {
-    const double *p, *ev_t, *ev_dp;
-    npy_intp n_ev;
+    double p[N_PARAMS], *ev_t, *ev_dp;
+    Py_ssize_t n_ev;
     int mode;
     double base;
 } Model;
@@ -90,7 +87,7 @@ static double limiter_pi(double kp, double ki, double err, double integ,
 static double load(const Model *m, double t)
 {
     double pl = m->base;
-    for (npy_intp k = 0; k < m->n_ev; k++)
+    for (Py_ssize_t k = 0; k < m->n_ev; k++)
         if (t >= m->ev_t[k])
             pl += m->ev_dp[k];
     return pl;
@@ -148,69 +145,72 @@ static void deriv(const Model *m, const double *x, double pl, double *out)
     out[N + 2] = w_gsc;
 }
 
-/* Parse the state and the model inputs into contiguous float64 vectors
- * a[0..3] (new references, released by the caller; a missing ev_t or ev_dp
- * is empty) and fill *m.  Returns 0, or -1 with an exception set. */
-static int parse(PyArrayObject *a[4], Model *m, PyObject *x, PyObject *params,
-                 int mode, double base, PyObject *ev_t, PyObject *ev_dp)
+/* Read the state into x, and the parameters and load events into *m: ev_t
+ * and ev_dp into one new PyMem block at m->ev_t, which the caller frees; a
+ * missing ev_t or ev_dp is empty.  Returns 0, or -1 with an exception set. */
+static int parse(double *x, Model *m, PyObject *in[4])
 {
-    PyObject *obj[4] = {x, params, ev_t, ev_dp};
-    npy_intp zero = 0;
-    for (int i = 0; i < 4; i++)
-        if (!(a[i] = (PyArrayObject *)(obj[i]
-                ? PyArray_FROMANY(obj[i], NPY_DOUBLE, 1, 1, NPY_ARRAY_IN_ARRAY)
-                : PyArray_ZEROS(1, &zero, NPY_DOUBLE, 0))))
-            return -1;
-    if (PyArray_SIZE(a[0]) != N || PyArray_SIZE(a[1]) != N_PARAMS
-        || PyArray_SIZE(a[3]) != PyArray_SIZE(a[2])) {
+    PyObject *seq[4] = {NULL};
+    double *to[4] = {x, m->p};
+    int i, rc = -1;
+    for (i = 0; i < 4; i++)
+        if (!(seq[i] = in[i] ? PySequence_Fast(in[i], "expected a sequence "
+                                               "of numbers") : PyTuple_New(0)))
+            goto done;
+    m->n_ev = PySequence_Fast_GET_SIZE(seq[2]);
+    if (PySequence_Fast_GET_SIZE(seq[0]) != N
+        || PySequence_Fast_GET_SIZE(seq[1]) != N_PARAMS
+        || PySequence_Fast_GET_SIZE(seq[3]) != m->n_ev) {
         PyErr_Format(PyExc_ValueError, "expected %d states, %d parameters "
                      "and one ev_dp per ev_t", N, N_PARAMS);
-        return -1;
+        goto done;
     }
-    *m = (Model){PyArray_DATA(a[1]), PyArray_DATA(a[2]), PyArray_DATA(a[3]),
-                 PyArray_SIZE(a[2]), mode, base};
-    return 0;
+    if (!(m->ev_t = PyMem_Malloc(2 * m->n_ev * sizeof(double)))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    to[2] = m->ev_t;
+    to[3] = m->ev_dp = m->ev_t + m->n_ev;
+    for (i = 0; i < 4; i++)
+        for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(seq[i]); k++)
+            if ((to[i][k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(
+                     seq[i], k))) == -1.0 && PyErr_Occurred())
+                goto done;
+    rc = 0;
+done:
+    for (i = 0; i < 4; i++)
+        Py_XDECREF(seq[i]);
+    return rc;
 }
 
-static void release(PyArrayObject *a[4])
-{
-    for (int i = 0; i < 4; i++)
-        Py_XDECREF(a[i]);
-}
-
-static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
+                          PyObject *kw)
 {
     static char *kwlist[] = {"x0", "params", "mode", "dt", "n_steps",
                              "stride", "base_load", "ev_t", "ev_dp", NULL};
-    PyObject *x0, *params, *ev_t = NULL, *ev_dp = NULL;
-    PyArrayObject *a[4] = {NULL}, *res;
-    double h, base;
-    int mode, n_steps, stride, i, bad = -1;
-    Model m;
-    if (PyArray_API == NULL && _import_array() < 0)
-        return NULL;
+    PyObject *in[4] = {NULL}, *res = NULL;
+    int n_steps, stride, i, bad = -1, fixed = 0;
+    Model m = {.ev_t = NULL};
+    double h, x[N], xs[N], k1[N + N_OUT], k2[N + N_OUT], k3[N + N_OUT],
+        k4[N + N_OUT];
+    double l[3], fl[3];  /* a step's loads; those under which x is fixed */
     if (!PyArg_ParseTupleAndKeywords(args, kw, "OOidiid|OO:simulate", kwlist,
-                                     &x0, &params, &mode, &h, &n_steps,
-                                     &stride, &base, &ev_t, &ev_dp))
+                                     &in[0], &in[1], &m.mode, &h, &n_steps,
+                                     &stride, &m.base, &in[2], &in[3]))
         return NULL;
     if (n_steps < 0 || stride < 1)
         return PyErr_Format(PyExc_ValueError,
                             "n_steps must be >= 0 and stride >= 1");
-    npy_intp dims[2] = {1 + n_steps / stride, 1 + N + N_OUT};
-    if (parse(a, &m, x0, params, mode, base, ev_t, ev_dp) < 0
-        || !(res = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_DOUBLE))) {
-        release(a);
-        return NULL;
-    }
     /* a row is t, the N states and, from the first RK4 stage of the step
      * that leaves the row's state, the N_OUT outputs */
-    const int w = 1 + N + N_OUT;
-    double x[N], xs[N], k1[N + N_OUT], k2[N + N_OUT], k3[N + N_OUT],
-        k4[N + N_OUT];
-    double l[3], fl[3];  /* a step's loads; those under which x is fixed */
-    int fixed = 0;
-    double *rows = PyArray_DATA(res), *out = rows + w;
-    memcpy(x, PyArray_DATA(a[0]), sizeof x);
+    const Py_ssize_t w = 1 + N + N_OUT, n_rows = 1 + n_steps / stride;
+    if (n_rows > PY_SSIZE_T_MAX / w / (Py_ssize_t)sizeof(double))
+        return PyErr_NoMemory();
+    if (parse(x, &m, in) < 0
+        || !(res = PyByteArray_FromStringAndSize(
+                 NULL, n_rows * w * (Py_ssize_t)sizeof(double))))
+        goto done;
+    double *rows = (double *)PyByteArray_AS_STRING(res), *out = rows + w;
     rows[0] = 0.0;
     memcpy(rows + 1, x, sizeof x);
     Py_BEGIN_ALLOW_THREADS
@@ -243,7 +243,7 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
             memcpy(x, xs, sizeof x);
         }
         if (i % stride == 0)  /* k1 is the last integrated step's: at x */
-            memcpy(rows + (npy_intp)(i / stride) * w + 1 + N, k1 + N,
+            memcpy(rows + (Py_ssize_t)(i / stride) * w + 1 + N, k1 + N,
                    N_OUT * sizeof(double));
         if ((i + 1) % stride == 0) {
             out[0] = (i + 1) * h;
@@ -256,17 +256,17 @@ static PyObject *simulate(PyObject *self, PyObject *args, PyObject *kw)
         memcpy(out - w + 1 + N, k1 + N, N_OUT * sizeof(double));
     }
     Py_END_ALLOW_THREADS
-    release(a);
     if (bad >= 0) {  /* the time formatted as Python's f"{t:.6f}" */
         char *s = PyOS_double_to_string(i * h + h, 'f', 6, 0, NULL);
-        Py_DECREF(res);
+        Py_CLEAR(res);
         if (s)
             PyErr_Format(PyExc_FloatingPointError,
                          "state %d diverged at t=%s", bad, s);
         PyMem_Free(s);
-        return NULL;
     }
-    return (PyObject *)res;
+done:
+    PyMem_Free(m.ev_t);
+    return res;
 }
 
 /* The longest '%.17g' of a double: "-4.9406564584124654e-324" */
@@ -392,19 +392,17 @@ static int g17(double v, char *s)
     return (int)n;
 }
 
-static PyObject *csv_rows(PyObject *self, PyObject *columns)
+static PyObject *csv_rows(PyObject *Py_UNUSED(self), PyObject *columns)
 {
-    /* per column: the array, and the bits, offset and length of the value
+    /* per column: its buffer, and the bits, offset and length of the value
      * last written */
     typedef struct {
-        PyArrayObject *a;
+        Py_buffer b;
         uint64_t bits;
         Py_ssize_t at;
         int len;
     } Col;
     PyObject *seq;
-    if (PyArray_API == NULL && _import_array() < 0)
-        return NULL;
     if (!(seq = PySequence_Fast(columns,
                                 "csv_rows expects a sequence of columns")))
         return NULL;
@@ -416,16 +414,17 @@ static PyObject *csv_rows(PyObject *self, PyObject *columns)
         goto done;
     }
     for (j = 0; j < nc; j++) {
-        if (!(c[j].a = (PyArrayObject *)PyArray_FROMANY(
-                  PySequence_Fast_GET_ITEM(seq, j), NPY_DOUBLE, 1, 1,
-                  NPY_ARRAY_ALIGNED)))
+        Py_buffer *b = &c[j].b;
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(seq, j), b,
+                               PyBUF_STRIDES | PyBUF_FORMAT) < 0)
             goto done;
-        if (j && PyArray_DIM(c[j].a, 0) != nr) {
-            PyErr_SetString(PyExc_ValueError,
-                            "csv_rows expects columns of equal length");
+        if (b->ndim != 1 || !b->format || strcmp(b->format, "d")
+            || (j && b->shape[0] != nr)) {
+            PyErr_SetString(PyExc_ValueError, "csv_rows expects 1-D float64 "
+                            "columns of equal length");
             goto done;
         }
-        nr = PyArray_DIM(c[j].a, 0);
+        nr = b->shape[0];
     }
     if (!nr || !nc) {
         res = PyUnicode_New(0, 0);
@@ -442,9 +441,9 @@ static PyObject *csv_rows(PyObject *self, PyObject *columns)
     for (i = 0; i < nr; i++)
         for (j = 0; j < nc; j++) {
             Col *cj = c + j;
-            double v = *(double *)(PyArray_BYTES(cj->a)
-                                   + i * PyArray_STRIDE(cj->a, 0));
+            double v;
             uint64_t bits;
+            memcpy(&v, (char *)cj->b.buf + i * cj->b.strides[0], sizeof v);
             memcpy(&bits, &v, sizeof bits);
             if (i && bits == cj->bits)  /* the previous row's text */
                 memcpy(p, buf + cj->at, cj->len);
@@ -460,16 +459,17 @@ static PyObject *csv_rows(PyObject *self, PyObject *columns)
     if (PyUnicode_Resize(&res, p - buf) < 0)
         Py_CLEAR(res);
 done:
-    if (c)
+    if (c)  /* a zeroed or failed buffer has no obj to release */
         for (j = 0; j < nc; j++)
-            Py_XDECREF(c[j].a);
+            PyBuffer_Release(&c[j].b);
     PyMem_Free(c);
     Py_DECREF(seq);
     return res;
 }
 
 static PyMethodDef methods[] = {
-    {"simulate", (PyCFunction)simulate, METH_VARARGS | METH_KEYWORDS,
+    {"simulate", (PyCFunction)(void (*)(void))simulate,
+     METH_VARARGS | METH_KEYWORDS,
      "simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), "
      "ev_dp=())\n--\n\nFixed-step RK4 over n_steps; records every `stride` "
      "steps (plus t=0)\nas rows (t, 11 states, P_wt, P_gsc, w_gsc).  Raises "
@@ -484,7 +484,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ode_cy",
     "Compiled kernel: closed-loop RK4 integrator and trace CSV rows.", -1,
-    methods
+    methods, NULL, NULL, NULL, NULL
 };
 
 PyMODINIT_FUNC PyInit__ode_cy(void)

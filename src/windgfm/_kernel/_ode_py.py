@@ -20,17 +20,20 @@ given, with no header.  ``harness.trace_csv`` cuts a trace into blocks of
 ``harness.BLOCK`` rows and calls it once per block, as it does the compiled
 writer.
 
-numpy is imported by the functions that take or return arrays, not by the
-module: the design commands import the package and never run a kernel.
+Like the compiled kernel, the module reads its vectors as sequences of
+numbers and returns its rows as one bytearray of float64 values (see the
+package docstring).
 """
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import chain
 
 from ..aero import _cp_calibrated
 from ..control import limiter_pi, pd_filter_realization, pitch_rate
 from .layout import (
-    MODE_GFL_MPPT, N_OUT, N_STATES,
+    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, ROW,
     P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0, P_CPMAX,
     P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG, P_KTM,
     P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE, P_RATE,
@@ -89,22 +92,27 @@ def _deriv(x, pl, p, cp_coeffs, mode):
             p_wt, p_gsc, w_gsc]
 
 
-def _floats(a) -> list:
-    import numpy as np
-    return np.asarray(a, dtype=float).ravel().tolist()
+def _inputs(x, params, ev_t, ev_dp) -> list:
+    """The state, the parameters and the load events as lists of floats.
+    Raises the compiled kernel's ValueError where their lengths do not fit."""
+    vecs = [list(a) for a in (x, params, ev_t, ev_dp)]
+    if (len(vecs[0]) != N_STATES or len(vecs[1]) != N_PARAMS
+            or len(vecs[3]) != len(vecs[2])):
+        raise ValueError(f"expected {N_STATES} states, {N_PARAMS} parameters "
+                         "and one ev_dp per ev_t")
+    return [[float(v) for v in a] for a in vecs]
 
 
-def _args(params, mode) -> tuple:
-    """The arguments of _deriv after (x, pl)."""
-    p = _floats(params)
+def _args(p, mode) -> tuple:
+    """The arguments of _deriv after (x, pl), from the parameter list p."""
     return p, p[P_CP0:P_CP0 + 14], int(mode)
 
 
-def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()):
-    """d state/dt in layout.STATES order (numpy array out)."""
-    import numpy as np
-    pl = _load(float(t), float(base_load), _floats(ev_t), _floats(ev_dp))
-    return np.array(_deriv(_floats(x), pl, *_args(params, mode))[:N_STATES])
+def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()) -> list:
+    """d state/dt in layout.STATES order."""
+    x, p, ev_t, ev_dp = _inputs(x, params, ev_t, ev_dp)
+    pl = _load(float(t), float(base_load), ev_t, ev_dp)
+    return _deriv(x, pl, *_args(p, mode))[:N_STATES]
 
 
 def _check_states(x, t) -> None:
@@ -118,24 +126,27 @@ def _check_states(x, t) -> None:
 def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()):
     """Fixed-step RK4 over n_steps; records every `stride` steps (plus t=0).
 
-    Returns an array of shape (n_samples, 1 + N_STATES + N_OUT): time, the
-    states and their outputs, from the first RK4 stage of the step that
-    leaves the row (a final row at n_steps takes one more derivative call).
-    A step from a fixed point under the same three loads is not integrated
-    again (see the module docstring).  Raises FloatingPointError on
-    divergence (any |state| > 1e6), also where a stage's math raises.
+    Returns the 1 + n_steps // stride rows of layout.ROW as one bytearray
+    of float64 values: time, the states and their outputs, from the first
+    RK4 stage of the step that leaves the row (a final row at n_steps takes
+    one more derivative call).  A step from a fixed point under the same
+    three loads is not integrated again (see the module docstring).  Raises
+    FloatingPointError on divergence (any |state| > 1e6), also where a
+    stage's math raises.
     """
-    import numpy as np
-    x = _floats(x0)
-    args = _args(params, mode)
-    ev = (float(base_load), _floats(ev_t), _floats(ev_dp))
+    if n_steps < 0 or stride < 1:
+        raise ValueError("n_steps must be >= 0 and stride >= 1")
+    x, p, ev_t, ev_dp = _inputs(x0, params, ev_t, ev_dp)
+    args = _args(p, mode)
+    ev = (float(base_load), ev_t, ev_dp)
     dt = float(dt)
     h2 = 0.5 * dt
     h6 = dt / 6.0
-    out = np.empty((1 + n_steps // stride, 1 + N_STATES + N_OUT))
-    out[0, 0] = 0.0
-    out[0, 1:1 + N_STATES] = x
-    row = 1
+    w = len(ROW)
+    rows = bytearray(8 * w * (1 + n_steps // stride))  # t = 0 is zeroed
+    out = memoryview(rows).cast("d")
+    out[1:1 + N_STATES] = array("d", x)
+    row = w  # where the next row starts in out
     fixed = None  # the loads under which x is a fixed point of the step
     for i in range(n_steps):
         t0 = i * dt
@@ -163,41 +174,42 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
             fixed = loads if _same_bits(xn, x) else None
             x = xn
         if i % stride == 0:
-            out[i // stride, 1 + N_STATES:] = k1[N_STATES:]
+            at = i // stride * w + 1 + N_STATES
+            out[at:at + N_OUT] = array("d", k1[N_STATES:])
         if (i + 1) % stride == 0:
-            out[row, 0] = (i + 1) * dt
-            out[row, 1:1 + N_STATES] = x
-            row += 1
+            out[row] = (i + 1) * dt
+            out[row + 1:row + 1 + N_STATES] = array("d", x)
+            row += w
     if n_steps % stride == 0:
-        out[row - 1, 1 + N_STATES:] = _deriv(x, _load(n_steps * dt, *ev),
-                                             *args)[N_STATES:]
-    return out[:row]
-
-
-def _constant(a) -> bool:
-    """True if every value of a has the same bits (0.0 and -0.0 differ)."""
-    bits = a.view("i8")
-    return bits.min() == bits.max()
+        out[row - N_OUT:row] = array("d", _deriv(x, _load(n_steps * dt, *ev),
+                                                 *args)[N_STATES:])
+    out.release()
+    return rows
 
 
 def csv_rows(columns) -> str:
-    """The CSV rows of equal-length 1-D float64 columns, no header: every
-    value written with %.17g, so it reads back bit for bit.  The rows are one
-    %-format of a flat tuple of the varying columns; a column whose bits are
-    constant over the rows is formatted once, into the row template.
+    """The CSV rows of equal-length 1-D float64 columns (any buffer, strided
+    or not), no header: every value written with %.17g, so it reads back bit
+    for bit.  The rows are one %-format of a flat tuple of the varying
+    columns; a column whose bits are constant over the rows is formatted
+    once, into the row template.
     """
-    import numpy as np
-    n = len(columns[0]) if len(columns) else 0
+    cols = [memoryview(c) for c in columns]
+    if any(c.ndim != 1 or c.format != "d" or len(c) != len(cols[0])
+           for c in cols):
+        raise ValueError("csv_rows expects 1-D float64 columns of equal "
+                         "length")
+    n = len(cols[0]) if cols else 0
     if not n:
         return ""
     fields, varying = [], []
-    for c in columns:
-        if _constant(c):
-            fields.append("%.17g" % float(c[0]))
+    for c in cols:
+        if c.tobytes() == c[:1].tobytes() * n:  # the same bits on every row
+            fields.append("%.17g" % c[0])
         else:
             fields.append("%.17g")
-            varying.append(c)
+            varying.append(c.tolist())
     rows = (",".join(fields) + "\n") * n
     if varying:
-        rows %= tuple(np.column_stack(varying).ravel().tolist())
+        rows %= tuple(chain.from_iterable(zip(*varying)))
     return rows

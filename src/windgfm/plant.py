@@ -15,7 +15,7 @@ from ._kernel.layout import (
     N_PARAMS, P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0,
     P_CPMAX, P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG,
     P_KTM, P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE,
-    P_RATE, P_TDC, P_TG, P_TSERVO, STATES,
+    P_RATE, P_TDC, P_TG, P_TSERVO, ROW, STATES,
 )
 from .aero import CpSurface, TurbineParams, cp
 from .control import ControlGains
@@ -153,8 +153,8 @@ def closed_loop_derivative(x, t: float, p_arr: np.ndarray, mode: Mode,
     v_dc, om_r = x[STATES.index("v_dc")], x[STATES.index("omega_r")]
     if v_dc <= 0 or om_r <= 0:
         raise PlantError(f"invalid state: v_dc={v_dc}, omega_r={om_r}")
-    return _kernel.derivative(x, t, p_arr, int(mode), load.base,
-                              load.ev_times, load.ev_steps)
+    return np.array(_kernel.derivative(x, t, p_arr, int(mode), load.base,
+                                       load.ev_times, load.ev_steps))
 
 
 def find_equilibrium(plant: PlantParams, gains: ControlGains,
@@ -204,12 +204,13 @@ def sample_grid(duration: float, dt: float, sample_dt: float) -> tuple[int, int]
 def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
              duration: float, dt: float, sample_dt: float) -> np.ndarray:
     """Integrate with the active kernel; rows are layout.ROW: t, the
-    states, then P_wt, P_gsc and w_gsc taken at the row's state."""
+    states, then P_wt, P_gsc and w_gsc taken at the row's state.  The array
+    is a writable view of the kernel's bytearray, not a copy."""
     import numpy as np
     n_steps, stride = sample_grid(duration, dt, sample_dt)
     try:
-        return _kernel.simulate(np.asarray(x0, dtype=float), p_arr, int(mode),
-                                dt, n_steps, stride, load.base,
-                                load.ev_times, load.ev_steps)
+        rows = _kernel.simulate(x0, p_arr, int(mode), dt, n_steps, stride,
+                                load.base, load.ev_times, load.ev_steps)
     except FloatingPointError as e:
         raise PlantError(str(e)) from e
+    return np.frombuffer(rows).reshape(-1, len(ROW))

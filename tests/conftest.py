@@ -6,7 +6,6 @@ import subprocess
 import sysconfig
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import windgfm
@@ -16,20 +15,24 @@ from windgfm.config import DEFAULT_CONFIG, make_plant, make_surface
 from windgfm.aero import CpSurface, TurbineParams
 
 KERNEL_C = Path(_kernel.__file__).with_name("_ode_cy.c")
-CFLAGS = ["-O3", "-fPIC", "-shared", "-DNDEBUG", "-ffp-contract=off"]
+# -Werror: a warning of -Wall -Wextra fails the build, and with it every
+# test that compares the two kernels
+CFLAGS = ["-O3", "-fPIC", "-shared", "-DNDEBUG", "-ffp-contract=off",
+          "-Wall", "-Wextra", "-Werror"]
 NO_CC = "no C compiler found"
 
 
 def compile_kernel(out_dir: Path, *flags):
     """(module, None) of _ode_cy.c compiled with the system C compiler and
-    the extra flags into out_dir (never under src/), or (None, why not)."""
+    the extra flags into out_dir (never under src/), or (None, why not).
+    Python's headers are the only include path."""
     cc = shutil.which(os.environ.get("CC", "cc"))
     if cc is None:
         return None, NO_CC
     so = out_dir / ("_ode_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run([cc, *CFLAGS, *flags,
                            f"-I{sysconfig.get_paths()['include']}",
-                           f"-I{np.get_include()}", str(KERNEL_C), "-o", str(so)],
+                           str(KERNEL_C), "-o", str(so)],
                           capture_output=True, text=True)
     if proc.returncode:
         return None, f"compiling {KERNEL_C.name} failed:\n{proc.stderr}"

@@ -89,8 +89,11 @@ def test_writers_match_percent_17g(ode_cy, table, reverse):
 def test_compiled_writer_rejects_bad_columns(ode_cy):
     with pytest.raises(ValueError, match="equal length"):
         ode_cy.csv_rows([np.zeros(3), np.zeros(4)])
-    with pytest.raises(ValueError):
-        ode_cy.csv_rows([np.zeros((2, 2))])
+    # columns are read as 1-D float64 buffers, by the pure writer too
+    for writer in (ode_cy, _ode_py):
+        for bad in (np.zeros((2, 2)), np.zeros(3, dtype=np.int64)):
+            with pytest.raises(ValueError, match="1-D float64"):
+                writer.csv_rows([bad])
 
 
 def test_writer_without_int128_matches_the_pure_writer(kernel_without_int128,

@@ -68,7 +68,8 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
     probes = diff_outputs.probes(["simulate", "--set", "scenario.dt=0.001"])
     for mode in ("GFL_MPPT", "GFM_MPPT", "GFM_FR"):
         assert probes[f"gain-design-{mode}"][0][-1] == f"scenario.mode={mode}"
-    assert [k for k, (_, pure) in probes.items() if pure] == ["pure_fallback"]
+    assert [k for k, (_, pure) in probes.items() if pure] == \
+        ["pure_fallback", "pure_fallback-compare"]
     # the kernel's output columns at both ends of a run and in GFL mode
     for probe, override in (("simulate-odd-steps", "scenario.duration=59.9995"),
                             ("simulate-stride-3", "scenario.sample_dt=0.0015"),
@@ -76,6 +77,8 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
         assert probes[probe][0][:3] == ["simulate", "--set", override]
         assert "--out" in probes[probe][0]
     assert probes["pure_fallback"][0][-2:] == ["--out", "pure.csv"]
+    assert probes["pure_fallback-compare"][0] == \
+        ["compare", "--set", "scenario.dt=0.001", "--out", "cmp.csv"]
     # the fig7 preset of the design commands
     for probe in ("gain-design-fig7", "droop-map-fig7"):
         assert probes[probe][0][1:3] == ["--set", "control.preset=fig7"]

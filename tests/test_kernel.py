@@ -7,7 +7,6 @@ import pytest
 
 import windgfm
 from windgfm._kernel import _ode_py
-from windgfm._kernel._ode_py import _floats
 from windgfm._kernel.layout import (
     MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_PCONST, P_TG, ROW, STATES,
 )
@@ -17,6 +16,12 @@ from windgfm.plant import Mode, find_equilibrium
 # index of a state in a state vector, and of a column in the kernel's rows
 S = {name: k for k, name in enumerate(STATES)}
 COL = {name: k for k, name in enumerate(ROW)}
+
+
+def as_array(rows):
+    """A kernel's rows (a bytearray of float64 values) as an (n, len(ROW))
+    array."""
+    return np.frombuffer(rows).reshape(-1, len(ROW))
 
 
 def _deriv(x, t, p, cp_coeffs, mode, base, ev_t, ev_dp):
@@ -29,9 +34,8 @@ def reference_simulate(x0, params, mode, dt, n_steps, stride, base_load,
                        ev_t=(), ev_dp=()):
     """The kernels' RK4 loop with four derivative calls on every step: no
     step is skipped, whether or not its state is a fixed point."""
-    x = _floats(x0)
-    args = (*_ode_py._args(params, mode), float(base_load), _floats(ev_t),
-            _floats(ev_dp))
+    x, p, ev_t, ev_dp = _ode_py._inputs(x0, params, ev_t, ev_dp)
+    args = (*_ode_py._args(p, mode), float(base_load), ev_t, ev_dp)
     dt = float(dt)
     h2 = 0.5 * dt
     h6 = dt / 6.0
@@ -83,8 +87,8 @@ def one_step(kernel, x, p, mode, t):
     outputs at x, the next state and its outputs), or the divergence
     message.  Every stage of the step is a derivative call."""
     try:
-        return kernel.simulate(x, p, mode, 1e-3, 1, 1, 2.0, (30.0 - t,),
-                               (0.4,)).tobytes()
+        return bytes(kernel.simulate(x, p, mode, 1e-3, 1, 1, 2.0, (30.0 - t,),
+                                     (0.4,)))
     except FloatingPointError as e:
         return str(e)
 
@@ -113,7 +117,8 @@ def test_simulate_backends_bit_identical(plant, surface, ode_cy):
                                   (2.0,), (0.4,))
             sc = ode_cy.simulate(x0, p_arr, mode, 5e-4, 8000, 2, 2.0,
                                  (2.0,), (0.4,))
-            assert sp.tobytes() == sc.tobytes()
+            assert type(sp) is type(sc) is bytearray
+            assert sp == sc
 
 
 def test_derivative_bit_identical_on_random_parameter_vectors(ode_cy):
@@ -141,8 +146,9 @@ def test_simulate_sample_counts_match(packed, ode_cy, n_steps, stride):
     x0, p_arr = packed
     args = (x0, p_arr, 2, 5e-4, n_steps, stride, 2.0, (0.0,), (0.4,))
     sp, sc = _ode_py.simulate(*args), ode_cy.simulate(*args)
-    assert sp.shape == sc.shape == (1 + n_steps // stride, 1 + N_STATES + N_OUT)
-    assert sp.tobytes() == sc.tobytes()
+    assert len(sp) == len(sc) == \
+        8 * (1 + n_steps // stride) * (1 + N_STATES + N_OUT)
+    assert sp == sc
 
 
 @pytest.mark.parametrize("n_steps, stride", [(0, 1), (0, 4), (40, 4), (41, 4),
@@ -156,8 +162,8 @@ def test_simulate_outputs_are_those_of_each_row_state(packed, ode_cy, n_steps,
     # every state off the equilibrium
     x0, p_arr = packed
     for kernel in (_ode_py, ode_cy):
-        out = kernel.simulate(x0, p_arr, mode, 5e-4, n_steps, stride, 2.0,
-                              (0.01,), (0.4,))
+        out = as_array(kernel.simulate(x0, p_arr, mode, 5e-4, n_steps,
+                                       stride, 2.0, (0.01,), (0.4,)))
         if mode == MODE_GFL_MPPT:
             # the constant injection twice and omega_g; the WT-side states
             # keep x0's bits
@@ -172,8 +178,8 @@ def test_simulate_outputs_are_those_of_each_row_state(packed, ode_cy, n_steps,
         else:
             assert n_steps < 20 or np.ptp(out[:, 1 + N_STATES]) > 0
         for row in out:
-            ref = kernel.simulate(row[1:1 + N_STATES], p_arr, mode, 5e-4, 0,
-                                  1, 2.0, (0.01,), (0.4,))
+            ref = as_array(kernel.simulate(row[1:1 + N_STATES], p_arr, mode,
+                                           5e-4, 0, 1, 2.0, (0.01,), (0.4,)))
             assert row[1 + N_STATES:].tobytes() == \
                 ref[0, 1 + N_STATES:].tobytes()
 
@@ -198,7 +204,7 @@ ODD_STEPS = 101
 def kernel_result(kernel, *args):
     """The bytes of a kernel's rows, or its divergence message."""
     try:
-        return kernel(*args).tobytes()
+        return bytes(kernel(*args))
     except FloatingPointError as e:
         return str(e)
 
@@ -218,8 +224,8 @@ def test_kernels_equal_the_no_skip_reference(mode_equilibrium, ode_cy, layout,
     mode, x0, p_arr = mode_equilibrium
     args = (x0, p_arr, mode, H, n_steps, stride, 2.0, *EVENT_LAYOUTS[layout])
     ref = reference_simulate(*args).tobytes()
-    assert _ode_py.simulate(*args).tobytes() == ref
-    assert ode_cy.simulate(*args).tobytes() == ref
+    assert _ode_py.simulate(*args) == ref
+    assert ode_cy.simulate(*args) == ref
 
 
 @pytest.mark.parametrize("layout", ["at_0", "half_step", "same_time"])
@@ -254,7 +260,7 @@ def test_steps_before_the_load_step_are_not_integrated(packed, monkeypatch):
         return deriv(*a)
 
     monkeypatch.setattr(_ode_py, "_deriv", counted)
-    assert _ode_py.simulate(*args).tobytes() == ref
+    assert _ode_py.simulate(*args) == ref
     post_step = n_steps - 4000
     assert calls <= 4 * (post_step + 2) + 1
 
@@ -298,7 +304,7 @@ def test_nan_cp_diverges_on_both_kernels(packed, ode_cy):
 
 def test_simulate_sampling_layout(packed):
     x0, p_arr = packed
-    out = _ode_py.simulate(x0, p_arr, 2, 1e-3, 100, 10, 2.0, (), ())
+    out = as_array(_ode_py.simulate(x0, p_arr, 2, 1e-3, 100, 10, 2.0, (), ()))
     assert out.shape == (11, len(ROW))
     assert out[0, 0] == 0.0
     np.testing.assert_allclose(out[:, 0], np.arange(11) * 0.01, atol=1e-12)
@@ -309,7 +315,7 @@ def test_repeat_runs_byte_identical(packed):
     x0, p_arr = packed
     a = _ode_py.simulate(x0, p_arr, 2, 5e-4, 4000, 2, 2.0, (1.0,), (0.4,))
     b = _ode_py.simulate(x0, p_arr, 2, 5e-4, 4000, 2, 2.0, (1.0,), (0.4,))
-    assert a.tobytes() == b.tobytes()
+    assert a == b
 
 
 def test_python_kernel_divergence_guard(packed):
@@ -331,6 +337,65 @@ def test_compiled_kernel_divergence_guard_matches_python(packed, ode_cy):
         ode_cy.simulate(*args)
     assert str(ec.value) == str(ep.value)
     assert str(ep.value).startswith("state ")
+
+
+def bad_inputs(x0, p):
+    """simulate's keyword arguments, each with one input the kernels
+    reject: a wrong vector length, n_steps < 0 or stride < 1."""
+    ok = dict(x0=x0, params=p, mode=2, dt=5e-4, n_steps=4, stride=1,
+              base_load=2.0, ev_t=(1.0,), ev_dp=(0.4,))
+    return {
+        "43_params": {**ok, "params": np.append(p, 0.0)},
+        "ev_dp_longer": {**ok, "ev_dp": (0.4, 0.1)},
+        "ev_dp_shorter": {**ok, "ev_t": (1.0, 2.0)},
+        "10_states": {**ok, "x0": x0[:10]},
+        "x0_1x11": {**ok, "x0": x0.reshape(1, -1)},
+        "n_steps_-1": {**ok, "n_steps": -1},
+        "stride_0": {**ok, "stride": 0},
+    }
+
+
+@pytest.mark.parametrize("case", ["43_params", "ev_dp_longer",
+                                  "ev_dp_shorter", "10_states", "x0_1x11",
+                                  "n_steps_-1", "stride_0"])
+def test_kernels_reject_bad_inputs_alike(packed, ode_cy, case):
+    kw = bad_inputs(*packed)[case]
+    errors = []
+    for kernel in (_ode_py, ode_cy):
+        with pytest.raises(ValueError) as e:
+            kernel.simulate(**kw)
+        errors.append((type(e.value), str(e.value)))
+    assert errors[0] == errors[1]
+
+
+# Both kernels, numpy blocked: rows from tuples, CSV from array('d') columns
+WITHOUT_NUMPY = """
+import importlib.util, sys
+from array import array
+sys.modules["numpy"] = None
+from windgfm._kernel import _ode_py
+spec = importlib.util.spec_from_file_location("windgfm._kernel._ode_cy", SO)
+ode_cy = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ode_cy)
+args = (X0, P, 2, 5e-4, 400, 3, 2.0, (0.05,), (0.4,))
+rows = [k.simulate(*args) for k in (_ode_py, ode_cy)]
+assert type(rows[0]) is type(rows[1]) is bytearray and rows[0] == rows[1]
+v = memoryview(rows[0]).cast("d")
+cols = [array("d", v[j::W]) for j in range(W)]
+text = [k.csv_rows(cols) for k in (_ode_py, ode_cy)]
+assert text[0] == text[1] and text[0].count("\\n") == len(v) // W
+print(len(v) // W)
+"""
+
+
+def test_kernels_run_without_numpy(packed, ode_cy):
+    x0, p_arr = packed
+    code = (f"SO, X0, P, W = {ode_cy.__file__!r}, {tuple(x0.tolist())!r}, "
+            f"{tuple(p_arr.tolist())!r}, {len(ROW)}\n" + WITHOUT_NUMPY)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(1 + 400 // 3)
 
 
 def test_pure_python_env_forces_fallback():

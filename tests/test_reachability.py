@@ -7,6 +7,8 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import windgfm
 from windgfm import cli
 from windgfm._kernel import _ode_py
@@ -46,8 +48,9 @@ def run_pure_kernel() -> None:
     gains = gains_for_scenario(plant, surface, Scenario()).gains
     x0, p_arr, _ = find_equilibrium(plant, gains, surface, 8.0, load,
                                     Mode.GFM_FR)
-    out = _ode_py.simulate(x0, p_arr, Mode.GFM_FR, 5e-4, 400, 100, load.base,
-                           load.ev_times, load.ev_steps)
+    rows = _ode_py.simulate(x0, p_arr, Mode.GFM_FR, 5e-4, 400, 100,
+                            load.base, load.ev_times, load.ev_steps)
+    out = np.frombuffer(rows).reshape(-1, len(ROW))
     assert out.shape == (5, len(ROW))
     assert _ode_py.csv_rows(list(out.T)).count("\n") == 5
 

@@ -89,6 +89,9 @@ def probes(pure_args: list) -> dict:
         "droop-map-fig7": (["droop-map", "--set", "control.preset=fig7",
                             "--out", "map.csv"], False),
         "pure_fallback": ([*pure_args, "--out", "pure.csv"], True),
+        # the same config's three modes, GFL_MPPT's held WT side included
+        "pure_fallback-compare": (["compare", *pure_args[1:], "--out",
+                                   "cmp.csv"], True),
     }
 
 
