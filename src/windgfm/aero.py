@@ -49,6 +49,14 @@ def require_finite(what: str, values: dict) -> None:
         raise DesignError(f"{what}: {', '.join(bad)} not finite")
 
 
+def require_positive(obj, *names: str) -> None:
+    """Raise ValueError for the first of obj's attributes names that is not
+    finite and positive.  Written `not 0 < x < inf` so that NaN fails too."""
+    for name in names:
+        if not 0 < getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class CpSurface:
     """Calibrated power-coefficient surface Cp(lambda, beta)."""
@@ -68,10 +76,9 @@ class TurbineParams:
     n_agg: int = 10             # aggregated turbine count
 
     def __post_init__(self):
+        require_positive(self, "rho", "R", "J_wt", "omega_nom", "omega_max",
+                         "P_rated")
         # written `not lo < x < hi` so that NaN is rejected too
-        for name in ("rho", "R", "J_wt", "omega_nom", "omega_max", "P_rated"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
         if not 1 <= self.n_agg < math.inf:
             raise ValueError("n_agg must be finite and >= 1")
 

@@ -108,11 +108,11 @@ def cmd_gain_design(args) -> int:
         "v_w": d.v_w, "eta": d.eta, "status": d.status,
         "m_p": None if math.isinf(d.m_p) else d.m_p,
         "omega_del_pu": d.gains.omega_del,
-        "beta_del_deg": d.gains.pitch.beta_del,
+        "beta_del_deg": d.gains.beta_del,
         "omega_mpp_pu": d.omega_mpp, "k_wr": d.k_wr, "k_b": d.k_b,
         "k_theta_gsc": d.gains.gsc.k_theta, "k_d_gsc": d.gains.gsc.k_d,
         "k_theta_msc": d.gains.msc.k_theta, "k_d_msc": d.gains.msc.k_d,
-        "k_p": d.gains.pitch.k_p,
+        "k_p": d.gains.k_p,
         "theorem1_ratio_ok": d.gains.theorem1_ratio_ok,
     }
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -211,7 +211,7 @@ def _run(args) -> int:
     except OutputError as e:
         print(f"output error: {e}", file=sys.stderr)
         return 3
-    except (HarnessAssertionError, AssertionError) as e:
+    except AssertionError as e:
         print(f"assertion failure: {e}", file=sys.stderr)
         return 2
     except PlantError as e:

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, fields
 
-from .aero import CpSurface, TurbineParams
+from .aero import CpSurface, TurbineParams, require_positive
 from .gaindesign import PRESETS, DesignSpec, GainDesign, design_gains, mppt_gains
 from .plant import (
     MAX_STEPS, LoadProfile, Mode, NetworkParams, PlantParams, SgParams,
@@ -164,11 +163,7 @@ class Scenario:
     spec: DesignSpec = DesignSpec()
 
     def __post_init__(self):
-        for name in ("duration", "dt", "sample_dt"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.v_w < math.inf:
-            raise ValueError("v_w must be finite and positive")
+        require_positive(self, "duration", "dt", "sample_dt", "v_w")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         # sample_grid rounds these to the step count and the stride

@@ -7,12 +7,22 @@ from dataclasses import dataclass
 from .aero import DesignError
 
 
+# The pitch loop's fixed constants, which no design or config sets
+KP_LIM = 50.0       # limiter PI proportional gain (both channels)
+KI_LIM = 20.0       # limiter PI integral gain
+PMAX_MSC = 1.05     # pu, MSC power above which the power limiter pitches
+T_SERVO = 0.3       # s, pitch servo time constant
+RATE_LIMIT = 8.0    # deg/s, pitch servo rate limit
+BETA_MIN = 0.0      # deg, pitch range
+BETA_MAX = 30.0     # deg
+
+
 @dataclass(frozen=True)
 class ConverterGains:
     """One converter channel of the dual-port frequency law."""
 
     k_theta: float          # pu-freq / pu-Vdc
-    k_d: float = 0.0        # pu-freq*s / pu-Vdc
+    k_d: float              # pu-freq*s / pu-Vdc
 
     def __post_init__(self):
         if not 0 < self.k_theta < math.inf:
@@ -22,31 +32,15 @@ class ConverterGains:
 
 
 @dataclass(frozen=True)
-class PitchGains:
-    k_p: float = 0.0        # deg / pu-speed
-    beta_del: float = 0.0   # deg
-    kp_lim: float = 50.0    # limiter PI proportional gain (both channels)
-    ki_lim: float = 20.0    # limiter PI integral gain
-    p_max_msc: float = 1.05  # pu
-    t_servo: float = 0.3    # s
-    rate_limit: float = 8.0  # deg/s
-    beta_min: float = 0.0
-    beta_max: float = 30.0
-
-    def __post_init__(self):
-        if self.t_servo <= 0 or self.rate_limit <= 0:
-            raise ValueError("t_servo and rate_limit must be positive")
-        if self.beta_max <= self.beta_min:
-            raise ValueError("empty pitch range")
-
-
-@dataclass(frozen=True)
 class ControlGains:
+    """The gains and setpoints a design chooses for one operating point."""
+
     gsc: ConverterGains
     msc: ConverterGains
-    pitch: PitchGains
     t_dc: float             # s, DC-filter time constant of both converters
-    omega_del: float = 1.0  # pu, MSC (rotor) frequency setpoint
+    omega_del: float        # pu, MSC (rotor) frequency setpoint
+    k_p: float              # deg / pu-speed, proportional pitch gain
+    beta_del: float         # deg, pitch setpoint
 
     def __post_init__(self):
         if not self.t_dc > 0:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .aero import (CpSurface, DesignError, TurbineParams, arange, cp, find_mpp,
                    require_finite)
-from .control import PitchGains
+from .control import BETA_MAX, BETA_MIN
 
 
 class CurtailmentError(DesignError):
@@ -24,11 +24,6 @@ class DeloadPoint:
 
     def __post_init__(self):
         require_finite("deload point", vars(self))
-
-
-@dataclass(frozen=True)
-class DeloadTable:
-    points: tuple  # row-major (v, eta) tuple of DeloadPoint
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -56,7 +51,7 @@ def solve_pitch_deload(surface: CpSurface, lam_capped: float, eta: float,
                        target_cp: float) -> float:
     """beta_del in the servo's range [beta_min, beta_max] with
     Cp(lam_capped, beta_del) = eta * target_cp."""
-    lo, hi = PitchGains.beta_min, PitchGains.beta_max
+    lo, hi = BETA_MIN, BETA_MAX
     goal = eta * target_cp
     if cp(surface, lam_capped, lo) <= goal:
         return lo
@@ -103,20 +98,20 @@ def solve_speed_deload_target(surface: CpSurface, target: float,
 
 
 def build_table(params: TurbineParams, surface: CpSurface,
-                v_grid=None, eta_grid=None) -> DeloadTable:
+                v_grid=None, eta_grid=None) -> tuple[DeloadPoint, ...]:
+    """The deload points of the grid, row-major in (v_w, eta)."""
     if v_grid is None:
         v_grid = arange(4.0, 14.01, 0.5)
     if eta_grid is None:
         eta_grid = arange(0.70, 1.001, 0.05)
-    return DeloadTable(points=tuple(
-        deload_point(params, surface, float(v), float(e))
-        for v in v_grid for e in eta_grid))
+    return tuple(deload_point(params, surface, float(v), float(e))
+                 for v in v_grid for e in eta_grid)
 
 
-def table_to_csv(table: DeloadTable) -> str:
+def table_to_csv(table: tuple[DeloadPoint, ...]) -> str:
     buf = io.StringIO()
     buf.write("v_w,eta,lambda_del,omega_del_pu,beta_del_deg\n")
-    for p in table.points:
+    for p in table:
         buf.write(f"{p.v_w:.17g},{p.eta:.17g},{p.lam_del:.17g},"
                   f"{p.omega_del:.17g},{p.beta_del:.17g}\n")
     return buf.getvalue()

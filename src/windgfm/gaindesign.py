@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 
 from .aero import (CpSurface, DesignError, TurbineParams, power_sensitivities,
-                   require_finite)
-from .control import ControlGains, ConverterGains, PitchGains
+                   require_finite, require_positive)
+from .control import ControlGains, ConverterGains
 from .curtailment import deload_point
 
 
@@ -30,10 +30,7 @@ class DesignSpec:
     t_dc: float = 0.005         # s
 
     def __post_init__(self):
-        # written `not lo < x < hi` so that NaN is rejected too
-        for name in ("d_omega_max", "d_v_max", "msc_floor", "t_dc"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require_positive(self, "d_omega_max", "d_v_max", "msc_floor", "t_dc")
         if not 0 <= self.k_d_gsc < math.inf:
             raise ValueError("k_d_gsc must be finite and non-negative")
         if self.target_droop is not None \
@@ -57,7 +54,7 @@ class GainDesign:
         # m_p is droop_coefficient's, finite, or inf where there is no droop
         values = {k: v for k, v in vars(self).items()
                   if k not in ("gains", "m_p", "status")}
-        require_finite("gain design", {**values, "k_p": self.gains.pitch.k_p})
+        require_finite("gain design", {**values, "k_p": self.gains.k_p})
 
 
 def droop_coefficient(k_theta_gsc: float, k_theta_msc: float,
@@ -114,8 +111,8 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
     gains = ControlGains(
         gsc=ConverterGains(k_theta=ktg, k_d=kdg),
         msc=ConverterGains(k_theta=ktm, k_d=kdg * ktm / ktg),
-        pitch=PitchGains(k_p=k_p, beta_del=pt.beta_del),
-        omega_del=pt.omega_del, t_dc=spec.t_dc)
+        t_dc=spec.t_dc, omega_del=pt.omega_del, k_p=k_p,
+        beta_del=pt.beta_del)
     return GainDesign(v_w=v_w, eta=eta, gains=gains, m_p=m_p, k_wr=k_wr,
                       k_b=k_b, omega_mpp=pt.omega_mpp, status=status)
 
@@ -129,8 +126,8 @@ def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
     gains = ControlGains(
         gsc=ConverterGains(k_theta=ktg, k_d=kdg),
         msc=ConverterGains(k_theta=ktg, k_d=kdg),
-        pitch=PitchGains(k_p=0.0, beta_del=pt.beta_del),
-        omega_del=pt.omega_del, t_dc=spec.t_dc)
+        t_dc=spec.t_dc, omega_del=pt.omega_del, k_p=0.0,
+        beta_del=pt.beta_del)
     return GainDesign(v_w=v_w, eta=1.0, gains=gains, m_p=math.inf, k_wr=0.0,
                       k_b=0.0, omega_mpp=pt.omega_mpp, status="no-droop")
 

@@ -17,8 +17,11 @@ from ._kernel.layout import (
     P_KTM, P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE,
     P_RATE, P_TDC, P_TG, P_TSERVO, ROW, STATES,
 )
-from .aero import CpSurface, TurbineParams, cp
-from .control import ControlGains
+from .aero import CpSurface, TurbineParams, cp, require_positive
+from .control import (
+    BETA_MAX, BETA_MIN, KI_LIM, KP_LIM, PMAX_MSC, RATE_LIMIT, T_SERVO,
+    ControlGains,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,9 +47,7 @@ class SgParams:
     rating: float = 210e6   # VA
 
     def __post_init__(self):
-        for name in ("h_g", "t_g", "droop", "rating"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require_positive(self, "h_g", "t_g", "droop", "rating")
 
     def j_g(self, s_base: float) -> float:
         return 2.0 * self.h_g * self.rating / s_base
@@ -71,9 +72,7 @@ class NetworkParams:
     f_hz: float = 50.0          # Hz
 
     def __post_init__(self):
-        for name in ("b_g", "b_msc", "c_dc", "s_base", "f_hz"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require_positive(self, "b_g", "b_msc", "c_dc", "s_base", "f_hz")
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,13 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     p[P_KDM] = gains.msc.k_d
     p[P_KTM] = gains.msc.k_theta
     p[P_OMDEL] = gains.omega_del
-    p[P_BETADEL] = gains.pitch.beta_del
-    p[P_KP] = gains.pitch.k_p
-    p[P_TSERVO] = gains.pitch.t_servo
-    p[P_RATE] = gains.pitch.rate_limit
-    p[P_KPLIM] = gains.pitch.kp_lim
-    p[P_KILIM] = gains.pitch.ki_lim
-    p[P_PMAX] = gains.pitch.p_max_msc
+    p[P_BETADEL] = gains.beta_del
+    p[P_KP] = gains.k_p
+    p[P_TSERVO] = T_SERVO
+    p[P_RATE] = RATE_LIMIT
+    p[P_KPLIM] = KP_LIM
+    p[P_KILIM] = KI_LIM
+    p[P_PMAX] = PMAX_MSC
     p[P_OMMAX] = tb.omega_max
     p[P_PG0] = p_g0
     p[P_PCONST] = p_const
@@ -140,8 +139,8 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     p[P_LAMC] = tb.lam_per_pu(v_w)
     p[P_CP0:P_CP0 + 14] = surface.coeffs
     p[P_CPMAX] = surface.cpmax_scale
-    p[P_BETAMIN] = gains.pitch.beta_min
-    p[P_BETAMAX] = gains.pitch.beta_max
+    p[P_BETAMIN] = BETA_MIN
+    p[P_BETAMAX] = BETA_MAX
     return p
 
 
@@ -172,7 +171,7 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
     import numpy as np
     nw = plant.network
     om_del = gains.omega_del
-    beta_del = gains.pitch.beta_del
+    beta_del = gains.beta_del
     p_wt0 = wind_power_pu(plant.turbine, surface, v_w, om_del, beta_del)
     p_const = min(p_wt0, 1.0)
     base = load.base

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,31 +19,58 @@ class SmallSignalError(DesignError):
 
 @dataclass(frozen=True)
 class SmallSignalModel:
-    T: np.ndarray       # 6x6 diagonal
-    A: np.ndarray       # 6x6
-    E: np.ndarray       # disturbance injection (load step into omega_g row)
-    labels: tuple
-    # components for certificate construction
-    b_g: float
-    b_msc: float
+    """T x' = A x for x = STATE_LABELS, built from the twelve parameters.
+
+    rho_1 is the GSC-SG angle difference, rho_2 the MSC-rotor angle
+    difference; k_wt is the aggregate torque stiffness K_omega_r + K_beta K_p.
+    Assumes zero DC-filter lag and constant voltage magnitudes.
+    """
+
     j_g: float          # J_g * omega_g at its 1 pu setpoint
     j_wt: float         # J_wt * omega_del
     c_dc: float
     t_g: float
     k_g: float
+    b_g: float
+    b_msc: float
     k_theta_gsc: float
-    k_theta_msc: float
     k_d_gsc: float
+    k_theta_msc: float
     k_d_msc: float
     k_wt: float
+    T: np.ndarray = field(init=False)   # 6x6 diagonal
+    A: np.ndarray = field(init=False)   # 6x6
+
+    def __post_init__(self):
+        for name in ("j_g", "j_wt", "c_dc", "t_g", "k_g", "b_g", "b_msc",
+                     "k_theta_gsc", "k_theta_msc"):
+            if getattr(self, name) <= 0:
+                raise SmallSignalError(f"{name} must be positive")
+        if self.k_d_gsc < 0 or self.k_d_msc < 0:
+            raise SmallSignalError("derivative gains must be non-negative")
+        T = np.diag([1.0, 1.0, self.j_g, self.j_wt, self.c_dc, self.t_g])
+        k1 = self.k_d_gsc / self.c_dc
+        k2 = self.k_d_msc / self.c_dc
+        b_g, b_msc = self.b_g, self.b_msc
+        A = np.array([
+            [-k1 * b_g, -k1 * b_msc, -1.0, 0.0, self.k_theta_gsc, 0.0],
+            [-k2 * b_g, -k2 * b_msc, 0.0, -1.0, self.k_theta_msc, 0.0],
+            [b_g, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, b_msc, 0.0, -self.k_wt, 0.0, 0.0],
+            [-b_g, -b_msc, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, -self.k_g, 0.0, 0.0, -1.0]])
+        # a product of finite parameters, such as J_wt * omega_nom^2, overflows
+        # to inf silently in Python floats
+        if not (np.isfinite(T).all() and np.isfinite(A).all()):
+            raise SmallSignalError("T or A is not finite")
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "A", A)
 
 
 @dataclass(frozen=True)
 class LaSalleReport:
     M: np.ndarray
-    V: np.ndarray
     max_eig_S: float        # largest eigenvalue of sym(M At + At' M)
-    max_dev_S_plus_V: float  # elementwise |S + sym(V)| max
     m_positive_definite: bool
 
     @property
@@ -51,58 +78,18 @@ class LaSalleReport:
         return self.m_positive_definite and self.max_eig_S <= 1e-9
 
 
-def build_model(j_g: float, j_wt: float, c_dc: float, t_g: float, k_g: float,
-                b_g: float, b_msc: float, k_theta_gsc: float, k_d_gsc: float,
-                k_theta_msc: float, k_d_msc: float, k_wt: float,
-                omega_del: float = 1.0) -> SmallSignalModel:
-    """Assemble T x' = A x for x = (rho_1, rho_2, omega_g, omega_r, v_dc, p_g).
-
-    rho_1 is the GSC-SG angle difference, rho_2 the MSC-rotor angle
-    difference; k_wt is the aggregate torque stiffness K_omega_r + K_beta K_p.
-    Assumes zero DC-filter lag and constant voltage magnitudes.
-    """
-    for name, v in (("j_g", j_g), ("j_wt", j_wt), ("c_dc", c_dc),
-                    ("t_g", t_g), ("k_g", k_g), ("b_g", b_g),
-                    ("b_msc", b_msc), ("k_theta_gsc", k_theta_gsc),
-                    ("k_theta_msc", k_theta_msc)):
-        if v <= 0:
-            raise SmallSignalError(f"{name} must be positive")
-    if k_d_gsc < 0 or k_d_msc < 0:
-        raise SmallSignalError("derivative gains must be non-negative")
-    T = np.diag([1.0, 1.0, j_g, j_wt * omega_del, c_dc, t_g])
-    k1 = k_d_gsc / c_dc
-    k2 = k_d_msc / c_dc
-    A = np.array([
-        [-k1 * b_g, -k1 * b_msc, -1.0, 0.0, k_theta_gsc, 0.0],
-        [-k2 * b_g, -k2 * b_msc, 0.0, -1.0, k_theta_msc, 0.0],
-        [b_g, 0.0, 0.0, 0.0, 0.0, 1.0],
-        [0.0, b_msc, 0.0, -k_wt, 0.0, 0.0],
-        [-b_g, -b_msc, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, -k_g, 0.0, 0.0, -1.0]])
-    # a product of finite parameters, such as J_wt * omega_nom^2, overflows
-    # to inf silently in Python floats
-    if not (np.isfinite(T).all() and np.isfinite(A).all()):
-        raise SmallSignalError("T or A is not finite")
-    E = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-    return SmallSignalModel(T=T, A=A, E=E, labels=STATE_LABELS,
-                            b_g=b_g, b_msc=b_msc, j_g=j_g,
-                            j_wt=j_wt * omega_del, c_dc=c_dc, t_g=t_g, k_g=k_g,
-                            k_theta_gsc=k_theta_gsc, k_theta_msc=k_theta_msc,
-                            k_d_gsc=k_d_gsc, k_d_msc=k_d_msc, k_wt=k_wt)
-
-
 def model_from_params(plant: PlantParams, gains: ControlGains,
                       k_wr: float, k_b: float) -> SmallSignalModel:
     nw = plant.network
     sg = plant.sg
-    k_wt = k_wr + k_b * gains.pitch.k_p
-    return build_model(
-        j_g=sg.j_g(nw.s_base), j_wt=j_wt(plant.turbine, nw.s_base),
+    return SmallSignalModel(
+        j_g=sg.j_g(nw.s_base),
+        j_wt=j_wt(plant.turbine, nw.s_base) * gains.omega_del,
         c_dc=nw.c_dc, t_g=sg.t_g, k_g=sg.k_g(nw.s_base),
         b_g=nw.b_g, b_msc=nw.b_msc,
         k_theta_gsc=gains.gsc.k_theta, k_d_gsc=gains.gsc.k_d,
         k_theta_msc=gains.msc.k_theta, k_d_msc=gains.msc.k_d,
-        k_wt=k_wt, omega_del=gains.omega_del)
+        k_wt=k_wr + k_b * gains.k_p)
 
 
 def system_matrix(model: SmallSignalModel) -> np.ndarray:
@@ -131,7 +118,7 @@ def lasalle_verify(model: SmallSignalModel) -> LaSalleReport:
     """Numeric certificate in x = (B rho, omega, v_dc, p_g) coordinates.
 
     M = 1/2 diag((K_theta B)^-1, K_theta^-1 J, C_dc, T_g/(k_theta_gsc k_g));
-    S = sym(M At + At' M) should be negative semidefinite and equal -sym(V).
+    S = sym(M At + At' M) should be negative semidefinite.
     """
     if not theorem1_conditions(model.k_theta_gsc, model.k_d_gsc,
                                model.k_theta_msc, model.k_d_msc,
@@ -148,15 +135,9 @@ def lasalle_verify(model: SmallSignalModel) -> LaSalleReport:
         model.t_g / (model.k_theta_gsc * model.k_g)])
     S = M @ At + At.T @ M
     S = 0.5 * (S + S.T)
-    V = np.zeros((6, 6))
-    V[:2, :2] = model.k_d_gsc / (model.k_theta_gsc * model.c_dc)
-    V[3, 3] = model.k_wt / model.k_theta_msc
-    V[5, 5] = 1.0 / (model.k_theta_gsc * model.k_g)
     eigM = np.linalg.eigvalsh(M)
     return LaSalleReport(
-        M=M, V=V,
-        max_eig_S=float(np.linalg.eigvalsh(S).max()),
-        max_dev_S_plus_V=float(np.abs(S + 0.5 * (V + V.T)).max()),
+        M=M, max_eig_S=float(np.linalg.eigvalsh(S).max()),
         m_positive_definite=bool(eigM.min() > 0))
 
 
@@ -164,7 +145,7 @@ def model_to_json(model: SmallSignalModel, lam: np.ndarray,
                   stable: bool) -> str:
     """The model's JSON, with stability_verdict's (lam, stable)."""
     return json.dumps({
-        "labels": list(model.labels),
+        "labels": list(STATE_LABELS),
         "T": model.T.tolist(),
         "A": model.A.tolist(),
         "eigenvalues": [[float(z.real), float(z.imag)] for z in lam],

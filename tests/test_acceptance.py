@@ -71,10 +71,10 @@ def test_criterion_3_theorem1_property_suite():
         k_wt = rng.uniform(0.0, 5.0)
         om_del = rng.uniform(0.8, 1.2)
         assert ss.theorem1_conditions(ktg, kdg, ktm, kdm, k_wt, 0.0, 0.0)
-        m = ss.build_model(j_g=j_g, j_wt=j_wt, c_dc=c_dc, t_g=t_g, k_g=k_g,
-                           b_g=b_g, b_msc=b_msc, k_theta_gsc=ktg,
-                           k_d_gsc=kdg, k_theta_msc=ktm, k_d_msc=kdm,
-                           k_wt=k_wt, omega_del=om_del)
+        m = ss.SmallSignalModel(j_g=j_g, j_wt=j_wt * om_del, c_dc=c_dc,
+                                t_g=t_g, k_g=k_g, b_g=b_g, b_msc=b_msc,
+                                k_theta_gsc=ktg, k_d_gsc=kdg,
+                                k_theta_msc=ktm, k_d_msc=kdm, k_wt=k_wt)
         lam, stable = ss.stability_verdict(m)
         assert stable, f"unstable draw: max Re = {lam.real.max():.3e}"
         rep = ss.lasalle_verify(m)
@@ -93,8 +93,8 @@ def test_criterion_4_linearization_consistency(plant, surface):
         d = design_gains(plant.turbine, surface, v_w, 0.9)
         model = ss.model_from_params(plant, d.gains, d.k_wr, d.k_b)
         f = reduced_rhs(model, plant.turbine, surface, v_w,
-                        d.gains.omega_del, d.gains.pitch.beta_del,
-                        d.gains.pitch.k_p)
+                        d.gains.omega_del, d.gains.beta_del,
+                        d.gains.k_p)
         J = numerical_jacobian(f, np.zeros(6))
         Asys = ss.system_matrix(model)
         assert np.max(np.abs(J - Asys)) < 1e-8, f"mismatch at {v_w} m/s"

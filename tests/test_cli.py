@@ -104,7 +104,7 @@ def test_gain_design_mppt_branch(capsys):
         assert doc["eta"] == d.eta == 1.0
         assert doc["omega_del_pu"] == d.gains.omega_del
         assert doc["k_theta_msc"] == d.gains.msc.k_theta
-        assert doc["k_p"] == d.gains.pitch.k_p == 0.0
+        assert doc["k_p"] == d.gains.k_p == 0.0
 
 
 def test_droop_map_csv(tmp_path, capsys):

@@ -5,31 +5,32 @@ import numpy as np
 import pytest
 
 from windgfm import _kernel
-from windgfm._kernel.layout import P_BM, P_PCONST, STATES
+from windgfm._kernel.layout import P_BM, P_PCONST, P_RATE, STATES
 from windgfm.aero import find_mpp
 from windgfm.control import (
-    ControlGains, ConverterGains, PitchGains, limiter_pi, pd_filter_realization,
-    pitch_rate,
+    RATE_LIMIT, T_SERVO, ControlGains, ConverterGains, limiter_pi,
+    pd_filter_realization, pitch_rate,
 )
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, pack_params
 
 
 def make_gains(ktg=0.5, kdg=0.0067, ktm=6.6, kp=22.7, beta_del=3.0,
-               omega_del=1.2, t_dc=0.005, **pitch):
+               omega_del=1.2, t_dc=0.005):
     kdm = kdg * ktm / ktg
     return ControlGains(
         gsc=ConverterGains(k_theta=ktg, k_d=kdg),
         msc=ConverterGains(k_theta=ktm, k_d=kdm),
-        pitch=PitchGains(k_p=kp, beta_del=beta_del, **pitch),
-        omega_del=omega_del, t_dc=t_dc)
+        t_dc=t_dc, omega_del=omega_del, k_p=kp, beta_del=beta_del)
 
 
 def kernel_rates(plant, surface, gains, beta=0.0, omega_r=1.0, p_msc=0.5,
-                 v_dc=1.0, x_gsc=0.0, x_msc=0.0, i_speed=0.0, i_power=0.0):
+                 v_dc=1.0, x_gsc=0.0, x_msc=0.0, i_speed=0.0, i_power=0.0,
+                 rate_limit=RATE_LIMIT):
     """Closed-loop derivative from the active kernel at a state with the
-    given MSC power, as state name -> rate."""
+    given MSC power and pitch servo rate limit, as state name -> rate."""
     p = pack_params(plant, gains, surface, 8.0, 1.5, 0.0)
+    p[P_RATE] = rate_limit
     state = dict(rho_1=0.0, omega_g=1.0, P_g=1.5, v_dc=v_dc,
                  rho_2=math.asin(p_msc / p[P_BM]), omega_r=omega_r,
                  x_gsc=x_gsc, x_msc=x_msc, beta=beta, i_speed=i_speed,
@@ -68,7 +69,7 @@ def test_pd_filter_rejects_bad_time_constant():
 
 def test_converter_gains_validation():
     with pytest.raises(ValueError):
-        ConverterGains(k_theta=0.0)
+        ConverterGains(k_theta=0.0, k_d=0.0)
     with pytest.raises(ValueError):
         ConverterGains(k_theta=0.5, k_d=-0.1)
 
@@ -92,7 +93,8 @@ def test_theorem1_ratio_flag_and_fix():
     assert g.theorem1_ratio_ok
     bad = ControlGains(gsc=g.gsc,
                        msc=ConverterGains(k_theta=6.6, k_d=0.0),
-                       pitch=g.pitch, t_dc=g.t_dc, omega_del=1.2)
+                       t_dc=g.t_dc, omega_del=1.2, k_p=g.k_p,
+                       beta_del=g.beta_del)
     assert not bad.theorem1_ratio_ok
     kdm = g.gsc.k_d * bad.msc.k_theta / g.gsc.k_theta
     assert replace(bad, msc=replace(bad.msc, k_d=kdm)).theorem1_ratio_ok
@@ -126,17 +128,19 @@ def test_pitch_reference_proportional_law(plant, surface):
     # below both limits: pure proportional action, delta_beta = k_p * -0.01
     d_beta, di_sp, di_pw = pitch_rates(plant, surface, g, beta=3.0,
                                        omega_r=1.19, p_msc=0.8)
-    assert d_beta == pytest.approx(22.7 * -0.01 / g.pitch.t_servo, abs=1e-12)
+    assert d_beta == pytest.approx(22.7 * -0.01 / T_SERVO, abs=1e-12)
     assert di_sp == 0.0 and di_pw == 0.0
 
 
 def test_pitch_reference_clamped_to_range(plant, surface):
     # a fast servo, so the clamped reference shows in d beta/dt unlimited
-    g = make_gains(kp=500.0, beta_del=3.0, omega_del=1.2, rate_limit=1e4)
-    d_beta, _, _ = pitch_rates(plant, surface, g, beta=0.1, omega_r=1.0)
-    assert d_beta == pytest.approx((0.0 - 0.1) / g.pitch.t_servo, abs=1e-12)
-    d_beta, _, _ = pitch_rates(plant, surface, g, beta=0.1, omega_r=1.3)
-    assert d_beta == pytest.approx((30.0 - 0.1) / g.pitch.t_servo, abs=1e-12)
+    g = make_gains(kp=500.0, beta_del=3.0, omega_del=1.2)
+    d_beta, _, _ = pitch_rates(plant, surface, g, beta=0.1, omega_r=1.0,
+                               rate_limit=1e4)
+    assert d_beta == pytest.approx((0.0 - 0.1) / T_SERVO, abs=1e-12)
+    d_beta, _, _ = pitch_rates(plant, surface, g, beta=0.1, omega_r=1.3,
+                               rate_limit=1e4)
+    assert d_beta == pytest.approx((30.0 - 0.1) / T_SERVO, abs=1e-12)
 
 
 def test_pitch_reference_limiters_add(plant, surface):
@@ -145,24 +149,24 @@ def test_pitch_reference_limiters_add(plant, surface):
     # p_max_msc = 1.05: each adds kp_lim * 0.01 = 0.5 deg
     d_beta, di_sp, di_pw = pitch_rates(plant, surface, g, omega_r=1.21,
                                        p_msc=1.06)
-    assert d_beta * g.pitch.t_servo == pytest.approx(1.0, abs=1e-9)
+    assert d_beta * T_SERVO == pytest.approx(1.0, abs=1e-9)
     assert di_sp == pytest.approx(20.0 * 0.01, abs=1e-12)
     assert di_pw == pytest.approx(20.0 * 0.01, abs=1e-9)
     # anti-windup: a charged integrator keeps the output on and unwinds;
     # an empty one with negative error stays frozen
     d_beta, di_sp, di_pw = pitch_rates(plant, surface, g, omega_r=1.19,
                                        p_msc=0.5, i_speed=1.0)
-    assert d_beta * g.pitch.t_servo == pytest.approx(50.0 * -0.01 + 1.0, abs=1e-9)
+    assert d_beta * T_SERVO == pytest.approx(50.0 * -0.01 + 1.0, abs=1e-9)
     assert di_sp == pytest.approx(20.0 * -0.01, abs=1e-12)
     assert di_pw == 0.0
 
 
 def test_pitch_servo_rate_and_range_limits(plant, surface):
     def servo(beta, beta_ref):
-        g = make_gains(kp=0.0, beta_del=beta_ref, omega_del=1.1,
-                       rate_limit=8.0, t_servo=0.3)
+        g = make_gains(kp=0.0, beta_del=beta_ref, omega_del=1.1)
         return kernel_rates(plant, surface, g, beta=beta, omega_r=1.1)["beta"]
 
+    assert (RATE_LIMIT, T_SERVO) == (8.0, 0.3)
     assert servo(0.0, 30.0) == 8.0
     assert servo(30.0, 0.0) == -8.0
     assert servo(0.0, -5.0) == 0.0      # held at lower bound
@@ -171,13 +175,6 @@ def test_pitch_servo_rate_and_range_limits(plant, surface):
     # below the range the servo only drives back in
     assert pitch_rate(-1.0, -5.0, 0.3, 8.0, 0.0, 30.0) > 0.0
     assert pitch_rate(31.0, 40.0, 0.3, 8.0, 0.0, 30.0) < 0.0
-
-
-def test_pitch_gains_validation():
-    with pytest.raises(ValueError):
-        PitchGains(t_servo=0.0)
-    with pytest.raises(ValueError):
-        PitchGains(beta_min=5.0, beta_max=5.0)
 
 
 def gfl_injection(plant, surface, v_w):

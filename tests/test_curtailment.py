@@ -88,8 +88,8 @@ def test_default_table_power_matches_target(turbine, surface):
     # and 8.5 m/s where Cp_max k3 / k3 rounds above Cp_max
     _, cp_max = find_mpp(surface)
     table = build_table(turbine, surface)
-    assert len(table.points) == 147
-    for pt in table.points:
+    assert len(table) == 147
+    for pt in table:
         k3 = turbine.swept_k * pt.v_w ** 3
         p_target = pt.eta * min(cp_max * k3, turbine.P_rated) / turbine.P_rated
         assert p_wt_del(turbine, pt) == pytest.approx(p_target, abs=1e-7), \
@@ -122,9 +122,9 @@ def test_build_table_shape_and_lookup_identity(turbine, surface):
     v_g = np.array([6.0, 8.0, 10.0])
     e_g = np.array([0.8, 0.9, 1.0])
     table = build_table(turbine, surface, v_g, e_g)
-    assert len(table.points) == 9
+    assert len(table) == 9
     # row-major (v, eta): the point at node (8.0, 0.9) is index 1 * 3 + 1
-    pt = table.points[1 * e_g.size + 1]
+    pt = table[1 * e_g.size + 1]
     assert (pt.v_w, pt.eta) == (8.0, 0.9)
     assert pt == deload_point(turbine, surface, 8.0, 0.9)
 

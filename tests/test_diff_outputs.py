@@ -82,6 +82,11 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
     # the fig7 preset of the design commands
     for probe in ("gain-design-fig7", "droop-map-fig7"):
         assert probes[probe][0][1:3] == ["--set", "control.preset=fig7"]
+    # the small-signal model of a pitched design and of the MPPT gains
+    assert probes["smallsignal-14ms"] == \
+        (["smallsignal", "--set", "scenario.v_w=14"], False)
+    assert probes["smallsignal-GFM_MPPT"] == \
+        (["smallsignal", "--set", "scenario.mode=GFM_MPPT"], False)
 
 
 def test_csv_difference_is_sized_per_column():

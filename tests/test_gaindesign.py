@@ -89,15 +89,15 @@ def test_design_chain_10ms(turbine, surface):
     assert d.status == "ok"
     assert d.gains.gsc.k_theta == pytest.approx(0.5, abs=1e-12)
     assert d.gains.msc.k_theta == pytest.approx(6.6, rel=0.01)
-    assert d.gains.pitch.k_p == pytest.approx(22.7, rel=0.01)
+    assert d.gains.k_p == pytest.approx(22.7, rel=0.01)
     assert d.gains.theorem1_ratio_ok
     assert math.isfinite(d.m_p) and d.m_p > 0
 
 
 def test_design_chain_8ms_overspeed_only(turbine, surface):
     d = design_gains(turbine, surface, 8.0, 0.9)
-    assert d.gains.pitch.beta_del == 0.0
-    assert d.gains.pitch.k_p == 0.0
+    assert d.gains.beta_del == 0.0
+    assert d.gains.k_p == 0.0
     assert d.k_b >= 0.0
     assert d.k_wr > 0.0
     assert d.status == "ok"
@@ -113,10 +113,10 @@ def test_design_satisfies_excursion_budget(turbine, surface):
         head = d.gains.omega_del - d.omega_mpp
         if head > 1e-9:
             assert ktm * spec.d_omega_max / ktg <= head + 1e-9
-        if d.gains.pitch.beta_del > 1e-12:
-            kp = d.gains.pitch.k_p
+        if d.gains.beta_del > 1e-12:
+            kp = d.gains.k_p
             assert (ktm / ktg) * kp * spec.d_omega_max \
-                <= d.gains.pitch.beta_del + 1e-9
+                <= d.gains.beta_del + 1e-9
 
 
 @given(v_w=st.floats(6.0, 13.0), eta=st.floats(0.72, 0.95))
@@ -128,7 +128,7 @@ def test_designed_gains_always_certify(v_w, eta):
     assert d.gains.theorem1_ratio_ok
     assert ss.theorem1_conditions(
         d.gains.gsc.k_theta, d.gains.gsc.k_d, d.gains.msc.k_theta,
-        d.gains.msc.k_d, d.k_wr, d.k_b, d.gains.pitch.k_p)
+        d.gains.msc.k_d, d.k_wr, d.k_b, d.gains.k_p)
 
 
 def test_infeasible_target_droop(turbine, surface):
@@ -141,15 +141,15 @@ def test_mppt_gains_no_droop(turbine, surface):
     d = mppt_gains(turbine, surface, 8.0)
     assert d.status == "no-droop"
     assert math.isinf(d.m_p)
-    assert d.gains.pitch.k_p == 0.0
+    assert d.gains.k_p == 0.0
     assert d.gains.msc.k_theta == d.gains.gsc.k_theta
-    assert d.gains.pitch.beta_del == 0.0
+    assert d.gains.beta_del == 0.0
     assert d.gains.omega_del <= turbine.omega_max + 1e-12
 
 
 def test_mppt_gains_above_rated_pitch(turbine, surface):
     d = mppt_gains(turbine, surface, 13.0)
-    assert d.gains.pitch.beta_del > 0.0
+    assert d.gains.beta_del > 0.0
     assert d.gains.omega_del == pytest.approx(turbine.omega_max, abs=1e-12)
 
 
@@ -165,11 +165,11 @@ def test_mppt_gains_is_the_eta_1_deload_point(variant, surface):
         d = mppt_gains(tb, surface, v_w)
         pt = deload_point(tb, surface, v_w, 1.0)
         assert d.gains.omega_del == pt.omega_del, v_w
-        assert d.gains.pitch.beta_del == pt.beta_del, v_w
+        assert d.gains.beta_del == pt.beta_del, v_w
         # the bisection's Cp tolerance, scaled to power
         tol = 1e-12 * tb.swept_k * v_w ** 3 / tb.P_rated
         p = wind_power_pu(tb, surface, v_w, d.gains.omega_del,
-                          d.gains.pitch.beta_del)
+                          d.gains.beta_del)
         assert p <= 1.0 + tol, v_w
 
 

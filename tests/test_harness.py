@@ -348,7 +348,7 @@ def test_gains_for_scenario_dispatch(plant, surface):
     for mode in (Mode.GFM_MPPT, Mode.GFL_MPPT):
         d = gains_for_scenario(plant, surface, Scenario(mode=mode, eta=0.9))
         assert d == mp
-        assert d.eta == 1.0 and d.gains.pitch.k_p == 0.0
+        assert d.eta == 1.0 and d.gains.k_p == 0.0
 
 
 def test_short_fr_run_passes_checks(plant, surface):
@@ -371,7 +371,7 @@ def test_gfl_run_trace_is_flat_on_wt_side(plant, surface):
     tr = res.trace
     assert np.all(tr.v_dc == 1.0)
     assert np.all(tr.omega_r == res.design.gains.omega_del)
-    assert np.all(tr.beta == res.design.gains.pitch.beta_del)
+    assert np.all(tr.beta == res.design.gains.beta_del)
     assert np.all(tr.p_wt == min(res.p_wt0, 1.0))
     assert np.ptp(tr.p_gsc) == 0.0
     assert tr.f_gsc.tobytes() == tr.f_g.tobytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,35 @@ from windgfm.aero import cp
 from windgfm.harness import Scenario, gains_for_scenario
 from windgfm.plant import LoadProfile, Mode, find_equilibrium, simulate
 
+# The load step's injection into the model's rows: a load increase dP_L
+# drains the omega_g row, T x' = A x + E dP_L
+E = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+
+
+def certificate_S(model, M):
+    """S = sym(M At + At' M), At = T^-1 A in the certificate's coordinates
+    (B rho, omega, v_dc, p_g)."""
+    S_tr = np.diag([model.b_g, model.b_msc, 1.0, 1.0, 1.0, 1.0])
+    At = S_tr @ ss.system_matrix(model) @ np.linalg.inv(S_tr)
+    S = M @ At + At.T @ M
+    return 0.5 * (S + S.T)
+
+
+def paper_V(model):
+    """The paper's dissipation matrix V, with S = -sym(V) under Theorem 1:
+    the derivative-gain block on (B rho_1, B rho_2), the rotor stiffness
+    and the governor damping."""
+    V = np.zeros((6, 6))
+    V[:2, :2] = model.k_d_gsc / (model.k_theta_gsc * model.c_dc)
+    V[3, 3] = model.k_wt / model.k_theta_msc
+    V[5, 5] = 1.0 / (model.k_theta_gsc * model.k_g)
+    return V
+
 
 def linear_response(model, d_p_l, horizon, dt):
     """Integrate T x' = A x + E dP_L from rest; returns (t, X)."""
     Asys = ss.system_matrix(model)
-    b = np.linalg.solve(model.T, model.E) * d_p_l
+    b = np.linalg.solve(model.T, E) * d_p_l
     n = int(round(horizon / dt))
     Phi = expm(Asys * dt)
     # exact step response of the affine system over one sample
@@ -32,7 +57,7 @@ def linear_response(model, d_p_l, horizon, dt):
 
 def steady_state(model, d_p_l):
     """Equilibrium of the disturbed linear system: solves A x = -E dP_L."""
-    return np.linalg.solve(model.A, -model.E * d_p_l)
+    return np.linalg.solve(model.A, -E * d_p_l)
 
 
 def lasalle_function(model, x6):
@@ -102,11 +127,10 @@ def default_model(plant, surface, v_w=8.0, eta=0.9):
 
 
 def test_build_model_structure():
-    m = ss.build_model(j_g=33.6, j_wt=13.26, c_dc=0.4, t_g=0.5, k_g=84.0,
-                       b_g=100.0, b_msc=5.0, k_theta_gsc=0.5, k_d_gsc=0.0067,
-                       k_theta_msc=6.6, k_d_msc=0.08844, k_wt=0.5,
-                       omega_del=1.2)
-    assert m.labels == ss.STATE_LABELS
+    m = ss.SmallSignalModel(j_g=33.6, j_wt=13.26 * 1.2, c_dc=0.4, t_g=0.5,
+                            k_g=84.0, b_g=100.0, b_msc=5.0, k_theta_gsc=0.5,
+                            k_d_gsc=0.0067, k_theta_msc=6.6, k_d_msc=0.08844,
+                            k_wt=0.5)
     np.testing.assert_allclose(np.diag(m.T),
                                [1.0, 1.0, 33.6, 13.26 * 1.2, 0.4, 0.5])
     # hand assembly of A
@@ -120,18 +144,33 @@ def test_build_model_structure():
         [-100, -5, 0, 0, 0, 0],
         [0, 0, -84, 0, 0, -1]])
     np.testing.assert_allclose(m.A, A, atol=1e-14)
-    np.testing.assert_allclose(m.E, [0, 0, -1, 0, 0, 0])
 
 
 def test_build_model_validation():
     with pytest.raises(ss.SmallSignalError):
-        ss.build_model(j_g=0.0, j_wt=1, c_dc=1, t_g=1, k_g=1, b_g=1, b_msc=1,
-                       k_theta_gsc=1, k_d_gsc=0, k_theta_msc=1, k_d_msc=0,
-                       k_wt=0)
+        ss.SmallSignalModel(j_g=0.0, j_wt=1, c_dc=1, t_g=1, k_g=1, b_g=1,
+                            b_msc=1, k_theta_gsc=1, k_d_gsc=0, k_theta_msc=1,
+                            k_d_msc=0, k_wt=0)
     with pytest.raises(ss.SmallSignalError):
-        ss.build_model(j_g=1, j_wt=1, c_dc=1, t_g=1, k_g=1, b_g=1, b_msc=1,
-                       k_theta_gsc=1, k_d_gsc=-0.1, k_theta_msc=1, k_d_msc=0,
-                       k_wt=0)
+        ss.SmallSignalModel(j_g=1, j_wt=1, c_dc=1, t_g=1, k_g=1, b_g=1,
+                            b_msc=1, k_theta_gsc=1, k_d_gsc=-0.1,
+                            k_theta_msc=1, k_d_msc=0, k_wt=0)
+
+
+UNIT_MODEL = dict(j_g=1.0, j_wt=1.0, c_dc=1.0, t_g=1.0, k_g=1.0, b_g=1.0,
+                  b_msc=1.0, k_theta_gsc=1.0, k_d_gsc=0.0, k_theta_msc=1.0,
+                  k_d_msc=0.0, k_wt=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_MODEL))
+def test_model_constructor_rejects_zero_and_nan(name):
+    # the record itself validates: no model exists with a bad parameter
+    ss.SmallSignalModel(**UNIT_MODEL)
+    with pytest.raises(ss.SmallSignalError, match="not finite"):
+        ss.SmallSignalModel(**{**UNIT_MODEL, name: math.nan})
+    if name not in ("k_d_gsc", "k_d_msc", "k_wt"):
+        with pytest.raises(ss.SmallSignalError, match=f"{name} must be"):
+            ss.SmallSignalModel(**{**UNIT_MODEL, name: 0.0})
 
 
 def test_default_point_is_stable(plant, surface):
@@ -153,17 +192,16 @@ def test_lasalle_certificate_default_point(plant, surface):
     rep = ss.lasalle_verify(model)
     assert rep.m_positive_definite
     assert rep.max_eig_S <= 1e-9
-    assert rep.max_dev_S_plus_V < 1e-9
+    S = certificate_S(model, rep.M)
+    assert np.linalg.eigvalsh(S).max() == rep.max_eig_S
+    V = paper_V(model)
+    assert np.abs(S + 0.5 * (V + V.T)).max() < 1e-9
     assert rep.certified
 
 
 def test_lasalle_rejects_mismatched_gains(plant, surface):
     model, d = default_model(plant, surface)
-    bad = ss.build_model(j_g=model.j_g, j_wt=model.j_wt, c_dc=model.c_dc,
-                         t_g=model.t_g, k_g=model.k_g, b_g=model.b_g,
-                         b_msc=model.b_msc, k_theta_gsc=model.k_theta_gsc,
-                         k_d_gsc=model.k_d_gsc, k_theta_msc=model.k_theta_msc,
-                         k_d_msc=0.0, k_wt=model.k_wt)
+    bad = replace(model, k_d_msc=0.0)
     with pytest.raises(ss.SmallSignalError):
         ss.lasalle_verify(bad)
 
@@ -188,7 +226,7 @@ def test_steady_state_satisfies_dual_port_relations(plant, surface):
     assert abs(xs[2] - model.k_theta_gsc * xs[4]) < 1e-12
     assert abs(xs[3] - model.k_theta_msc * xs[4]) < 1e-12
     # residual of the linear equation itself
-    np.testing.assert_allclose(model.A @ xs, -model.E * 0.01, atol=1e-14)
+    np.testing.assert_allclose(model.A @ xs, -E * 0.01, atol=1e-14)
 
 
 def test_linear_response_matches_nonlinear_small_step(plant, surface):
@@ -220,10 +258,10 @@ def test_random_theorem1_designs_certify(k_theta_msc, k_wt):
     k_theta_gsc = 0.5
     k_d_gsc = 0.0067
     k_d_msc = k_d_gsc * k_theta_msc / k_theta_gsc
-    m = ss.build_model(j_g=33.6, j_wt=15.0, c_dc=0.4, t_g=0.5, k_g=84.0,
-                       b_g=100.0, b_msc=5.0, k_theta_gsc=k_theta_gsc,
-                       k_d_gsc=k_d_gsc, k_theta_msc=k_theta_msc,
-                       k_d_msc=k_d_msc, k_wt=k_wt)
+    m = ss.SmallSignalModel(j_g=33.6, j_wt=15.0, c_dc=0.4, t_g=0.5, k_g=84.0,
+                            b_g=100.0, b_msc=5.0, k_theta_gsc=k_theta_gsc,
+                            k_d_gsc=k_d_gsc, k_theta_msc=k_theta_msc,
+                            k_d_msc=k_d_msc, k_wt=k_wt)
     rep = ss.lasalle_verify(m)
     assert rep.certified
 

@@ -50,6 +50,12 @@ def probes(pure_args: list) -> dict:
                       False),
         "gain-design": (["gain-design"], False),
         "smallsignal": (["smallsignal"], False),
+        # the model's pitch stiffness K_beta K_p in A[3][3] (k_p 428.9 at
+        # beta_del 8.58 deg), and the matched MPPT gains
+        "smallsignal-14ms": (["smallsignal", "--set", "scenario.v_w=14"],
+                             False),
+        "smallsignal-GFM_MPPT": (["smallsignal", "--set",
+                                  "scenario.mode=GFM_MPPT"], False),
         **{f"gain-design-{m}": (["gain-design", "--set", f"scenario.mode={m}"],
                                 False)
            for m in ("GFL_MPPT", "GFM_MPPT", "GFM_FR")},
