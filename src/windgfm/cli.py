@@ -105,11 +105,11 @@ def cmd_gain_design(args) -> int:
     surface = make_surface(cfg)
     d = gains_for_scenario(plant, surface, scenario_from_config(cfg))
     out = {
-        "v_w": d.v_w, "eta": d.eta, "status": d.status,
+        "v_w": d.point.v_w, "eta": d.point.eta, "status": d.status,
         "m_p": None if math.isinf(d.m_p) else d.m_p,
-        "omega_del_pu": d.gains.omega_del,
-        "beta_del_deg": d.gains.beta_del,
-        "omega_mpp_pu": d.omega_mpp, "k_wr": d.k_wr, "k_b": d.k_b,
+        "omega_del_pu": d.point.omega_del,
+        "beta_del_deg": d.point.beta_del,
+        "omega_mpp_pu": d.point.omega_mpp, "k_wr": d.k_wr, "k_b": d.k_b,
         "k_theta_gsc": d.gains.gsc.k_theta, "k_d_gsc": d.gains.gsc.k_d,
         "k_theta_msc": d.gains.msc.k_theta, "k_d_msc": d.gains.msc.k_d,
         "k_p": d.gains.k_p,

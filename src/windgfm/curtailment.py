@@ -26,24 +26,26 @@ class DeloadPoint:
         require_finite("deload point", vars(self))
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Bisection to |f| < 1e-12 or a 1e-13 bracket; f(lo), f(hi) bracket a root."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
+def _solve(f, lo: float, hi: float, unreachable: str) -> float:
+    """The root of f, decreasing on [lo, hi]: lo where f(lo) <= 0, else
+    bisection to |f| < 1e-12 or a 1e-13 bracket.  Raises
+    CurtailmentError(unreachable) where f(hi) > 0."""
+    if f(lo) <= 0:
         return lo
-    if fhi == 0.0:
+    fhi = f(hi)
+    if fhi > 0:
+        raise CurtailmentError(unreachable)
+    if fhi == 0:
         return hi
-    if flo * fhi > 0:
-        raise CurtailmentError("no sign change on bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if abs(fm) < 1e-12 or hi - lo < 1e-13:
             return mid
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
+        if fm < 0:
+            hi = mid
         else:
-            lo, flo = mid, fm
+            lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -51,13 +53,10 @@ def solve_pitch_deload(surface: CpSurface, lam_capped: float, eta: float,
                        target_cp: float) -> float:
     """beta_del in the servo's range [beta_min, beta_max] with
     Cp(lam_capped, beta_del) = eta * target_cp."""
-    lo, hi = BETA_MIN, BETA_MAX
     goal = eta * target_cp
-    if cp(surface, lam_capped, lo) <= goal:
-        return lo
-    if cp(surface, lam_capped, hi) > goal:
-        raise CurtailmentError(f"target below reach even at beta = {hi:g} deg")
-    return _bisect(lambda b: cp(surface, lam_capped, b) - goal, lo, hi)
+    return _solve(lambda b: cp(surface, lam_capped, b) - goal,
+                  BETA_MIN, BETA_MAX,
+                  f"target below reach even at beta = {BETA_MAX:g} deg")
 
 
 def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
@@ -90,11 +89,8 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
 def solve_speed_deload_target(surface: CpSurface, target: float,
                               lam_mpp: float) -> float:
     """Overspeed solve, lambda in [lam_mpp, 25], against an absolute Cp target."""
-    if target >= cp(surface, lam_mpp, 0.0):
-        return lam_mpp
-    if cp(surface, 25.0, 0.0) > target:
-        raise CurtailmentError("curtailment unreachable by overspeed alone")
-    return _bisect(lambda l: cp(surface, l, 0.0) - target, lam_mpp, 25.0)
+    return _solve(lambda l: cp(surface, l, 0.0) - target, lam_mpp, 25.0,
+                  "curtailment unreachable by overspeed alone")
 
 
 def build_table(params: TurbineParams, surface: CpSurface,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .aero import (CpSurface, DesignError, TurbineParams, power_sensitivities,
                    require_finite, require_positive)
 from .control import ControlGains, ConverterGains
-from .curtailment import deload_point
+from .curtailment import DeloadPoint, deload_point
 
 
 class ZeroStiffnessError(DesignError):
@@ -41,20 +41,17 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class GainDesign:
-    v_w: float
-    eta: float
+    point: DeloadPoint      # checks its own fields
     gains: ControlGains
     m_p: float              # pu droop (inf when no steady-state response)
     k_wr: float
     k_b: float
-    omega_mpp: float
     status: str             # "ok" | "no-droop" | "infeasible"
 
     def __post_init__(self):
         # m_p is droop_coefficient's, finite, or inf where there is no droop
-        values = {k: v for k, v in vars(self).items()
-                  if k not in ("gains", "m_p", "status")}
-        require_finite("gain design", {**values, "k_p": self.gains.k_p})
+        require_finite("gain design", {"k_wr": self.k_wr, "k_b": self.k_b,
+                                       "k_p": self.gains.k_p})
 
 
 def droop_coefficient(k_theta_gsc: float, k_theta_msc: float,
@@ -113,8 +110,8 @@ def design_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         msc=ConverterGains(k_theta=ktm, k_d=kdg * ktm / ktg),
         t_dc=spec.t_dc, omega_del=pt.omega_del, k_p=k_p,
         beta_del=pt.beta_del)
-    return GainDesign(v_w=v_w, eta=eta, gains=gains, m_p=m_p, k_wr=k_wr,
-                      k_b=k_b, omega_mpp=pt.omega_mpp, status=status)
+    return GainDesign(point=pt, gains=gains, m_p=m_p, k_wr=k_wr, k_b=k_b,
+                      status=status)
 
 
 def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
@@ -128,8 +125,8 @@ def mppt_gains(params: TurbineParams, surface: CpSurface, v_w: float,
         msc=ConverterGains(k_theta=ktg, k_d=kdg),
         t_dc=spec.t_dc, omega_del=pt.omega_del, k_p=0.0,
         beta_del=pt.beta_del)
-    return GainDesign(v_w=v_w, eta=1.0, gains=gains, m_p=math.inf, k_wr=0.0,
-                      k_b=0.0, omega_mpp=pt.omega_mpp, status="no-droop")
+    return GainDesign(point=pt, gains=gains, m_p=math.inf, k_wr=0.0, k_b=0.0,
+                      status="no-droop")
 
 
 def droop_map(params: TurbineParams, surface: CpSurface, v_grid, eta_grid,

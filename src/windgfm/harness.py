@@ -105,15 +105,23 @@ def _trace_from_states(f_base: float, states: np.ndarray) -> SimTrace:
                     p_gsc=c["P_gsc"], p_g=c["P_g"])
 
 
+def _rows_from(t: np.ndarray, t0: float) -> slice:
+    """The rows of the increasing t at t0 and after."""
+    return slice(int(np.searchsorted(t, t0)), None)
+
+
+def _settled(t: np.ndarray) -> slice:
+    """The settled tail: the rows of the last SETTLE_WINDOW seconds."""
+    return _rows_from(t, t[-1] - SETTLE_WINDOW)
+
+
 def run_checks(result: RunResult) -> None:
     """Steady-state invariant checks after a run (raises on violation)."""
     sc = result.scenario
     if sc.mode == Mode.GFL_MPPT:
         return
     gains = result.design.gains
-    states = result.states
-    tail = states[states[:, 0] >= states[-1, 0] - SETTLE_WINDOW]
-    tail = dict(zip(ROW, tail.T))
+    tail = dict(zip(ROW, result.states[_settled(result.trace.t)].T))
     om_g = tail["omega_g"].mean()
     dv = tail["v_dc"].mean() - 1.0
     om_r = tail["omega_r"].mean()
@@ -130,15 +138,13 @@ def run_checks(result: RunResult) -> None:
     # cannot reach the tight synchronization bound; use a relaxed one there.
     # Of gains_for_scenario's designs only the frequency-response one is
     # curtailed.
-    fr = result.design.eta < 1.0
+    fr = result.design.point.eta < 1.0
     sync_tol = 1e-4 if fr else 5e-3
     if abs(om_gsc - om_g) >= sync_tol:
         raise HarnessAssertionError("GSC lost synchronism with the grid")
     if abs(om_msc - om_r) >= sync_tol:
         raise HarnessAssertionError("MSC lost synchronism with the rotor")
-    tail_tr = result.trace.t >= result.trace.t[-1] - SETTLE_WINDOW
-    p_wt_ss = result.trace.p_wt[tail_tr].mean()
-    d_p_wt = p_wt_ss - result.p_wt0
+    d_p_wt = tail["P_wt"].mean() - result.p_wt0
     if not fr:
         if abs(d_p_wt) >= 0.005:
             raise HarnessAssertionError(
@@ -157,12 +163,10 @@ def compute_metrics(trace: SimTrace, t_event: float,
                     f_base: float) -> FrequencyMetrics:
     if trace.t[-1] < t_event + SETTLE_WINDOW:
         raise ValueError("trace too short for metrics")
-    pre = trace.t < t_event
-    post = trace.t >= t_event
-    t_post = trace.t[post]
-    f_post = trace.f_g[post]
-    i_nadir = int(np.argmin(f_post))
-    tail = trace.t >= trace.t[-1] - SETTLE_WINDOW
+    post = _rows_from(trace.t, t_event)
+    pre = slice(post.start)
+    i_nadir = post.start + int(np.argmin(trace.f_g[post]))
+    tail = _settled(trace.t)
     f_ss = float(trace.f_g[tail].mean())
     dv_ss = float(trace.v_dc[tail].mean() - trace.v_dc[pre].mean())
     dt_s = float(trace.t[1] - trace.t[0])
@@ -172,8 +176,8 @@ def compute_metrics(trace: SimTrace, t_event: float,
     d_p_wt = float(trace.p_wt[tail].mean() - trace.p_wt[pre].mean())
     d_om = (f_ss - float(trace.f_g[pre].mean())) / f_base
     droop = -d_om / d_p_wt if abs(d_p_wt) >= DROOP_DP_FLOOR else None
-    return FrequencyMetrics(nadir_hz=float(f_post[i_nadir]),
-                            t_nadir_s=float(t_post[i_nadir]),
+    return FrequencyMetrics(nadir_hz=float(trace.f_g[i_nadir]),
+                            t_nadir_s=float(trace.t[i_nadir]),
                             rocof_hz_per_s=rocof, f_ss_hz=f_ss,
                             dv_dc_ss_pu=dv_ss, droop_measured=droop)
 

@@ -185,7 +185,7 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
     x0 = np.array([state.get(name, 0.0) for name in STATES])
     pre_load = LoadProfile(base=base, events=())
     resid = np.max(np.abs(closed_loop_derivative(x0, 0.0, p_arr, mode, pre_load)))
-    if resid > 1e-9:
+    if not resid <= 1e-9:  # NaN fails too
         raise PlantError(f"equilibrium residual {resid:.3e} exceeds 1e-9")
     return x0, p_arr, p_wt0
 

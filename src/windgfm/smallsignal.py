@@ -69,7 +69,6 @@ class SmallSignalModel:
 
 @dataclass(frozen=True)
 class LaSalleReport:
-    M: np.ndarray
     max_eig_S: float        # largest eigenvalue of sym(M At + At' M)
     m_positive_definite: bool
 
@@ -107,9 +106,9 @@ def stability_verdict(model: SmallSignalModel) -> tuple[np.ndarray, bool]:
 
 def theorem1_conditions(k_theta_gsc: float, k_d_gsc: float,
                         k_theta_msc: float, k_d_msc: float,
-                        k_wr: float, k_b: float, k_p: float) -> bool:
+                        k_wt: float) -> bool:
     """Stiffness non-negativity plus matched derivative-to-proportional ratio."""
-    if k_wr + k_b * k_p < 0:
+    if k_wt < 0:
         return False
     return ratio_matched(k_theta_gsc, k_d_gsc, k_theta_msc, k_d_msc)
 
@@ -122,7 +121,7 @@ def lasalle_verify(model: SmallSignalModel) -> LaSalleReport:
     """
     if not theorem1_conditions(model.k_theta_gsc, model.k_d_gsc,
                                model.k_theta_msc, model.k_d_msc,
-                               model.k_wt, 0.0, 0.0):
+                               model.k_wt):
         raise SmallSignalError("Theorem-1 conditions do not hold")
     S_tr = np.diag([model.b_g, model.b_msc, 1.0, 1.0, 1.0, 1.0])
     At = S_tr @ system_matrix(model) @ np.linalg.inv(S_tr)
@@ -137,7 +136,7 @@ def lasalle_verify(model: SmallSignalModel) -> LaSalleReport:
     S = 0.5 * (S + S.T)
     eigM = np.linalg.eigvalsh(M)
     return LaSalleReport(
-        M=M, max_eig_S=float(np.linalg.eigvalsh(S).max()),
+        max_eig_S=float(np.linalg.eigvalsh(S).max()),
         m_positive_definite=bool(eigM.min() > 0))
 
 

@@ -70,7 +70,7 @@ def test_criterion_3_theorem1_property_suite():
         kdm = kdg * ktm / ktg          # matched ratio per the theorem
         k_wt = rng.uniform(0.0, 5.0)
         om_del = rng.uniform(0.8, 1.2)
-        assert ss.theorem1_conditions(ktg, kdg, ktm, kdm, k_wt, 0.0, 0.0)
+        assert ss.theorem1_conditions(ktg, kdg, ktm, kdm, k_wt)
         m = ss.SmallSignalModel(j_g=j_g, j_wt=j_wt * om_del, c_dc=c_dc,
                                 t_g=t_g, k_g=k_g, b_g=b_g, b_msc=b_msc,
                                 k_theta_gsc=ktg, k_d_gsc=kdg,

@@ -101,7 +101,7 @@ def test_gain_design_mppt_branch(capsys):
         cfg = apply_overrides(load_config(None), [override])
         d = gains_for_scenario(make_plant(cfg), make_surface(cfg),
                                scenario_from_config(cfg))
-        assert doc["eta"] == d.eta == 1.0
+        assert doc["eta"] == d.point.eta == 1.0
         assert doc["omega_del_pu"] == d.gains.omega_del
         assert doc["k_theta_msc"] == d.gains.msc.k_theta
         assert doc["k_p"] == d.gains.k_p == 0.0
@@ -507,6 +507,14 @@ def test_pure_kernel_divergence_is_a_simulation_failure(capsys):
         assert cli.main(argv) == 2
     assert capsys.readouterr().err == compiled == \
         "simulation failure: state 0 diverged at t=1.000500\n"
+
+
+def test_nan_equilibrium_residual_is_a_simulation_failure(capsys):
+    # inf inertias make the equilibrium's P_g residual NaN; the run used to
+    # start from it and report a divergence at its first step
+    assert cli.main(["simulate", "--set", "network.s_base=1e-300"]) == 2
+    assert capsys.readouterr().err == \
+        "simulation failure: equilibrium residual nan exceeds 1e-9\n"
 
 
 def staged_env(tmp_path, kernel_build) -> dict:

@@ -138,3 +138,62 @@ def test_table_csv_format(turbine, surface):
     assert vals[0] == 8.0 and vals[1] == 0.9
     pt = deload_point(turbine, surface, 8.0, 0.9)
     assert vals[3] == pt.omega_del  # %.17g round-trips exactly
+
+
+def test_speed_deload_unreachable_message(surface):
+    lam_mpp, cp_max = find_mpp(surface)
+    with pytest.raises(CurtailmentError,
+                       match="^curtailment unreachable by overspeed alone$"):
+        solve_speed_deload_target(surface, 0.2 * cp_max, lam_mpp)
+
+
+def test_pitch_deload_unreachable_message(turbine, surface):
+    # Cp(., 30 deg) is about 1e-77, above a goal of eta = 1e-80 of Cp
+    with pytest.raises(CurtailmentError,
+                       match="^target below reach even at beta = 30 deg$"):
+        solve_pitch_deload(surface, 7.0, 1e-80, cp(surface, 7.0, 0.0))
+    # deload_point falls back to pitch when overspeed cannot reach the
+    # target, and reports the pitch branch's failure
+    with pytest.raises(CurtailmentError, match="beta = 30 deg"):
+        deload_point(turbine, surface, 25.0, 1e-80)
+
+
+def counted_cp(monkeypatch):
+    """The (lam, beta) of every Cp evaluation the curtailment solves make."""
+    import windgfm.curtailment as curtailment
+    calls = []
+
+    def counting(surface, lam, beta):
+        calls.append((lam, beta))
+        return cp(surface, lam, beta)
+    monkeypatch.setattr(curtailment, "cp", counting)
+    return calls
+
+
+def test_solves_return_their_lower_endpoint_after_one_evaluation(
+        monkeypatch, surface):
+    lam_mpp, cp_max = find_mpp(surface)
+    calls = counted_cp(monkeypatch)
+    assert solve_speed_deload_target(surface, cp_max, lam_mpp) == lam_mpp
+    assert calls == [(lam_mpp, 0.0)]
+    calls.clear()
+    goal = cp(surface, 20.0, 0.0)
+    assert solve_pitch_deload(surface, 20.0, 1.0, goal) == 0.0
+    assert calls == [(20.0, 0.0)]
+
+
+@pytest.mark.parametrize("v_w", [8.0, 14.0])
+def test_deload_point_evaluates_each_bracket_end_once(
+        monkeypatch, turbine, surface, v_w):
+    # 8 m/s bisects the overspeed branch; 14 m/s bisects it, finds the
+    # speed above omega_max, and bisects the pitch branch too
+    lam_mpp, _ = find_mpp(surface)
+    lam_cap = turbine.lam_per_pu(v_w) * turbine.omega_max
+    calls = counted_cp(monkeypatch)
+    pt = deload_point(turbine, surface, v_w, 0.9)
+    ends = [(lam_mpp, 0.0), (25.0, 0.0)]
+    if pt.beta_del > 0.0:
+        ends += [(lam_cap, 0.0), (lam_cap, 30.0)]
+    assert calls[:2] == ends[:2]
+    assert all(calls.count(end) == 1 for end in ends)
+    assert len(set(calls)) == len(calls)

@@ -180,3 +180,21 @@ def test_probe_lines_give_verdict_and_peak_rss():
                                     diffs) == [
         "simulate: identical; peak RSS 67.1 -> 55.2 MB (-17.7%)",
         "compare: 2 differing; peak RSS 50.0 -> 50.0 MB (+0.0%)"]
+
+
+def test_source_lines_count_the_package_python_and_c(tmp_path):
+    base = side(tmp_path / "b", {
+        "src/windgfm/a.py": b"x = 1\ny = 2\n",
+        "src/windgfm/_kernel/k.py": b"z = 3\n",
+        "src/windgfm/_kernel/k.c": b"int k;\n\nint j;\n",
+        # neither a package source nor a Python or C file
+        "src/windgfm/__pycache__/a.cpython-311.pyc": b"\0\n\0\n",
+        "src/windgfm/README.md": b"text\n",
+        "tools/t.py": b"w = 4\n"})
+    change = side(tmp_path / "c", {"src/windgfm/a.py": b"x = 1\n",
+                                   "src/windgfm/_kernel/k.c": b"int k;\n"})
+    lines_b = diff_outputs.source_lines(base)
+    lines_c = diff_outputs.source_lines(change)
+    assert lines_b == {"py": 3, "c": 3} and lines_c == {"py": 1, "c": 1}
+    assert diff_outputs.source_line(lines_b, lines_c) == \
+        "src/windgfm lines: py 3 -> 1 (-2), c 3 -> 1 (-2)"

@@ -110,7 +110,7 @@ def test_design_satisfies_excursion_budget(turbine, surface):
     for v_w, eta in ((8.0, 0.9), (10.0, 0.9), (12.0, 0.8)):
         d = design_gains(turbine, surface, v_w, eta, spec)
         ktg, ktm = d.gains.gsc.k_theta, d.gains.msc.k_theta
-        head = d.gains.omega_del - d.omega_mpp
+        head = d.gains.omega_del - d.point.omega_mpp
         if head > 1e-9:
             assert ktm * spec.d_omega_max / ktg <= head + 1e-9
         if d.gains.beta_del > 1e-12:
@@ -128,7 +128,7 @@ def test_designed_gains_always_certify(v_w, eta):
     assert d.gains.theorem1_ratio_ok
     assert ss.theorem1_conditions(
         d.gains.gsc.k_theta, d.gains.gsc.k_d, d.gains.msc.k_theta,
-        d.gains.msc.k_d, d.k_wr, d.k_b, d.gains.k_p)
+        d.gains.msc.k_d, d.k_wr + d.k_b * d.gains.k_p)
 
 
 def test_infeasible_target_droop(turbine, surface):
@@ -178,8 +178,8 @@ def test_mppt_and_fr_designs_report_one_mpp_speed(turbine, surface):
     # reported its own operating speed, omega_max from 11.25 m/s up
     for v_w in np.arange(3.0, 25.01, 0.25):
         v_w = float(v_w)
-        assert mppt_gains(turbine, surface, v_w).omega_mpp == \
-            design_gains(turbine, surface, v_w, 0.9).omega_mpp, v_w
+        assert mppt_gains(turbine, surface, v_w).point.omega_mpp == \
+            design_gains(turbine, surface, v_w, 0.9).point.omega_mpp, v_w
 
 
 def test_droop_map_csv(turbine, surface):

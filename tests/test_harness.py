@@ -348,7 +348,7 @@ def test_gains_for_scenario_dispatch(plant, surface):
     for mode in (Mode.GFM_MPPT, Mode.GFL_MPPT):
         d = gains_for_scenario(plant, surface, Scenario(mode=mode, eta=0.9))
         assert d == mp
-        assert d.eta == 1.0 and d.gains.k_p == 0.0
+        assert d.point.eta == 1.0 and d.gains.k_p == 0.0
 
 
 def test_short_fr_run_passes_checks(plant, surface):

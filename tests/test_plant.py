@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ def test_equilibrium_residual_is_tiny(plant, surface):
         resid = closed_loop_derivative(x0, 0.0, p_arr, mode, pre)
         assert np.max(np.abs(resid)) < 1e-10
         assert x0[S["v_dc"]] == 1.0 and x0[S["omega_g"]] == 1.0
+
+
+def test_equilibrium_rejects_a_nan_residual(plant, surface):
+    # at s_base = 1e-300, J_g, K_g and J_wt are inf, and the P_g row of the
+    # derivative is inf * 0 = NaN, which a `resid > 1e-9` test lets through
+    tiny = replace(plant, network=replace(plant.network, s_base=1e-300))
+    with pytest.raises(PlantError,
+                       match="^equilibrium residual nan exceeds 1e-9$"):
+        equilibrium(tiny, surface)
 
 
 def test_equilibrium_angles_match_power(plant, surface):

@@ -18,7 +18,9 @@ difference.  Each probe's line then gives its verdict ("identical" or the
 number of its differing artefacts) beside its child's peak resident set on
 both sides, so that a memory change shows without the benchmark.  That
 peak is the probe's own: a small launcher forks the probe and reads its
-``ru_maxrss`` from ``os.wait4`` (see ``LAUNCHER``).  The exit status is 1 if
+``ru_maxrss`` from ``os.wait4`` (see ``LAUNCHER``).  A last line gives each
+side's Python and C line counts under ``src/windgfm``, so that a change's net
+lines come from the same run.  The exit status is 1 if
 any artefact differs, else 0.  ``--keep DIR`` keeps both sides' outputs
 under ``DIR/base`` and ``DIR/change``.
 """
@@ -167,6 +169,21 @@ def probe_lines(rss_base: dict, rss_change: dict, diffs: list) -> list:
         lines.append(f"{probe}: {verdict}; peak RSS {a:.1f} -> {b:.1f} MB "
                      f"({100 * (b - a) / a:+.1f}%)")
     return lines
+
+
+def source_lines(root: Path) -> dict:
+    """Lines of the Python and of the C sources under root/src/windgfm."""
+    pkg = root / "src" / "windgfm"
+    return {ext: sum(len(p.read_bytes().splitlines())
+                     for p in pkg.rglob(f"*.{ext}"))
+            for ext in ("py", "c")}
+
+
+def source_line(base: dict, change: dict) -> str:
+    """The line comparing two sides' source_lines."""
+    return "src/windgfm lines: " + ", ".join(
+        f"{ext} {base[ext]} -> {change[ext]} ({change[ext] - base[ext]:+d})"
+        for ext in base)
 
 
 def _files(root: Path) -> set:
@@ -322,9 +339,11 @@ def main(argv=None) -> int:
                 for line in size((out / "base" / rel).read_bytes(),
                                  (out / "change" / rel).read_bytes()):
                     print(line)
+        net_lines = source_line(source_lines(base_tree), source_lines(ROOT))
     for line in probe_lines(rss_base, rss_change, diffs):
         print(line)
     print(f"{len(probe_list)} probes, {len(diffs)} differing artefacts")
+    print(net_lines)
     return 1 if diffs else 0
 
 
