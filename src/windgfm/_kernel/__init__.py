@@ -11,6 +11,13 @@ Both kernels keep one contract:
   two kernels' bytes are identical.  Wrong lengths, ``n_steps < 0`` and
   ``stride < 1`` raise the same ``ValueError`` in both.
   ``plant.simulate`` is the one place that turns the rows into an array.
+- A run fails at the first integrated step whose new state leaves the
+  model: ``FloatingPointError(index, t)``, t the step's end, the same
+  arguments in both kernels.  index is -1 where any new state is not
+  finite; otherwise it is the lowest ``layout.STATES`` index out of range,
+  |x| > 1e6 or, for ``omega_r``, x <= 0.  A math error in a pure-kernel
+  stage is where C carries inf or NaN into the new state, so it reports -1.
+  ``plant.simulate`` words the one message, naming the state.
 - ``csv_rows(columns)`` reads equal-length 1-D float64 buffers, strided or
   not, and writes exactly their rows, with no header: ``harness.trace_csv``
   yields the header and then one ``csv_rows`` per block of

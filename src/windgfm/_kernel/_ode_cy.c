@@ -1,24 +1,15 @@
 /* Compiled kernel: the closed-loop RK4 integrator.  Its derivative mirrors
  * _ode_py in the same operation order, so the two backends agree bit for
  * bit: edit the two together.  Build with -ffp-contract=off where the
- * compiler would otherwise fuse multiply-adds (setup.py does).
- *
- * The derivative sees time only through the load sum load(t), so one RK4
- * step is a pure function of the state and of its three loads, at t0,
- * t0 + h/2 and t0 + h.  A step that returns its state unchanged bit for bit
- * marks the state fixed under those loads; a later step whose three loads
- * have the same bits would return the same state and outputs, so it is
- * skipped.  Before a load event the equilibrium is such a fixed point: a run
- * integrates only from its first event on, and its rows are bit for bit
- * those of the full integration.  A settled tail after a load step can be
- * one too, since the state holds angle differences, not angles.
+ * compiler would otherwise fuse multiply-adds (setup.py does).  Like
+ * _ode_py, it does not integrate again a step from a bit-exact fixed point
+ * under the same three loads; _ode_py's docstring says why the rows stay
+ * those of the full integration.
  *
  * The module also writes the trace CSV's rows (csv_rows): every value as
  * Python's '%.17g' % v, from exact integer arithmetic where it applies and
- * from CPython's own formatter elsewhere.  It formats exactly the rows it is
- * given, with no header; harness.trace_csv cuts a trace into blocks of
- * harness.BLOCK rows and calls it once per block, so no text longer than a
- * block is ever built.
+ * from CPython's own formatter elsewhere.  The package docstring states the
+ * contract both kernels keep.
  *
  * It needs Python's headers only: simulate returns its rows as one float64
  * bytearray, and csv_rows reads its columns through the buffer protocol. */
@@ -29,6 +20,7 @@
 #include <string.h>
 
 #define N 11        /* layout.STATES, in its order */
+#define OMEGA_R 5   /* layout.STATES.index("omega_r") */
 #define N_OUT 3     /* P_wt, P_gsc, w_gsc (keep in sync with layout.py) */
 #define BETZ (16.0 / 27.0)
 
@@ -189,7 +181,7 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
     static char *kwlist[] = {"x0", "params", "mode", "dt", "n_steps",
                              "stride", "base_load", "ev_t", "ev_dp", NULL};
     PyObject *in[4] = {NULL}, *res = NULL;
-    int n_steps, stride, i, bad = -1, fixed = 0;
+    int n_steps, stride, i, bad = N, fixed = 0;
     Model m = {.ev_t = NULL};
     double h, x[N], xs[N], k1[N + N_OUT], k2[N + N_OUT], k3[N + N_OUT],
         k4[N + N_OUT];
@@ -233,10 +225,14 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
             for (int j = 0; j < N; j++)
                 xs[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j]
                                           + k4[j]);
-            for (int j = N - 1; j >= 0; j--)
-                if (!(fabs(xs[j]) <= 1e6))  /* also catches NaN */
+            /* _ode_py._bad_state: -1 where a new state is not finite, else
+             * the lowest index out of range; N while all are in range */
+            for (int j = N - 1; j >= 0 && bad >= 0; j--)
+                if (!isfinite(xs[j]))
+                    bad = -1;
+                else if (fabs(xs[j]) > 1e6 || (j == OMEGA_R && xs[j] <= 0.0))
                     bad = j;
-            if (bad >= 0)
+            if (bad < N)
                 break;
             fixed = !memcmp(xs, x, sizeof x);
             memcpy(fl, l, sizeof l);
@@ -251,18 +247,17 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
             out += w;
         }
     }
-    if (bad < 0 && n_steps % stride == 0) {  /* the final row's outputs */
+    if (bad == N && n_steps % stride == 0) {  /* the final row's outputs */
         deriv(&m, x, load(&m, (double)n_steps * h), k1);
         memcpy(out - w + 1 + N, k1 + N, N_OUT * sizeof(double));
     }
     Py_END_ALLOW_THREADS
-    if (bad >= 0) {  /* the time formatted as Python's f"{t:.6f}" */
-        char *s = PyOS_double_to_string(i * h + h, 'f', 6, 0, NULL);
+    if (bad < N) {  /* FloatingPointError(index, t at the step's end) */
+        PyObject *e = Py_BuildValue("(id)", bad, i * h + h);
         Py_CLEAR(res);
-        if (s)
-            PyErr_Format(PyExc_FloatingPointError,
-                         "state %d diverged at t=%s", bad, s);
-        PyMem_Free(s);
+        if (e)
+            PyErr_SetObject(PyExc_FloatingPointError, e);
+        Py_XDECREF(e);
     }
 done:
     PyMem_Free(m.ev_t);
@@ -473,7 +468,8 @@ static PyMethodDef methods[] = {
      "simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), "
      "ev_dp=())\n--\n\nFixed-step RK4 over n_steps; records every `stride` "
      "steps (plus t=0)\nas rows (t, 11 states, P_wt, P_gsc, w_gsc).  Raises "
-     "FloatingPointError on\ndivergence (any |state| > 1e6)."},
+     "FloatingPointError(index,\nt) at the first step that leaves the "
+     "model (see windgfm._kernel)."},
     {"csv_rows", csv_rows, METH_O,
      "csv_rows(columns)\n--\n\nThe CSV rows of equal-length 1-D float64 "
      "columns, no header: each\nvalue as '%.17g' % v, joined by ',', each "

@@ -15,14 +15,8 @@ from its first event on, and its rows are those of the full integration bit
 for bit.  The state holds angle differences, not angles, so the settled
 tail after a load step can be such a fixed point too.
 
-``csv_rows`` is the pure trace CSV writer: it formats exactly the rows it is
-given, with no header.  ``harness.trace_csv`` cuts a trace into blocks of
-``harness.BLOCK`` rows and calls it once per block, as it does the compiled
-writer.
-
-Like the compiled kernel, the module reads its vectors as sequences of
-numbers and returns its rows as one bytearray of float64 values (see the
-package docstring).
+The package docstring states the contract that this kernel, its trace CSV
+writer ``csv_rows`` and the compiled ones keep.
 """
 from __future__ import annotations
 
@@ -33,7 +27,7 @@ from itertools import chain
 from ..aero import _cp_calibrated
 from ..control import limiter_pi, pd_filter_realization, pitch_rate
 from .layout import (
-    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, ROW,
+    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, ROW, STATES,
     P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0, P_CPMAX,
     P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG, P_KTM,
     P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE, P_RATE,
@@ -41,6 +35,7 @@ from .layout import (
 )
 
 BACKEND = "python"
+_OMEGA_R = STATES.index("omega_r")
 
 
 def _load(t, base, ev_t, ev_dp):
@@ -115,12 +110,13 @@ def derivative(x, t, params, mode, base_load, ev_t=(), ev_dp=()) -> list:
     return _deriv(x, pl, *_args(p, mode))[:N_STATES]
 
 
-def _check_states(x, t) -> None:
-    """Raise FloatingPointError naming the first state of x beyond 1e6 in
-    magnitude or NaN, as diverged at time t."""
-    for j in range(N_STATES):
-        if not abs(x[j]) <= 1e6:  # also catches NaN
-            raise FloatingPointError(f"state {j} diverged at t={t:.6f}")
+def _bad_state(x):
+    """-1 where a state of x is not finite, else the lowest index of a state
+    out of range, |x| > 1e6 or omega_r <= 0; None where all are in range."""
+    for j, v in enumerate(x):
+        if not (abs(v) <= 1e6 and (j != _OMEGA_R or v > 0.0)):  # NaN too
+            return j if all(map(math.isfinite, x)) else -1
+    return None
 
 
 def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()):
@@ -131,8 +127,8 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     RK4 stage of the step that leaves the row (a final row at n_steps takes
     one more derivative call).  A step from a fixed point under the same
     three loads is not integrated again (see the module docstring).  Raises
-    FloatingPointError on divergence (any |state| > 1e6), also where a
-    stage's math raises.
+    FloatingPointError(index, t) at the first step whose new state leaves
+    the model (see the package docstring).
     """
     if n_steps < 0 or stride < 1:
         raise ValueError("n_steps must be >= 0 and stride >= 1")
@@ -152,25 +148,20 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
         t0 = i * dt
         loads = (_load(t0, *ev), _load(t0 + h2, *ev), _load(t0 + dt, *ev))
         if fixed is None or not _same_bits(loads, fixed):
-            xs = x  # the input of the stage being evaluated
+            l0, l1, l2 = loads
             try:
-                k1 = _deriv(xs, loads[0], *args)
-                xs = [a + h2 * b for a, b in zip(x, k1)]
-                k2 = _deriv(xs, loads[1], *args)
-                xs = [a + h2 * b for a, b in zip(x, k2)]
-                k3 = _deriv(xs, loads[1], *args)
-                xs = [a + dt * b for a, b in zip(x, k3)]
-                k4 = _deriv(xs, loads[2], *args)
-            except (ValueError, OverflowError, ZeroDivisionError) as e:
-                # math raises where C carries inf or NaN on to the step's
-                # check.  A state already past the bound in this stage's
-                # input is past it in C's new state too.
-                _check_states(xs, t0 + dt)
-                raise FloatingPointError(
-                    f"RK4 stage diverged at t={t0 + dt:.6f}: {e}") from e
-            xn = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            _check_states(xn, t0 + dt)
+                k1 = _deriv(x, l0, *args)
+                k2 = _deriv([a + h2 * b for a, b in zip(x, k1)], l1, *args)
+                k3 = _deriv([a + h2 * b for a, b in zip(x, k2)], l1, *args)
+                k4 = _deriv([a + dt * b for a, b in zip(x, k3)], l2, *args)
+                xn = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            except (ValueError, OverflowError, ZeroDivisionError):
+                # math raises where C carries inf or NaN into the new state
+                xn = [math.nan] * N_STATES
+            bad = _bad_state(xn)
+            if bad is not None:
+                raise FloatingPointError(bad, t0 + dt)
             fixed = loads if _same_bits(xn, x) else None
             x = xn
         if i % stride == 0:

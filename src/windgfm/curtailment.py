@@ -26,11 +26,11 @@ class DeloadPoint:
         require_finite("deload point", vars(self))
 
 
-def _solve(f, lo: float, hi: float, unreachable: str) -> float:
-    """The root of f, decreasing on [lo, hi]: lo where f(lo) <= 0, else
-    bisection to |f| < 1e-12 or a 1e-13 bracket.  Raises
+def _solve(f, f_lo: float, lo: float, hi: float, unreachable: str) -> float:
+    """The root of f, decreasing on [lo, hi], given f_lo = f(lo): lo where
+    f_lo <= 0, else bisection to |f| < 1e-12 or a 1e-13 bracket.  Raises
     CurtailmentError(unreachable) where f(hi) > 0."""
-    if f(lo) <= 0:
+    if f_lo <= 0:
         return lo
     fhi = f(hi)
     if fhi > 0:
@@ -55,7 +55,7 @@ def solve_pitch_deload(surface: CpSurface, lam_capped: float, eta: float,
     Cp(lam_capped, beta_del) = eta * target_cp."""
     goal = eta * target_cp
     return _solve(lambda b: cp(surface, lam_capped, b) - goal,
-                  BETA_MIN, BETA_MAX,
+                  cp(surface, lam_capped, BETA_MIN) - goal, BETA_MIN, BETA_MAX,
                   f"target below reach even at beta = {BETA_MAX:g} deg")
 
 
@@ -72,7 +72,8 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
     lam_cap = lam_c * params.omega_max
 
     try:
-        lam_del = solve_speed_deload_target(surface, eta * target_cp, lam_mpp)
+        lam_del = solve_speed_deload_target(surface, eta * target_cp, lam_mpp,
+                                            cp_max)
     except CurtailmentError:
         lam_del = None
     if lam_del is not None and lam_del <= lam_cap:
@@ -87,10 +88,11 @@ def deload_point(params: TurbineParams, surface: CpSurface, v_w: float,
 
 
 def solve_speed_deload_target(surface: CpSurface, target: float,
-                              lam_mpp: float) -> float:
-    """Overspeed solve, lambda in [lam_mpp, 25], against an absolute Cp target."""
-    return _solve(lambda l: cp(surface, l, 0.0) - target, lam_mpp, 25.0,
-                  "curtailment unreachable by overspeed alone")
+                              lam_mpp: float, cp_max: float) -> float:
+    """Overspeed solve, lambda in [lam_mpp, 25], against an absolute Cp
+    target; cp_max is find_mpp's Cp(lam_mpp, 0)."""
+    return _solve(lambda l: cp(surface, l, 0.0) - target, cp_max - target,
+                  lam_mpp, 25.0, "curtailment unreachable by overspeed alone")
 
 
 def build_table(params: TurbineParams, surface: CpSurface,

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _kernel
 from ._kernel.layout import ROW
-from .aero import AeroDomainError, CpSurface
+from .aero import CpSurface
 # config defines Scenario and its design rule without numpy, for the design
 # commands; harness still exports them.
 from .config import (
@@ -96,9 +96,6 @@ def run_scenario(plant: PlantParams, surface: CpSurface, scenario: Scenario,
 def _trace_from_states(f_base: float, states: np.ndarray) -> SimTrace:
     """The trace's columns, sliced from the kernel's rows."""
     c = dict(zip(ROW, states.T))  # views of the kernel's columns
-    # The kernel's Cp evaluation skips aero.cp's domain check; make it here.
-    if np.any(c["omega_r"] <= 0):
-        raise AeroDomainError("lambda must be positive")
     return SimTrace(t=c["t"], f_g=f_base * c["omega_g"],
                     f_gsc=f_base * c["w_gsc"], v_dc=c["v_dc"],
                     omega_r=c["omega_r"], beta=c["beta"], p_wt=c["P_wt"],

@@ -204,12 +204,16 @@ def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,
              duration: float, dt: float, sample_dt: float) -> np.ndarray:
     """Integrate with the active kernel; rows are layout.ROW: t, the
     states, then P_wt, P_gsc and w_gsc taken at the row's state.  The array
-    is a writable view of the kernel's bytearray, not a copy."""
+    is a writable view of the kernel's bytearray, not a copy.  A run that
+    leaves the model raises PlantError naming the state and the time."""
     import numpy as np
     n_steps, stride = sample_grid(duration, dt, sample_dt)
     try:
         rows = _kernel.simulate(x0, p_arr, int(mode), dt, n_steps, stride,
                                 load.base, load.ev_times, load.ev_steps)
     except FloatingPointError as e:
-        raise PlantError(str(e)) from e
+        j, t = e.args
+        what = (f"state {STATES[j]} out of range" if j >= 0
+                else "non-finite state")
+        raise PlantError(f"{what} at t={t:.6f}") from e
     return np.frombuffer(rows).reshape(-1, len(ROW))

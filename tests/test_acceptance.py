@@ -115,7 +115,7 @@ def test_criterion_5_curtailment_residuals(turbine, surface):
             resid = abs(cp(surface, pt.lam_del, pt.beta_del) - target)
             assert resid < 1e-9, f"residual {resid:.2e} at ({v_w}, {eta})"
     # lambda_del non-increasing in eta (pure overspeed branch)
-    lams = [solve_speed_deload_target(surface, e * cp_max, lam_mpp)
+    lams = [solve_speed_deload_target(surface, e * cp_max, lam_mpp, cp_max)
             for e in eta_grid]
     assert all(a >= b - 1e-12 for a, b in zip(lams, lams[1:]))
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import windgfm
 from windgfm import _kernel, cli, harness
 from windgfm._kernel import _ode_py
+from windgfm._kernel.layout import P_TG, STATES
 from windgfm.config import (
     DEFAULT_CONFIG, HarnessAssertionError, apply_overrides, load_config, make_plant, make_surface,
 )
@@ -499,14 +500,56 @@ def test_fuzz_base_run_passes_its_checks(command, capsys):
 
 def test_pure_kernel_divergence_is_a_simulation_failure(capsys):
     # sin(inf) in an RK4 stage: math raised a ValueError traceback (exit 1)
-    # where the compiled kernel carries NaN on to its divergence check
+    # where the compiled kernel carries NaN into the new state
     argv = ["simulate", *SHORT_RUN, "--set", "sg.t_g=5e-324"]
     assert cli.main(argv) == 2
     compiled = capsys.readouterr().err
     with pure_kernel():
         assert cli.main(argv) == 2
     assert capsys.readouterr().err == compiled == \
-        "simulation failure: state 0 diverged at t=1.000500\n"
+        "simulation failure: non-finite state at t=1.000500\n"
+
+
+# Runs that leave the model, besides sg.t_g=5e-324 above: (a state and a
+# parameter of the equilibrium the run starts from, set by name or index,
+# the arguments, the line)
+LEAVING_RUNS = {
+    # exp overflows in Cp: the pure kernel's math raised "RK4 stage diverged
+    # at t=0.000500: math range error", the compiled one said "state 0"
+    "beta_-3000": ({"beta": -3000.0}, {}, [],
+                   "non-finite state at t=0.000500"),
+    "P_TG_-0.01": ({}, {P_TG: -0.01}, SHORT_RUN,
+                   "state P_g out of range at t=1.147000"),
+    # the rotor stalls 4.7115 s after the step: the run went on through 285
+    # steps of negative rotor speed, and the trace's check said "design
+    # failure: AeroDomainError('lambda must be positive')"
+    "step_+3pu": ({}, {}, ["--set", "scenario.events=[[30,3]]"],
+                  "state omega_r out of range at t=34.711500"),
+}
+
+
+@pytest.mark.parametrize("case", list(LEAVING_RUNS))
+def test_both_kernels_report_a_run_that_leaves_the_model_alike(
+        monkeypatch, capsys, case):
+    state, params, args, line = LEAVING_RUNS[case]
+    find = harness.find_equilibrium
+
+    def tampered(*a):
+        x0, p_arr, p_wt0 = find(*a)
+        x0, p_arr = x0.copy(), p_arr.copy()
+        for name, v in state.items():
+            x0[STATES.index(name)] = v
+        for k, v in params.items():
+            p_arr[k] = v
+        return x0, p_arr, p_wt0
+    monkeypatch.setattr(harness, "find_equilibrium", tampered)
+    argv = ["simulate", *args]
+    assert cli.main(argv) == 2
+    compiled = capsys.readouterr()
+    with pure_kernel():
+        assert cli.main(argv) == 2
+    assert capsys.readouterr() == compiled == \
+        ("", f"simulation failure: {line}\n")
 
 
 def test_nan_equilibrium_residual_is_a_simulation_failure(capsys):

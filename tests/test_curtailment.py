@@ -18,15 +18,17 @@ def p_wt_del(turbine, pt) -> float:
 
 def test_full_power_returns_mpp(surface):
     lam_mpp, cp_max = find_mpp(surface)
-    assert solve_speed_deload_target(surface, cp_max, lam_mpp) == lam_mpp
+    assert solve_speed_deload_target(surface, cp_max, lam_mpp,
+                                     cp_max) == lam_mpp
     # a target above the peak also stays at the MPP
-    assert solve_speed_deload_target(surface, 1.2 * cp_max, lam_mpp) == lam_mpp
+    assert solve_speed_deload_target(surface, 1.2 * cp_max, lam_mpp,
+                                     cp_max) == lam_mpp
 
 
 def test_speed_deload_residual(surface):
     lam_mpp, cp_max = find_mpp(surface)
     for eta in (0.7, 0.8, 0.9, 0.95):
-        lam = solve_speed_deload_target(surface, eta * cp_max, lam_mpp)
+        lam = solve_speed_deload_target(surface, eta * cp_max, lam_mpp, cp_max)
         assert lam > lam_mpp
         assert cp(surface, lam, 0.0) == pytest.approx(eta * cp_max, abs=1e-9)
 
@@ -36,7 +38,7 @@ def test_speed_deload_rejects_bad_eta(surface):
     lam_mpp, cp_max = find_mpp(surface)
     for eta in (0.0, 0.2):
         with pytest.raises(CurtailmentError):
-            solve_speed_deload_target(surface, eta * cp_max, lam_mpp)
+            solve_speed_deload_target(surface, eta * cp_max, lam_mpp, cp_max)
 
 
 def test_pitch_deload_residual(surface):
@@ -144,7 +146,7 @@ def test_speed_deload_unreachable_message(surface):
     lam_mpp, cp_max = find_mpp(surface)
     with pytest.raises(CurtailmentError,
                        match="^curtailment unreachable by overspeed alone$"):
-        solve_speed_deload_target(surface, 0.2 * cp_max, lam_mpp)
+        solve_speed_deload_target(surface, 0.2 * cp_max, lam_mpp, cp_max)
 
 
 def test_pitch_deload_unreachable_message(turbine, surface):
@@ -159,24 +161,29 @@ def test_pitch_deload_unreachable_message(turbine, surface):
 
 
 def counted_cp(monkeypatch):
-    """The (lam, beta) of every Cp evaluation the curtailment solves make."""
+    """The (lam, beta) of every aero.cp evaluation, at both of its bindings:
+    the curtailment solves' and find_mpp's."""
+    import windgfm.aero as aero
     import windgfm.curtailment as curtailment
     calls = []
 
     def counting(surface, lam, beta):
         calls.append((lam, beta))
         return cp(surface, lam, beta)
-    monkeypatch.setattr(curtailment, "cp", counting)
+    for module in (aero, curtailment):
+        monkeypatch.setattr(module, "cp", counting)
     return calls
 
 
 def test_solves_return_their_lower_endpoint_after_one_evaluation(
         monkeypatch, surface):
+    # the overspeed solve's one evaluation at its lower end is find_mpp's:
+    # it takes Cp(lam_mpp, 0) = cp_max from its caller
     lam_mpp, cp_max = find_mpp(surface)
     calls = counted_cp(monkeypatch)
-    assert solve_speed_deload_target(surface, cp_max, lam_mpp) == lam_mpp
-    assert calls == [(lam_mpp, 0.0)]
-    calls.clear()
+    assert solve_speed_deload_target(surface, cp_max, lam_mpp,
+                                     cp_max) == lam_mpp
+    assert calls == []
     goal = cp(surface, 20.0, 0.0)
     assert solve_pitch_deload(surface, 20.0, 1.0, goal) == 0.0
     assert calls == [(20.0, 0.0)]
@@ -187,6 +194,8 @@ def test_deload_point_evaluates_each_bracket_end_once(
         monkeypatch, turbine, surface, v_w):
     # 8 m/s bisects the overspeed branch; 14 m/s bisects it, finds the
     # speed above omega_max, and bisects the pitch branch too
+    # Cp(lam_mpp, 0) is find_mpp's evaluation, which the overspeed solve
+    # reuses: deload_point made it twice
     lam_mpp, _ = find_mpp(surface)
     lam_cap = turbine.lam_per_pu(v_w) * turbine.omega_max
     calls = counted_cp(monkeypatch)

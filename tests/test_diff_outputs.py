@@ -69,7 +69,7 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
     for mode in ("GFL_MPPT", "GFM_MPPT", "GFM_FR"):
         assert probes[f"gain-design-{mode}"][0][-1] == f"scenario.mode={mode}"
     assert [k for k, (_, pure) in probes.items() if pure] == \
-        ["pure_fallback", "pure_fallback-compare"]
+        ["pure_fallback", "pure_fallback-compare", "fail-t_g-tiny-pure"]
     # the kernel's output columns at both ends of a run and in GFL mode
     for probe, override in (("simulate-odd-steps", "scenario.duration=59.9995"),
                             ("simulate-stride-3", "scenario.sample_dt=0.0015"),
@@ -147,10 +147,44 @@ def test_child_peak_rss_is_recorded(tmp_path):
     code = "b = bytearray(40 << 20); print('held'); raise SystemExit(5)"
     with open(tmp_path / "stdout", "wb") as out:
         rc, rss = diff_outputs.run_child([sys.executable, "-c", code],
-                                         tmp_path, None, out)
+                                         tmp_path, None, out,
+                                         tmp_path / "stderr")
     assert rc == 5
     assert (tmp_path / "stdout").read_bytes() == b"held\n"
+    assert (tmp_path / "stderr").read_bytes() == b""
     assert 40 < rss < 400
+
+
+def test_child_stderr_is_written_to_its_file(tmp_path):
+    # it went to /dev/null, so that a failure's message was never compared
+    code = ("import sys; print('out'); "
+            "print('simulation failure: x', file=sys.stderr); sys.exit(2)")
+    (tmp_path / "stderr").write_bytes(b"an earlier run's text\n")
+    with open(tmp_path / "stdout", "wb") as out:
+        rc, _ = diff_outputs.run_child([sys.executable, "-c", code], tmp_path,
+                                       None, out, tmp_path / "stderr")
+    assert rc == 2
+    assert (tmp_path / "stdout").read_bytes() == b"out\n"
+    assert (tmp_path / "stderr").read_bytes() == b"simulation failure: x\n"
+
+
+def test_differing_stderr_is_an_artefact(tmp_path):
+    base = dict(BASE, **{"simulate/stderr": b"simulation failure: a\n"})
+    change = dict(BASE, **{"simulate/stderr": b"simulation failure: b\n"})
+    assert diff_outputs.compare_dirs(side(tmp_path / "b", base),
+                                     side(tmp_path / "c", change)) == [
+        ("simulate/stderr", "line 1: base 'simulation failure: a' | "
+                            "change 'simulation failure: b'")]
+
+
+def test_probe_list_has_failures_on_both_kernels():
+    probes = diff_outputs.probes(["simulate"])
+    assert probes["fail-step-3pu"] == \
+        (["simulate", "--set", "scenario.events=[[30,3]]"], False)
+    tiny = ["simulate", "--set", "scenario.duration=3", "--set",
+            "scenario.events=[[1.0,0.4]]", "--set", "sg.t_g=5e-324"]
+    assert probes["fail-t_g-tiny"] == (tiny, False)
+    assert probes["fail-t_g-tiny-pure"] == (tiny, True)
 
 
 def test_child_peak_rss_is_its_own_not_the_parents(tmp_path):
@@ -159,7 +193,8 @@ def test_child_peak_rss_is_its_own_not_the_parents(tmp_path):
     held = bytearray(b"\x01") * (120 << 20)  # written, so resident
     with open(tmp_path / "stdout", "wb") as out:
         rc, rss = diff_outputs.run_child([sys.executable, "-c", "pass"],
-                                         tmp_path, None, out)
+                                         tmp_path, None, out,
+                                         tmp_path / "stderr")
     assert held[-1] == 1 and rc == 0
     assert rss < 40
 
@@ -168,7 +203,8 @@ def test_child_killed_by_a_signal_reports_it(tmp_path):
     code = "import os, signal; os.kill(os.getpid(), signal.SIGTERM)"
     with open(tmp_path / "stdout", "wb") as out:
         rc, _ = diff_outputs.run_child([sys.executable, "-c", code],
-                                       tmp_path, None, out)
+                                       tmp_path, None, out,
+                                       tmp_path / "stderr")
     assert rc == -15
 
 

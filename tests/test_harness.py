@@ -270,16 +270,6 @@ def test_trace_p_gsc_and_f_gsc_bit_identical_to_scalar_equations(
     assert tr.f_gsc.tobytes() == np.array(f_gsc).tobytes()
 
 
-@pytest.mark.parametrize("row, omega_r", [
-    (0, 0.0), (BLOCK + 1, -0.5), (-1, 0.0),
-    pytest.param(slice(0, BLOCK), 0.0, id="block0-0.0")])
-def test_trace_rejects_nonpositive_rotor_speed(plant, surface, row, omega_r):
-    _, states = short_run(plant, surface, Mode.GFM_FR, 8.0)
-    states[row, COL["omega_r"]] = omega_r
-    with pytest.raises(aero.AeroDomainError):
-        harness._trace_from_states(plant.network.f_hz, states)
-
-
 def test_trace_validation_rejects_nonfinite():
     tr = synthetic_trace()
     bad = tr.v_dc.copy()

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 import windgfm
 from windgfm._kernel import _ode_py
 from windgfm._kernel.layout import (
-    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_PCONST, P_TG, ROW, STATES,
+    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_CP0, P_CPMAX, P_PCONST, P_TDC,
+    P_TG, ROW, STATES,
 )
 from windgfm.harness import Scenario, gains_for_scenario, run_scenario
 from windgfm.plant import Mode, find_equilibrium
@@ -53,9 +55,13 @@ def reference_simulate(x0, params, mode, dt, n_steps, stride, base_load,
         k4 = _deriv([a + dt * b for a, b in zip(x, k3)], t0 + dt, *args)
         x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        # the rule: a non-finite state first, then the lowest state out of
+        # range
+        if not all(math.isfinite(v) for v in x):
+            raise FloatingPointError(-1, t0 + dt)
         for j in range(N_STATES):
-            if not abs(x[j]) <= 1e6:  # also catches NaN
-                raise FloatingPointError(f"state {j} diverged at t={t0 + dt:.6f}")
+            if abs(x[j]) > 1e6 or (STATES[j] == "omega_r" and x[j] <= 0):
+                raise FloatingPointError(j, t0 + dt)
         if (i + 1) % stride == 0:
             out[row, 0] = (i + 1) * dt
             out[row, 1:1 + N_STATES] = x
@@ -84,13 +90,13 @@ def test_backend_reported():
 def one_step(kernel, x, p, mode, t):
     """One RK4 step from state x, its load event shifted so that it is on
     exactly when a step at time t would see it: the bytes of the rows (the
-    outputs at x, the next state and its outputs), or the divergence
-    message.  Every stage of the step is a derivative call."""
+    outputs at x, the next state and its outputs), or the failure's
+    arguments.  Every stage of the step is a derivative call."""
     try:
         return bytes(kernel.simulate(x, p, mode, 1e-3, 1, 1, 2.0, (30.0 - t,),
                                      (0.4,)))
     except FloatingPointError as e:
-        return str(e)
+        return e.args
 
 
 def test_derivative_backends_bit_identical(plant, surface, ode_cy):
@@ -202,11 +208,11 @@ ODD_STEPS = 101
 
 
 def kernel_result(kernel, *args):
-    """The bytes of a kernel's rows, or its divergence message."""
+    """The bytes of a kernel's rows, or its failure's arguments."""
     try:
         return bytes(kernel(*args))
     except FloatingPointError as e:
-        return str(e)
+        return e.args
 
 
 @pytest.fixture(params=list(Mode), ids=lambda m: m.name)
@@ -238,7 +244,7 @@ def test_kernels_diverge_as_the_no_skip_reference(mode_equilibrium, ode_cy,
     bad[P_TG] = -1e-3
     args = (x0, bad, mode, H, ODD_STEPS, 3, 2.0, *EVENT_LAYOUTS[layout])
     ref = kernel_result(reference_simulate, *args)
-    assert ref.startswith("state ")
+    assert ref[0] == S["P_g"]
     assert kernel_result(_ode_py.simulate, *args) == ref
     assert kernel_result(ode_cy.simulate, *args) == ref
 
@@ -291,15 +297,17 @@ def test_settled_tail_is_a_bit_exact_fixed_point(plant, surface, mode, eta,
 
 
 def test_nan_cp_diverges_on_both_kernels(packed, ode_cy):
-    # exp overflows in the Cp surface at beta = -3000 deg: the pure kernel
-    # raises there, and the compiled one carries the NaN Cp, which the Betz
-    # clamp must not turn into finite wind power, to its divergence check
+    # exp overflows in the Cp surface at beta = -3000 deg: the pure kernel's
+    # math raises there, and the compiled one carries the NaN Cp, which the
+    # Betz clamp must not turn into finite wind power, into the new state.
+    # Both report a non-finite state at the first step.
     x0, p_arr = packed
     x = x0.copy()
     x[S["beta"]] = -3000.0
     for kernel in (_ode_py, ode_cy):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError) as e:
             kernel.simulate(x, p_arr, 2, 5e-4, 4, 1, 2.0)
+        assert e.value.args == (-1, 5e-4)
 
 
 def test_simulate_sampling_layout(packed):
@@ -322,8 +330,10 @@ def test_python_kernel_divergence_guard(packed):
     x0, p_arr = packed
     bad = p_arr.copy()
     bad[P_TG] = -0.01  # unstable governor: exponential blow-up
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError) as e:
         _ode_py.simulate(x0, bad, 2, 5e-4, 40000, 2, 2.0, (0.5,), (0.4,))
+    j, t = e.value.args
+    assert j == S["P_g"] and 0.5 < t < 20.0
 
 
 def test_compiled_kernel_divergence_guard_matches_python(packed, ode_cy):
@@ -335,8 +345,89 @@ def test_compiled_kernel_divergence_guard_matches_python(packed, ode_cy):
         _ode_py.simulate(*args)
     with pytest.raises(FloatingPointError) as ec:
         ode_cy.simulate(*args)
-    assert str(ec.value) == str(ep.value)
-    assert str(ep.value).startswith("state ")
+    assert ec.value.args == ep.value.args
+    assert ep.value.args[0] == S["P_g"]
+
+
+# A step from a state with these entries changed, in GFL_MPPT mode, which
+# holds every state but omega_g and P_g: the new state keeps them bit for
+# bit.  (changes, the failure's index or None where the step passes)
+RULE_CASES = {
+    "omega_r_0.0": ({"omega_r": 0.0}, S["omega_r"]),
+    "omega_r_-0.0": ({"omega_r": -0.0}, S["omega_r"]),
+    "omega_r_-0.5": ({"omega_r": -0.5}, S["omega_r"]),
+    "omega_r_5e-324": ({"omega_r": 5e-324}, None),
+    "limit_1e6": ({"beta": -1e6, "i_power": 1e6}, None),
+    "above_1e6": ({"i_power": 1e6 + 2 ** -32}, S["i_power"]),
+    # the lowest index out of range is reported
+    "lowest_index": ({"rho_1": 2e6, "omega_r": 0.0, "beta": -2e6}, S["rho_1"]),
+    # a non-finite state comes first, whatever its index
+    "nan_first": ({"omega_r": 0.0, "i_power": math.nan}, -1),
+    "inf_first": ({"rho_1": 2e6, "beta": -math.inf}, -1),
+}
+
+
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_kernels_apply_one_rule_to_the_new_state(plant, surface, ode_cy,
+                                                 case):
+    x0, p_arr = equilibrium(plant, surface, Scenario(mode=Mode.GFL_MPPT,
+                                                     eta=1.0))
+    changes, want = RULE_CASES[case]
+    x = x0.copy()
+    for name, v in changes.items():
+        x[S[name]] = v
+    args = (x, p_arr, int(Mode.GFL_MPPT), H, 1, 1, 2.0)
+    ref = kernel_result(reference_simulate, *args)
+    assert kernel_result(_ode_py.simulate, *args) == ref
+    assert kernel_result(ode_cy.simulate, *args) == ref
+    if want is None:
+        assert as_array(ref)[1, 1 + S["omega_r"]] == x[S["omega_r"]]
+    else:
+        assert ref == (want, H)
+
+
+def test_kernels_fail_alike_from_extreme_states(plant, surface, ode_cy):
+    # one step from states with up to three entries drawn over the whole
+    # float range or from the rule's edges, some with a parameter so drawn
+    # too (but the Cp surface and t_dc, which the config fixes or checks):
+    # where the pure kernel's math raises, the compiled one carries inf or
+    # NaN into the new state, so the two give the same rows or the same
+    # failure
+    rng = np.random.default_rng(26)
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e6, -1e6, 3000.0,
+             -3000.0, 5e-324]
+    free = [k for k in range(N_PARAMS)
+            if k != P_TDC and not P_CP0 <= k <= P_CPMAX]
+    for v_w in (8.0, 12.0):
+        x0, p_arr = equilibrium(plant, surface, Scenario(v_w=v_w))
+        for _ in range(300):
+            x, p = x0.copy(), p_arr.copy()
+            for j in rng.choice(N_STATES, rng.integers(1, 4), replace=False):
+                x[j] = (rng.choice([-1, 1]) * 10 ** rng.uniform(-320, 308)
+                        if rng.random() < 0.7 else rng.choice(edges))
+            if rng.random() < 0.2:
+                p[rng.choice(free)] = (rng.choice([-1, 1])
+                                       * 10 ** rng.uniform(-320, 308))
+            for mode in (0, 1, 2):
+                args = (x, p, mode, H, 1, 1, 2.0, (0.0,), (0.4,))
+                assert kernel_result(_ode_py.simulate, *args) == \
+                    kernel_result(ode_cy.simulate, *args)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_kernels_stop_where_the_rotor_speed_reaches_zero(packed, ode_cy,
+                                                         stride):
+    # a +3 pu load step stalls the rotor: the first step whose new omega_r
+    # is <= 0 ends the run, at 4.7115 s after the step
+    x0, p_arr = packed
+    args = (x0, p_arr, 2, 5e-4, 12000, stride, 2.0, (1.0,), (3.0,))
+    ref = kernel_result(reference_simulate, *args)
+    assert ref == (S["omega_r"], 11422 * 5e-4 + 5e-4)  # t0 + dt, step 11422
+    assert kernel_result(_ode_py.simulate, *args) == ref
+    assert kernel_result(ode_cy.simulate, *args) == ref
+    # the step before is in range: omega_r is still positive there
+    rows = as_array(reference_simulate(*args[:4], 11422, 1, *args[6:]))
+    assert 0 < rows[-1, COL["omega_r"]] < 0.02
 
 
 def bad_inputs(x0, p):

@@ -9,7 +9,8 @@ The base side is the committed tree of ``--base``, exported with
 ``git archive``; the change side is the working tree.  Each side's package
 is staged with its own ``perfbench/build.py`` (compiled kernel, nothing
 written under ``src/``), and the fixed list of ``probes`` runs on both, each
-probe in an empty directory.  A probe's exit code, its stdout and every file
+probe in an empty directory.  A probe's exit code, its stdout, its stderr
+(empty where it passes, its failure message where it fails) and every file
 it writes are compared byte for byte.  For each artefact that differs the
 first differing line is printed; for a differing CSV file the share of its
 rows that are bit-equal and each column's largest absolute difference, and
@@ -100,6 +101,14 @@ def probes(pure_args: list) -> dict:
         # the same config's three modes, GFL_MPPT's held WT side included
         "pure_fallback-compare": (["compare", *pure_args[1:], "--out",
                                    "cmp.csv"], True),
+        # failures, compared on their stderr: the rotor stalls after a
+        # +3 pu step, and sin(inf) in an RK4 stage on both kernels
+        "fail-step-3pu": (["simulate", "--set", "scenario.events=[[30,3]]"],
+                          False),
+        **{f"fail-t_g-tiny{'-pure' if pure else ''}": (
+            ["simulate", "--set", "scenario.duration=3", "--set",
+             "scenario.events=[[1.0,0.4]]", "--set", "sg.t_g=5e-324"], pure)
+           for pure in (False, True)},
     }
 
 
@@ -112,9 +121,10 @@ def load_build(side: Path, name: str):
     return mod
 
 
-# Run with ``python -I -S -c LAUNCHER ARGV``: fork ARGV, wait for it, and
-# print on stderr its exit code and its peak resident set in kB.  The probe's
-# stdout is the launcher's; its stderr is dropped.  On Linux a spawned
+# Run with ``python -I -S -c LAUNCHER STDERR ARGV``: fork ARGV with its
+# stderr into the file STDERR, wait for it, and print on the launcher's own
+# stderr its exit code and its peak resident set in kB.  The probe's stdout
+# is the launcher's.  On Linux a spawned
 # child's ru_maxrss starts at the high-water mark of the process it was
 # spawned from (vfork, then exec), so a probe spawned from this script would
 # read this script's peak; forked from the launcher it reads at most the
@@ -123,17 +133,20 @@ LAUNCHER = """
 import os, sys
 pid = os.fork()
 if pid == 0:
-    os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
-    os.execv(sys.argv[1], sys.argv[1:])
+    os.dup2(os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 2)
+    os.execv(sys.argv[2], sys.argv[2:])
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 """
 
 
-def run_child(argv: list, cwd: Path, env: dict, stdout) -> tuple:
+def run_child(argv: list, cwd: Path, env: dict, stdout,
+              stderr: Path) -> tuple:
     """Run argv to its end with its stdout into the open file stdout and its
-    stderr dropped: (exit code, the child's own peak resident set in MB)."""
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, *argv],
+    stderr into the file stderr: (exit code, the child's own peak resident
+    set in MB)."""
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER,
+                           str(stderr), *argv],
                           cwd=cwd, env=env, stdout=stdout,
                           stderr=subprocess.PIPE, check=True)
     code, kb = proc.stderr.split()
@@ -142,8 +155,8 @@ def run_child(argv: list, cwd: Path, env: dict, stdout) -> tuple:
 
 def run_probes(side: Path, name: str, out: Path, cli: str, probe_list: dict) -> dict:
     """Run every probe on one side with ``python -c cli ARGS``; probe P
-    leaves ``out/P/exit_code``, ``out/P/stdout`` and the files it wrote
-    under ``out/P/files``.  Returns probe -> peak RSS (MB)."""
+    leaves ``out/P/exit_code``, ``out/P/stdout``, ``out/P/stderr`` and the
+    files it wrote under ``out/P/files``.  Returns probe -> peak RSS (MB)."""
     build = load_build(side, name)
     stage = build.ensure_stage()
     rss = {}
@@ -153,7 +166,7 @@ def run_probes(side: Path, name: str, out: Path, cli: str, probe_list: dict) -> 
         with open(out / probe / "stdout", "wb") as stdout:
             code, rss[probe] = run_child([sys.executable, "-c", cli, *args],
                                          files, build.child_env(stage, pure),
-                                         stdout)
+                                         stdout, out / probe / "stderr")
         (out / probe / "exit_code").write_text(f"{code}\n")
         print(f"{name} {probe}: exit {code}", file=sys.stderr)
     return rss
