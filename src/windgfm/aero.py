@@ -150,17 +150,6 @@ def cp_partials(surface: CpSurface, lam: float, beta: float) -> tuple[float, flo
     return cpm * h * dg / w, cpm * (dh * g + h * dg * (-dlr / w))
 
 
-def arange(start: float, stop: float, step: float) -> list:
-    """numpy.arange(start, stop, step) as a list of floats.
-
-    numpy fills element k >= 2 as start + k * ((start + step) - start), and
-    element 1 as start + step, which is the same value wherever
-    (start + step) - start is exact, as on every grid the package uses.
-    """
-    delta = (start + step) - start
-    return [start + k * delta for k in range(math.ceil((stop - start) / step))]
-
-
 def find_mpp(surface: CpSurface) -> tuple[float, float]:
     """(lam_mpp, cp_max) of Cp(., 0), in closed form.
 

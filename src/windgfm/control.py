@@ -67,10 +67,10 @@ def pd_filter_realization(k_theta: float, k_d: float, t_dc: float,
     """First-order realization of H(s) = (k_theta + k_d s)/(t_dc s + 1).
 
     Returns (y, dx/dt) with dx/dt = (u - x)/t_dc and
-    y = (k_theta - k_d/t_dc) x + (k_d/t_dc) u.
+    y = (k_theta - k_d/t_dc) x + (k_d/t_dc) u.  t_dc is not checked here:
+    ``ControlGains`` holds it positive, and the pure kernel evaluates any
+    packed value as the compiled one does.
     """
-    if t_dc <= 0:
-        raise ValueError("t_dc must be positive")
     y = (k_theta - k_d / t_dc) * x + (k_d / t_dc) * u
     return y, (u - x) / t_dc
 
@@ -95,12 +95,15 @@ def pitch_rate(beta: float, beta_ref: float, t_servo: float, rate_limit: float,
 
     beta_ref is clamped to [beta_min, beta_max] and the first-order servo
     is rate-limited to +-rate_limit, so beta is driven back into the range.
+    A zero t_servo divides as in IEEE arithmetic, as the compiled kernel
+    does: the rate limit then clamps the infinite rate.
     """
     if beta_ref < beta_min:
         beta_ref = beta_min
     elif beta_ref > beta_max:
         beta_ref = beta_max
-    d = (beta_ref - beta) / t_servo
+    d = ((beta_ref - beta) / t_servo if t_servo
+         else (beta_ref - beta) * math.copysign(math.inf, t_servo))
     if d > rate_limit:
         d = rate_limit
     elif d < -rate_limit:

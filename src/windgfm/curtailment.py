@@ -4,7 +4,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .aero import (CpSurface, DesignError, TurbineParams, arange, cp, find_mpp,
+from .aero import (CpSurface, DesignError, TurbineParams, cp, find_mpp,
                    require_finite)
 from .control import BETA_MAX, BETA_MIN
 
@@ -99,9 +99,9 @@ def build_table(params: TurbineParams, surface: CpSurface,
                 v_grid=None, eta_grid=None) -> tuple[DeloadPoint, ...]:
     """The deload points of the grid, row-major in (v_w, eta)."""
     if v_grid is None:
-        v_grid = arange(4.0, 14.01, 0.5)
+        v_grid = [4.0 + 0.5 * k for k in range(21)]
     if eta_grid is None:
-        eta_grid = arange(0.70, 1.001, 0.05)
+        eta_grid = [0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
     return tuple(deload_point(params, surface, float(v), float(e))
                  for v in v_grid for e in eta_grid)
 

@@ -144,18 +144,6 @@ def pack_params(plant: PlantParams, gains: ControlGains, surface: CpSurface,
     return p
 
 
-def closed_loop_derivative(x, t: float, p_arr: np.ndarray, mode: Mode,
-                           load: LoadProfile) -> np.ndarray:
-    """d state/dt in layout.STATES order, via the active kernel."""
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    v_dc, om_r = x[STATES.index("v_dc")], x[STATES.index("omega_r")]
-    if v_dc <= 0 or om_r <= 0:
-        raise PlantError(f"invalid state: v_dc={v_dc}, omega_r={om_r}")
-    return np.array(_kernel.derivative(x, t, p_arr, int(mode), load.base,
-                                       load.ev_times, load.ev_steps))
-
-
 def find_equilibrium(plant: PlantParams, gains: ControlGains,
                      surface: CpSurface, v_w: float, load: LoadProfile,
                      mode: Mode) -> tuple[np.ndarray, np.ndarray, float]:
@@ -163,10 +151,10 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
 
     The algebraic solution (rho = arcsin(P/b) on both links, v_dc = 1,
     omega_g = 1, omega_r = omega_del, the other states 0) is exact for this
-    model; the residual of the closed-loop derivative is verified < 1e-9.  On the whole envelope
-    (v_w 5-25 m/s, every mode) it is also an exact fixed point of the
-    kernels' RK4 step, bit for bit, so they integrate nothing before the
-    first load event.
+    model; the residual of ``_kernel.derivative`` before any load event is
+    verified < 1e-9.  On the whole envelope (v_w 5-25 m/s, every mode) it is
+    also an exact fixed point of the kernels' RK4 step, bit for bit, so they
+    integrate nothing before the first load event.
     """
     import numpy as np
     nw = plant.network
@@ -183,8 +171,7 @@ def find_equilibrium(plant: PlantParams, gains: ControlGains,
              "P_g": p_g0, "v_dc": 1.0, "rho_2": math.asin(p_wt0 / nw.b_msc),
              "omega_r": om_del, "beta": beta_del}
     x0 = np.array([state.get(name, 0.0) for name in STATES])
-    pre_load = LoadProfile(base=base, events=())
-    resid = np.max(np.abs(closed_loop_derivative(x0, 0.0, p_arr, mode, pre_load)))
+    resid = np.max(np.abs(_kernel.derivative(x0, 0.0, p_arr, int(mode), base)))
     if not resid <= 1e-9:  # NaN fails too
         raise PlantError(f"equilibrium residual {resid:.3e} exceeds 1e-9")
     return x0, p_arr, p_wt0

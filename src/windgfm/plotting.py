@@ -22,7 +22,10 @@ def _panel(title, t, series, labels, y0):
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    x_of = lambda x: _ML + (x - t[0]) / (t[-1] - t[0]) * (_W - _ML - _MR)
+    t0, span = t[0], t[-1] - t[0]
+    if not span > 0:  # one row: it sits on the left edge
+        span = 1.0
+    x_of = lambda x: _ML + (x - t0) / span * (_W - _ML - _MR)
     y_of = lambda y: y0 + _MT + (hi - y) / (hi - lo) * (_H - _MT - _MB)
     lines.append(f'<rect x="{_ML}" y="{y0 + _MT}" width="{_W - _ML - _MR}" '
                  f'height="{_H - _MT - _MB}" fill="none" stroke="#999"/>')

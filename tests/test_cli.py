@@ -44,6 +44,20 @@ def test_simulate_writes_trace_and_metrics(tmp_path, capsys):
     assert plot.read_text().startswith("<svg")
 
 
+def test_one_row_trace_plots_on_the_left_edge(tmp_path, capsys):
+    # a 0.5 ms run samples t = 0 only: no time span to scale, so each of
+    # the four panels' series is one point on the panel's left edge
+    plot = tmp_path / "one.svg"
+    rc = cli.main(["simulate", "--set", "scenario.events=[]", "--set",
+                   "scenario.duration=0.0005", "--plot", str(plot)])
+    assert rc == 0, capsys.readouterr().err
+    svg = plot.read_text()
+    assert svg.count("<rect") == 4
+    points = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(points) == 8
+    assert all(re.fullmatch(r"60\.00,\d+\.\d\d", p) for p in points)
+
+
 def test_simulate_assertion_failure_exit_2(capsys):
     # event too close to the end of the run: steady-state checks cannot pass
     rc = cli.main(["simulate", "--set", "scenario.duration=33"])

@@ -62,11 +62,6 @@ def test_pd_filter_reduces_to_lag_without_derivative():
     assert y == pytest.approx(0.15, abs=1e-15)
 
 
-def test_pd_filter_rejects_bad_time_constant():
-    with pytest.raises(ValueError):
-        pd_filter_realization(0.5, 0.0067, 0.0, 0.0, 1.0)
-
-
 def test_converter_gains_validation():
     with pytest.raises(ValueError):
         ConverterGains(k_theta=0.0, k_d=0.0)

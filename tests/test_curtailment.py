@@ -98,6 +98,18 @@ def test_default_table_power_matches_target(turbine, surface):
             f"({pt.v_w}, {pt.eta})"
 
 
+def test_default_table_is_the_literal_grid(turbine, surface):
+    # eta is the literal 0.85, 0.9, ..., not an accumulated step's
+    # 0.85000000000000009, so the eta = 0.9 rows are the points gain-design
+    # designs at eta = 0.9
+    table = build_table(turbine, surface)
+    assert [pt.v_w for pt in table[::7]] == [4.0 + 0.5 * k for k in range(21)]
+    assert [pt.eta for pt in table] == [0.7, 0.75, 0.8, 0.85, 0.9, 0.95,
+                                        1.0] * 21
+    for pt in table[4::7]:
+        assert pt == deload_point(turbine, surface, pt.v_w, 0.9)
+
+
 @given(v_w=st.floats(5.0, 13.0), e1=st.floats(0.72, 0.88))
 @settings(max_examples=40, deadline=None)
 def test_deload_monotone_in_eta(v_w, e1):

@@ -218,11 +218,35 @@ def test_probe_lines_give_verdict_and_peak_rss():
         "compare: 2 differing; peak RSS 50.0 -> 50.0 MB (+0.0%)"]
 
 
+# Each kind of line; the comments say which count as code
+PY_LINES = (b'"""A module docstring\n'                 # docstring
+            b'on two lines."""\n'                      # docstring
+            b'import math  # a trailing comment\n'     # code
+            b'\n'                                      # blank
+            b'# a comment\n'                           # comment
+            b'def f(x):\n'                             # code
+            b'    """A one-line docstring."""\n'       # docstring
+            b'    s = """a string on\n'                # code
+            b'    two lines"""\n'                      # code
+            b'    return x\n'                          # code
+            b'class C:\n'                              # code
+            b'    """A class docstring."""\n'          # docstring
+            b'    y = 1\n')                            # code
+C_LINES = (b'/* a block comment\n'                     # comment
+           b'   on two lines */\n'                     # comment
+           b'int k; // a trailing comment\n'           # code
+           b'\n'                                       # blank
+           b'// a line comment\n'                      # comment
+           b'const char *s = "/* not a comment */";\n'  # code
+           b'int j; /* a comment that\n'               # code
+           b'ends here */ int i;\n')                   # code
+
+
 def test_source_lines_count_the_package_python_and_c(tmp_path):
     base = side(tmp_path / "b", {
-        "src/windgfm/a.py": b"x = 1\ny = 2\n",
+        "src/windgfm/a.py": PY_LINES,
         "src/windgfm/_kernel/k.py": b"z = 3\n",
-        "src/windgfm/_kernel/k.c": b"int k;\n\nint j;\n",
+        "src/windgfm/_kernel/k.c": C_LINES,
         # neither a package source nor a Python or C file
         "src/windgfm/__pycache__/a.cpython-311.pyc": b"\0\n\0\n",
         "src/windgfm/README.md": b"text\n",
@@ -231,6 +255,8 @@ def test_source_lines_count_the_package_python_and_c(tmp_path):
                                    "src/windgfm/_kernel/k.c": b"int k;\n"})
     lines_b = diff_outputs.source_lines(base)
     lines_c = diff_outputs.source_lines(change)
-    assert lines_b == {"py": 3, "c": 3} and lines_c == {"py": 1, "c": 1}
-    assert diff_outputs.source_line(lines_b, lines_c) == \
-        "src/windgfm lines: py 3 -> 1 (-2), c 3 -> 1 (-2)"
+    assert lines_b == {"py": 14, "py code": 8, "c": 8, "c code": 4}
+    assert lines_c == {"py": 1, "py code": 1, "c": 1, "c code": 1}
+    assert diff_outputs.source_line(lines_b, lines_c) == (
+        "src/windgfm lines: py 14 -> 1 (-13), py code 8 -> 1 (-7), "
+        "c 8 -> 1 (-7), c code 4 -> 1 (-3)")

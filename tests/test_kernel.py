@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -9,8 +10,8 @@ import pytest
 import windgfm
 from windgfm._kernel import _ode_py
 from windgfm._kernel.layout import (
-    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_CP0, P_CPMAX, P_PCONST, P_TDC,
-    P_TG, ROW, STATES,
+    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_CP0, P_CPMAX, P_PCONST, P_TG,
+    ROW, STATES,
 )
 from windgfm.harness import Scenario, gains_for_scenario, run_scenario
 from windgfm.plant import Mode, find_equilibrium
@@ -389,29 +390,40 @@ def test_kernels_apply_one_rule_to_the_new_state(plant, surface, ode_cy,
 def test_kernels_fail_alike_from_extreme_states(plant, surface, ode_cy):
     # one step from states with up to three entries drawn over the whole
     # float range or from the rule's edges, some with a parameter so drawn
-    # too (but the Cp surface and t_dc, which the config fixes or checks):
-    # where the pure kernel's math raises, the compiled one carries inf or
-    # NaN into the new state, so the two give the same rows or the same
-    # failure
+    # too, and from a state off its pitch setpoint with each parameter at
+    # each edge: any parameter but the Cp surface's, which the config fixes,
+    # t_dc and t_servo at 0.0 and -0.0 among them.  Where the pure kernel's
+    # math raises, the compiled one carries inf or NaN into the new state,
+    # so the two give the same rows or the same failure
     rng = np.random.default_rng(26)
     edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e6, -1e6, 3000.0,
              -3000.0, 5e-324]
-    free = [k for k in range(N_PARAMS)
-            if k != P_TDC and not P_CP0 <= k <= P_CPMAX]
+    free = [k for k in range(N_PARAMS) if not P_CP0 <= k <= P_CPMAX]
+
+    def draw():
+        return (rng.choice([-1, 1]) * 10 ** rng.uniform(-320, 308)
+                if rng.random() < 0.7 else rng.choice(edges))
+
     for v_w in (8.0, 12.0):
         x0, p_arr = equilibrium(plant, surface, Scenario(v_w=v_w))
+        off = x0.copy()
+        off[S["beta"]] += 1.0  # the servo moves: a zero t_servo meets its limit
+        cases = []
+        for k, v in itertools.product(free, edges):
+            p = p_arr.copy()
+            p[k] = v
+            cases.append((off, p))
         for _ in range(300):
             x, p = x0.copy(), p_arr.copy()
             for j in rng.choice(N_STATES, rng.integers(1, 4), replace=False):
-                x[j] = (rng.choice([-1, 1]) * 10 ** rng.uniform(-320, 308)
-                        if rng.random() < 0.7 else rng.choice(edges))
+                x[j] = draw()
             if rng.random() < 0.2:
-                p[rng.choice(free)] = (rng.choice([-1, 1])
-                                       * 10 ** rng.uniform(-320, 308))
-            for mode in (0, 1, 2):
-                args = (x, p, mode, H, 1, 1, 2.0, (0.0,), (0.4,))
-                assert kernel_result(_ode_py.simulate, *args) == \
-                    kernel_result(ode_cy.simulate, *args)
+                p[rng.choice(free)] = draw()
+            cases.append((x, p))
+        for (x, p), mode in itertools.product(cases, (0, 1, 2)):
+            args = (x, p, mode, H, 1, 1, 2.0, (0.0,), (0.4,))
+            assert kernel_result(_ode_py.simulate, *args) == \
+                kernel_result(ode_cy.simulate, *args)
 
 
 @pytest.mark.parametrize("stride", [1, 7])

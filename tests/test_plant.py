@@ -8,8 +8,8 @@ from windgfm.config import apply_overrides, make_plant
 from windgfm.harness import gains_for_scenario, run_from_config, Scenario
 from windgfm import _kernel
 from windgfm.plant import (
-    LoadProfile, Mode, NetworkParams, PlantError, SgParams, closed_loop_derivative,
-    find_equilibrium, simulate, wind_power_pu,
+    LoadProfile, Mode, NetworkParams, PlantError, SgParams, find_equilibrium,
+    simulate, wind_power_pu,
 )
 from windgfm._kernel.layout import (
     N_STATES, P_BG, P_BM, P_CDC, P_OMMAX, ROW, STATES,
@@ -102,8 +102,7 @@ def test_rk4_linear_oracle():
 def test_equilibrium_residual_is_tiny(plant, surface):
     for mode in (Mode.GFM_FR, Mode.GFM_MPPT, Mode.GFL_MPPT):
         _, (x0, p_arr, p_wt0) = equilibrium(plant, surface, mode=mode)
-        pre = LoadProfile(base=2.0, events=())
-        resid = closed_loop_derivative(x0, 0.0, p_arr, mode, pre)
+        resid = _kernel.derivative(x0, 0.0, p_arr, int(mode), 2.0)
         assert np.max(np.abs(resid)) < 1e-10
         assert x0[S["v_dc"]] == 1.0 and x0[S["omega_g"]] == 1.0
 
@@ -127,8 +126,7 @@ def test_equilibrium_angles_match_power(plant, surface):
 
 def test_derivative_load_step_hits_sg_swing(plant, surface):
     _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
-    stepped = LoadProfile(base=2.1, events=())
-    d = closed_loop_derivative(x0, 0.0, p_arr, Mode.GFM_FR, stepped)
+    d = _kernel.derivative(x0, 0.0, p_arr, int(Mode.GFM_FR), 2.1)
     j_g = plant.sg.j_g(plant.network.s_base)
     assert d[S["omega_g"]] == pytest.approx(-0.1 / j_g, abs=1e-12)
 
@@ -137,23 +135,14 @@ def test_derivative_dc_power_balance_identity(plant, surface):
     # C_dc v dv/dt must equal P_pmsg - P_gsc at any state
     rng = np.random.default_rng(11)
     _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
-    load = LoadProfile(base=2.0, events=())
     for _ in range(20):
         x = x0 + rng.uniform(-0.02, 0.02, size=N_STATES)
-        d = closed_loop_derivative(x, 0.0, p_arr, Mode.GFM_FR, load)
+        d = _kernel.derivative(x, 0.0, p_arr, int(Mode.GFM_FR), 2.0)
         p_pm = p_arr[P_BM] * math.sin(x[S["rho_2"]])
         p_gs = p_arr[P_BG] * math.sin(x[S["rho_1"]])
         v = S["v_dc"]
         assert p_arr[P_CDC] * x[v] * d[v] == pytest.approx(p_pm - p_gs,
                                                            abs=1e-12)
-
-
-def test_derivative_rejects_invalid_state(plant, surface):
-    _, (x0, p_arr, p_wt0) = equilibrium(plant, surface)
-    bad = x0.copy()
-    bad[S["v_dc"]] = -0.1
-    with pytest.raises(PlantError):
-        closed_loop_derivative(bad, 0.0, p_arr, Mode.GFM_FR, LoadProfile())
 
 
 def test_no_disturbance_run_stays_at_equilibrium(plant, surface):
@@ -171,9 +160,9 @@ def test_step_rk4_matches_kernel_simulate(plant, surface):
     dt = 5e-4
     x = x0.copy()
     for i in range(40):
-        x = rk4_step(lambda z, tt: closed_loop_derivative(z, tt, p_arr,
-                                                          Mode.GFM_FR, load),
-                     x, i * dt, dt)
+        x = rk4_step(lambda z, tt: _kernel.derivative(
+            z, tt, p_arr, int(Mode.GFM_FR), load.base, load.ev_times,
+            load.ev_steps), x, i * dt, dt)
     states = simulate(x0, p_arr, Mode.GFM_FR, load, 40 * dt, dt, sample_dt=dt)
     np.testing.assert_allclose(states[-1, 1:1 + N_STATES], x, rtol=0,
                                atol=1e-13)

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from windgfm import _kernel
 from windgfm import smallsignal as ss
 from windgfm.aero import cp
 from windgfm.harness import (
     ROCOF_WINDOW, Scenario, compute_metrics, gains_for_scenario, run_scenario,
 )
-from windgfm.plant import (
-    LoadProfile, Mode, closed_loop_derivative, find_equilibrium,
-)
+from windgfm.plant import LoadProfile, Mode, find_equilibrium
 
 # The load step's injection into the model's rows: a load increase dP_L
 # drains the omega_g row, T x' = A x + E dP_L
@@ -297,7 +296,8 @@ def full_loop_spectrum(plant, surface, v_w, eta):
                                     Mode.GFM_FR)
 
     def f(x):
-        return closed_loop_derivative(x, 0.0, p_arr, Mode.GFM_FR, sc.load)
+        return np.array(_kernel.derivative(x, 0.0, p_arr, int(Mode.GFM_FR),
+                                           sc.load.base))
 
     h = 1e-7
     J = np.column_stack([(f(x0 + h * e) - f(x0 - h * e)) / (2 * h)

@@ -20,22 +20,27 @@ number of its differing artefacts) beside its child's peak resident set on
 both sides, so that a memory change shows without the benchmark.  That
 peak is the probe's own: a small launcher forks the probe and reads its
 ``ru_maxrss`` from ``os.wait4`` (see ``LAUNCHER``).  A last line gives each
-side's Python and C line counts under ``src/windgfm``, so that a change's net
-lines come from the same run.  The exit status is 1 if
+side's Python and C line counts under ``src/windgfm``, all lines and code
+lines (those holding more than a comment, a docstring or whitespace), so
+that a change's net lines come from the same run.  The exit status is 1 if
 any artefact differs, else 0.  ``--keep DIR`` keeps both sides' outputs
 under ``DIR/base`` and ``DIR/change``.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
+import io
 import itertools
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,19 +189,55 @@ def probe_lines(rss_base: dict, rss_change: dict, diffs: list) -> list:
     return lines
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def python_code_lines(text: str) -> int:
+    """Lines of Python source that hold a token besides comments and
+    docstrings."""
+    docstrings = {(node.body[0].lineno, node.body[0].col_offset)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE and not (tok.type == tokenize.STRING
+                                              and tok.start in docstrings):
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code)
+
+
+# A C comment, or a string or character literal, which may hold "/*" or "//"
+_C_COMMENT_OR_LITERAL = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'', re.S)
+
+
+def c_code_lines(text: str) -> int:
+    """Lines of C source that hold more than comments and whitespace."""
+    bare = _C_COMMENT_OR_LITERAL.sub(
+        lambda m: m[0] if m[0][0] in "\"'" else "\n" * m[0].count("\n"), text)
+    return sum(1 for line in bare.splitlines() if line.strip())
+
+
 def source_lines(root: Path) -> dict:
-    """Lines of the Python and of the C sources under root/src/windgfm."""
+    """Lines of the Python and of the C sources under root/src/windgfm: all
+    of them ("py", "c") and the code lines ("py code", "c code")."""
     pkg = root / "src" / "windgfm"
-    return {ext: sum(len(p.read_bytes().splitlines())
-                     for p in pkg.rglob(f"*.{ext}"))
-            for ext in ("py", "c")}
+    counts = {}
+    for ext, code_lines in (("py", python_code_lines), ("c", c_code_lines)):
+        texts = [p.read_bytes() for p in pkg.rglob(f"*.{ext}")]
+        counts[ext] = sum(len(t.splitlines()) for t in texts)
+        counts[f"{ext} code"] = sum(code_lines(t.decode()) for t in texts)
+    return counts
 
 
 def source_line(base: dict, change: dict) -> str:
     """The line comparing two sides' source_lines."""
     return "src/windgfm lines: " + ", ".join(
-        f"{ext} {base[ext]} -> {change[ext]} ({change[ext] - base[ext]:+d})"
-        for ext in base)
+        f"{key} {base[key]} -> {change[key]} ({change[key] - base[key]:+d})"
+        for key in base)
 
 
 def _files(root: Path) -> set:
