@@ -7,9 +7,14 @@ Both kernels keep one contract:
 - ``simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(),
   ev_dp=())`` reads its four vectors as sequences of numbers (tuples,
   lists, numpy arrays, ``array('d')``) and returns its 1 + n_steps // stride
-  rows as one ``bytearray`` of float64 values in ``layout.ROW`` order; the
-  two kernels give the same bytes, or the same failure, for any value of
-  any parameter outside the Cp surface, which the config fixes.  Neither
+  rows as one ``bytearray`` of float64 values in ``layout.ROW`` order.  As
+  step i with i % stride == 0 begins, row i // stride gets (i * dt, the
+  state, the outputs of k1 at it) in one write; where n_steps % stride ==
+  0 the last row gets the same write after the loop, from one more
+  derivative call.  ``plant.sample_grid`` asks for whole strides only, so
+  no run integrates a step its rows do not record.  The two kernels give
+  the same bytes, or the same failure, for any value of any parameter
+  outside the Cp surface, which the config fixes.  Neither
   checks a parameter's value: the records that pack them own that (t_dc >
   0 in ``ControlGains``).  Wrong lengths, ``n_steps < 0`` and
   ``stride < 1`` raise the same ``ValueError`` in both.

@@ -2,9 +2,10 @@
  * _ode_py in the same operation order, so the two backends agree bit for
  * bit: edit the two together.  Build with -ffp-contract=off where the
  * compiler would otherwise fuse multiply-adds (setup.py does).  Like
- * _ode_py, it does not integrate again a step from a bit-exact fixed point
- * under the same three loads; _ode_py's docstring says why the rows stay
- * those of the full integration.
+ * _ode_py, it writes each row in one place (put_row), and it does not
+ * integrate again a step from a bit-exact fixed point under the same three
+ * loads; _ode_py's docstring says why the rows stay those of the full
+ * integration.
  *
  * The module also writes the trace CSV's rows (csv_rows): every value as
  * Python's '%.17g' % v, from exact integer arithmetic where it applies and
@@ -175,6 +176,14 @@ done:
     return rc;
 }
 
+/* A row: the time t, the state x, then the N_OUT outputs of k */
+static void put_row(double *row, double t, const double *x, const double *k)
+{
+    row[0] = t;
+    memcpy(row + 1, x, N * sizeof(double));
+    memcpy(row + 1 + N, k + N, N_OUT * sizeof(double));
+}
+
 static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
                           PyObject *kw)
 {
@@ -193,8 +202,9 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
     if (n_steps < 0 || stride < 1)
         return PyErr_Format(PyExc_ValueError,
                             "n_steps must be >= 0 and stride >= 1");
-    /* a row is t, the N states and, from the first RK4 stage of the step
-     * that leaves the row's state, the N_OUT outputs */
+    /* row r is written as step r * stride begins, from its time, its state
+     * and its first RK4 stage; where n_steps % stride == 0 the last row is
+     * written after the loop, from one more derivative call */
     const Py_ssize_t w = 1 + N + N_OUT, n_rows = 1 + n_steps / stride;
     if (n_rows > PY_SSIZE_T_MAX / w / (Py_ssize_t)sizeof(double))
         return PyErr_NoMemory();
@@ -202,9 +212,7 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
         || !(res = PyByteArray_FromStringAndSize(
                  NULL, n_rows * w * (Py_ssize_t)sizeof(double))))
         goto done;
-    double *rows = (double *)PyByteArray_AS_STRING(res), *out = rows + w;
-    rows[0] = 0.0;
-    memcpy(rows + 1, x, sizeof x);
+    double *rows = (double *)PyByteArray_AS_STRING(res);
     Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < n_steps; i++) {
         double t0 = i * h;
@@ -236,20 +244,15 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
                 break;
             fixed = !memcmp(xs, x, sizeof x);
             memcpy(fl, l, sizeof l);
-            memcpy(x, xs, sizeof x);
         }
         if (i % stride == 0)  /* k1 is the last integrated step's: at x */
-            memcpy(rows + (Py_ssize_t)(i / stride) * w + 1 + N, k1 + N,
-                   N_OUT * sizeof(double));
-        if ((i + 1) % stride == 0) {
-            out[0] = (i + 1) * h;
-            memcpy(out + 1, x, sizeof x);
-            out += w;
-        }
+            put_row(rows + (Py_ssize_t)(i / stride) * w, t0, x, k1);
+        memcpy(x, xs, sizeof x);  /* on a skipped step, xs is x */
     }
-    if (bad == N && n_steps % stride == 0) {  /* the final row's outputs */
-        deriv(&m, x, load(&m, (double)n_steps * h), k1);
-        memcpy(out - w + 1 + N, k1 + N, N_OUT * sizeof(double));
+    if (bad == N && n_steps % stride == 0) {
+        double t = (double)n_steps * h;
+        deriv(&m, x, load(&m, t), k1);
+        put_row(rows + (n_rows - 1) * w, t, x, k1);
     }
     Py_END_ALLOW_THREADS
     if (bad < N) {  /* FloatingPointError(index, t at the step's end) */

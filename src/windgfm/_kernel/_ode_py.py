@@ -27,7 +27,7 @@ from itertools import chain
 from ..aero import _cp_calibrated
 from ..control import limiter_pi, pd_filter_realization, pitch_rate
 from .layout import (
-    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, ROW, STATES,
+    MODE_GFL_MPPT, N_PARAMS, N_STATES, ROW, STATES,
     P_BETADEL, P_BETAMAX, P_BETAMIN, P_BG, P_BM, P_CDC, P_CP0, P_CPMAX,
     P_JG, P_JWT, P_KDG, P_KDM, P_KG, P_KILIM, P_KP, P_KPLIM, P_KTG, P_KTM,
     P_LAMC, P_OMDEL, P_OMMAX, P_PCONST, P_PG0, P_PMAX, P_PSCALE, P_RATE,
@@ -123,9 +123,10 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     """Fixed-step RK4 over n_steps; records every `stride` steps (plus t=0).
 
     Returns the 1 + n_steps // stride rows of layout.ROW as one bytearray
-    of float64 values: time, the states and their outputs, from the first
-    RK4 stage of the step that leaves the row (a final row at n_steps takes
-    one more derivative call).  A step from a fixed point under the same
+    of float64 values.  Row r is written in one place, as step r * stride
+    begins: its time, its state and the outputs of that step's first RK4
+    stage.  Where n_steps % stride == 0 the last row, at n_steps, gets the
+    same write after the loop, from one more derivative call.  A step from a fixed point under the same
     three loads is not integrated again (see the module docstring).  Raises
     FloatingPointError(index, t) at the first step whose new state leaves
     the model (see the package docstring).
@@ -139,10 +140,8 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     h2 = 0.5 * dt
     h6 = dt / 6.0
     w = len(ROW)
-    rows = bytearray(8 * w * (1 + n_steps // stride))  # t = 0 is zeroed
+    rows = bytearray(8 * w * (1 + n_steps // stride))
     out = memoryview(rows).cast("d")
-    out[1:1 + N_STATES] = array("d", x)
-    row = w  # where the next row starts in out
     fixed = None  # the loads under which x is a fixed point of the step
     for i in range(n_steps):
         t0 = i * dt
@@ -163,17 +162,14 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
             if bad is not None:
                 raise FloatingPointError(bad, t0 + dt)
             fixed = loads if _same_bits(xn, x) else None
-            x = xn
-        if i % stride == 0:
-            at = i // stride * w + 1 + N_STATES
-            out[at:at + N_OUT] = array("d", k1[N_STATES:])
-        if (i + 1) % stride == 0:
-            out[row] = (i + 1) * dt
-            out[row + 1:row + 1 + N_STATES] = array("d", x)
-            row += w
+        if i % stride == 0:  # k1 is the last integrated step's: at x
+            at = i // stride * w
+            out[at:at + w] = array("d", [t0, *x, *k1[N_STATES:]])
+        x = xn  # on a skipped step, xn is x
     if n_steps % stride == 0:
-        out[row - N_OUT:row] = array("d", _deriv(x, _load(n_steps * dt, *ev),
-                                                 *args)[N_STATES:])
+        t0 = n_steps * dt
+        k1 = _deriv(x, _load(t0, *ev), *args)
+        out[-w:] = array("d", [t0, *x, *k1[N_STATES:]])
     out.release()
     return rows
 

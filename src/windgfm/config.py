@@ -189,8 +189,7 @@ class Scenario:
     @property
     def t_end(self) -> float:
         """Time of the trace's last row, as the kernel computes it."""
-        n_steps, stride = sample_grid(self.duration, self.dt, self.sample_dt)
-        return n_steps // stride * stride * self.dt
+        return sample_grid(self.duration, self.dt, self.sample_dt)[0] * self.dt
 
 
 # Each section's defaults are the field defaults of the class it builds.

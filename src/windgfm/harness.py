@@ -162,7 +162,10 @@ def compute_metrics(trace: SimTrace, t_event: float,
         raise ValueError("trace too short for metrics")
     post = _rows_from(trace.t, t_event)
     pre = slice(post.start)
-    i_nadir = post.start + int(np.argmin(trace.f_g[post]))
+    f_pre = float(trace.f_g[pre].mean())
+    # the nadir is the extreme in the step's direction: the dip after a
+    # load increase, the peak after a decrease
+    i_nadir = post.start + int(np.argmax(np.abs(trace.f_g[post] - f_pre)))
     tail = _settled(trace.t)
     f_ss = float(trace.f_g[tail].mean())
     dv_ss = float(trace.v_dc[tail].mean() - trace.v_dc[pre].mean())
@@ -171,7 +174,7 @@ def compute_metrics(trace: SimTrace, t_event: float,
     df = np.abs(trace.f_g[w:] - trace.f_g[:-w])
     rocof = float(df.max() / (w * dt_s))
     d_p_wt = float(trace.p_wt[tail].mean() - trace.p_wt[pre].mean())
-    d_om = (f_ss - float(trace.f_g[pre].mean())) / f_base
+    d_om = (f_ss - f_pre) / f_base
     droop = -d_om / d_p_wt if abs(d_p_wt) >= DROOP_DP_FLOOR else None
     return FrequencyMetrics(nadir_hz=float(trace.f_g[i_nadir]),
                             t_nadir_s=float(trace.t[i_nadir]),
@@ -182,7 +185,8 @@ def compute_metrics(trace: SimTrace, t_event: float,
 def compare_modes(plant: PlantParams, surface: CpSurface, base: Scenario):
     """Run GFL_MPPT, GFM_MPPT and GFM_FR on base's disturbance, one at a
     time: yield (mode name, RunResult, FrequencyMetrics) of each run that
-    passes its checks, then check the nadir ordering.  No run is held
+    passes its checks, then check the nadir ordering on the excursions
+    |nadir_hz - f_hz|, so it holds for a load decrease too.  No run is held
     through the next, so the caller holds at most the one it keeps."""
     nadir = {}
     for mode in (Mode.GFL_MPPT, Mode.GFM_MPPT, Mode.GFM_FR):
@@ -193,8 +197,10 @@ def compare_modes(plant: PlantParams, surface: CpSurface, base: Scenario):
         yield mode.name, res, m
         del res
     n_fr, n_mp, n_gfl = nadir["GFM_FR"], nadir["GFM_MPPT"], nadir["GFL_MPPT"]
+    f0 = plant.network.f_hz
+    d_fr, d_mp, d_gfl = (abs(n - f0) for n in (n_fr, n_mp, n_gfl))
     # At eta = 1 GFM_FR runs the MPPT design, so its nadir is GFM_MPPT's.
-    if (base.eta < 1.0 and not n_fr > n_mp) or not n_mp >= n_gfl:
+    if (base.eta < 1.0 and not d_fr < d_mp) or not d_mp <= d_gfl:
         raise HarnessAssertionError(
             f"nadir ordering violated: FR={n_fr:.4f} MPPT={n_mp:.4f} "
             f"GFL={n_gfl:.4f}")

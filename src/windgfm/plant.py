@@ -183,8 +183,11 @@ MAX_STEPS = 2 ** 31 - 1
 
 
 def sample_grid(duration: float, dt: float, sample_dt: float) -> tuple[int, int]:
-    """(RK4 steps, steps per sampled row) of a run."""
-    return int(round(duration / dt)), max(int(round(sample_dt / dt)), 1)
+    """(RK4 steps, steps per sampled row) of a run: whole strides only, so
+    the last step ends on the last row and no run integrates a step that
+    its rows do not record."""
+    n, stride = int(round(duration / dt)), max(int(round(sample_dt / dt)), 1)
+    return n - n % stride, stride
 
 
 def simulate(x0, p_arr: np.ndarray, mode: Mode, load: LoadProfile,

@@ -175,14 +175,15 @@ def test_compare_frees_each_run_before_the_next(tmp_path, monkeypatch, capsys):
 
 
 def _fail_nadir_ordering(monkeypatch):
-    """GFL_MPPT, the first run, reports a nadir above the others'."""
+    """GFL_MPPT, the first run, reports no frequency excursion at all."""
     real = harness.compute_metrics
     calls = []
 
     def compute_metrics(*args, **kwargs):
         calls.append(None)
         m = real(*args, **kwargs)
-        return replace(m, nadir_hz=60.0) if len(calls) == 1 else m
+        f_hz = DEFAULT_CONFIG["network"]["f_hz"]
+        return replace(m, nadir_hz=f_hz) if len(calls) == 1 else m
 
     monkeypatch.setattr(harness, "compute_metrics", compute_metrics)
 
@@ -378,6 +379,28 @@ def test_gfl_event_in_settled_tail_is_config_error(command, capsys):
     assert rc == 3
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "scenario.events" in err
+
+
+# A load decrease at 30 s: (f_g's peak in Hz, its time) per mode.
+DECREASE_PEAKS = {"GFM_FR": (50.03225, 30.728),
+                  "GFM_MPPT": (50.04022, 31.001),
+                  "GFL_MPPT": (50.04179, 31.017)}
+
+
+@pytest.mark.parametrize("command, modes", [
+    ("simulate", {"GFM_FR"}), ("compare", set(DECREASE_PEAKS))])
+def test_a_load_decrease_reports_its_peak(command, modes, capsys):
+    # the nadir was argmin(f_g) after the event, the undershoot after the
+    # peak (49.99954 Hz at 32.138 s for GFM_FR), and compare ordered the
+    # raw nadirs, so it exited 2 with "nadir ordering violated" though all
+    # three runs passed their checks
+    rc = cli.main([command, "--set", "scenario.events=[[30,-0.05]]"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and set(doc) == modes
+    for name in modes:
+        f, t = DECREASE_PEAKS[name]
+        assert doc[name]["nadir_hz"] == pytest.approx(f, abs=5e-6)
+        assert doc[name]["t_nadir_s"] == t
 
 
 def test_compare_at_eta_1_passes(capsys):

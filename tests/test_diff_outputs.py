@@ -76,6 +76,9 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
                             ("simulate-GFL_MPPT", "scenario.mode=GFL_MPPT")):
         assert probes[probe][0][:3] == ["simulate", "--set", override]
         assert "--out" in probes[probe][0]
+    for cmd in ("simulate", "compare"):
+        assert probes[f"{cmd}-decrease"][0][:3] == \
+            [cmd, "--set", "scenario.events=[[30,-0.05]]"]
     assert probes["pure_fallback"][0][-2:] == ["--out", "pure.csv"]
     assert probes["pure_fallback-compare"][0] == \
         ["compare", "--set", "scenario.dt=0.001", "--out", "cmp.csv"]

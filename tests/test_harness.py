@@ -308,17 +308,29 @@ def test_scenario_validation():
 
 
 @pytest.mark.parametrize("duration, dt, sample_dt", [
-    (2.0, 5e-4, 1e-3), (1.9995, 5e-4, 1e-3), (2.0, 5e-4, 1.5e-3),
-    (2.0, 5e-4, 0.7), (2.0, 3e-4, 3e-4), (2.0, 5e-4, 1e-5)])
-def test_scenario_t_end_is_the_last_row_time(plant, surface, duration, dt,
-                                             sample_dt):
+    (2.0, 5e-4, 1e-3), (1.9995, 5e-4, 1e-3), (59.9995, 5e-4, 1e-3),
+    (2.0, 5e-4, 1.5e-3), (2.0, 5e-4, 0.7), (2.0, 3e-4, 3e-4),
+    (2.0, 5e-4, 1e-5)])
+def test_scenario_t_end_is_the_last_row_time(plant, surface, monkeypatch,
+                                             duration, dt, sample_dt):
+    # the kernel is asked for whole strides only: at 59.9995 s it ran
+    # 119,999 steps, the last one from 59.999 s past the trace's last row,
+    # whose failure would still fail the run
+    n_steps = []
+
+    def spy(*args):
+        n_steps.append(args[4])
+        return real(*args)
+
+    real = _kernel.simulate
+    monkeypatch.setattr(_kernel, "simulate", spy)
     sc = Scenario(duration=duration, dt=dt, sample_dt=sample_dt,
                   load=LoadProfile(events=()))
     gains = gains_for_scenario(plant, surface, sc).gains
     x0, p_arr, _ = find_equilibrium(plant, gains, surface, sc.v_w, sc.load,
                                     sc.mode)
     states = simulate(x0, p_arr, sc.mode, sc.load, duration, dt, sample_dt)
-    assert sc.t_end == states[-1, 0]
+    assert sc.t_end == states[-1, 0] == n_steps[0] * dt
 
 
 def test_scenario_from_config(cfg):

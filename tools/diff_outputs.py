@@ -70,7 +70,8 @@ def probes(pure_args: list) -> dict:
         **{f"{cmd}-{v}ms": ([cmd, "--set", f"scenario.v_w={v}",
                              "--out", f"{cmd}.csv"], False)
            for cmd in ("simulate", "compare") for v in (12, 13)},
-        # n_steps odd: the last row's outputs come from the RK4 loop
+        # 119,999 steps round down to 119,998, whole strides: the last
+        # row's outputs come from the kernels' post-loop call
         "simulate-odd-steps": (["simulate", "--set", "scenario.duration=59.9995",
                                 "--out", "sim.csv"], False),
         # stride 3: the final row's outputs take one more kernel call
@@ -78,6 +79,11 @@ def probes(pure_args: list) -> dict:
                                "--out", "sim.csv"], False),
         "simulate-GFL_MPPT": (["simulate", "--set", "scenario.mode=GFL_MPPT",
                                "--out", "sim.csv"], False),
+        # a load decrease: the nadir is f_g's peak, and compare orders the
+        # modes on their excursions
+        **{f"{cmd}-decrease": ([cmd, "--set", "scenario.events=[[30,-0.05]]",
+                                "--out", f"{cmd}.csv"], False)
+           for cmd in ("simulate", "compare")},
         # long runs: the settled tail after the load step, and compare's
         # three 240 s runs, the largest peak resident set of any probe
         "simulate-240s": (["simulate", "--set", "scenario.duration=240",
