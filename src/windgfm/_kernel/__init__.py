@@ -27,6 +27,16 @@ Both kernels keep one contract:
   state.  A math error in a pure-kernel stage is where C carries inf or NaN
   into the new state, so it reports -1.
   ``plant.simulate`` words the one message, naming the state.
+- The row rule: a row is written only from a finite state and a finite
+  derivative call, all 11 derivatives and 3 outputs of it.  A row written
+  as a step begins keeps it through the state rule: a non-finite state or
+  first stage makes the new state non-finite.  Where the last row's
+  post-loop call, or the state it is made at (x0 where n_steps == 0), is
+  not finite, the run fails with ``FloatingPointError(-1, n_steps * dt +
+  dt)``, the end of the step that would leave the row, as a mid-run row
+  whose first stage is not finite does.  A math error in that pure-kernel
+  call counts as a non-finite value, as in a stage.  So every row either
+  kernel returns is finite, and no caller checks it again.
 - ``csv_rows(columns)`` reads equal-length 1-D float64 buffers, strided or
   not, and writes exactly their rows, with no header: ``harness.trace_csv``
   yields the header and then one ``csv_rows`` per block of

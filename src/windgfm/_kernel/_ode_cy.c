@@ -204,7 +204,8 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
                             "n_steps must be >= 0 and stride >= 1");
     /* row r is written as step r * stride begins, from its time, its state
      * and its first RK4 stage; where n_steps % stride == 0 the last row is
-     * written after the loop, from one more derivative call */
+     * written after the loop, from one more derivative call, under the
+     * package docstring's row rule */
     const Py_ssize_t w = 1 + N + N_OUT, n_rows = 1 + n_steps / stride;
     if (n_rows > PY_SSIZE_T_MAX / w / (Py_ssize_t)sizeof(double))
         return PyErr_NoMemory();
@@ -252,6 +253,9 @@ static PyObject *simulate(PyObject *Py_UNUSED(self), PyObject *args,
     if (bad == N && n_steps % stride == 0) {
         double t = (double)n_steps * h;
         deriv(&m, x, load(&m, t), k1);
+        for (int j = 0; j < N + N_OUT; j++)  /* the row rule */
+            if (!isfinite(k1[j]) || (j < N && !isfinite(x[j])))
+                bad = -1;
         put_row(rows + (n_rows - 1) * w, t, x, k1);
     }
     Py_END_ALLOW_THREADS

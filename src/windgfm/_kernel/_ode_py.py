@@ -126,10 +126,11 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
     of float64 values.  Row r is written in one place, as step r * stride
     begins: its time, its state and the outputs of that step's first RK4
     stage.  Where n_steps % stride == 0 the last row, at n_steps, gets the
-    same write after the loop, from one more derivative call.  A step from a fixed point under the same
-    three loads is not integrated again (see the module docstring).  Raises
-    FloatingPointError(index, t) at the first step whose new state leaves
-    the model (see the package docstring).
+    same write after the loop, from one more derivative call.  A step from
+    a fixed point under the same three loads is not integrated again (see
+    the module docstring).  Raises FloatingPointError(index, t) at the
+    first step whose new state leaves the model, and where the last row
+    breaks the row rule (see the package docstring).
     """
     if n_steps < 0 or stride < 1:
         raise ValueError("n_steps must be >= 0 and stride >= 1")
@@ -168,7 +169,12 @@ def simulate(x0, params, mode, dt, n_steps, stride, base_load, ev_t=(), ev_dp=()
         x = xn  # on a skipped step, xn is x
     if n_steps % stride == 0:
         t0 = n_steps * dt
-        k1 = _deriv(x, _load(t0, *ev), *args)
+        try:
+            k1 = _deriv(x, _load(t0, *ev), *args)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            k1 = [math.nan]  # as in a stage
+        if not all(map(math.isfinite, x + k1)):  # the package's row rule
+            raise FloatingPointError(-1, t0 + dt)
         out[-w:] = array("d", [t0, *x, *k1[N_STATES:]])
     out.release()
     return rows

@@ -172,6 +172,8 @@ class Scenario:
             if steps >= MAX_STEPS + 0.5:
                 raise ValueError(f"{name} / dt must be at most {MAX_STEPS} "
                                  f"RK4 steps, got {steps:.4g}")
+        if sorted(self.load.ev_times) != list(self.load.ev_times):
+            raise ValueError("events must be in time order")
         for t_ev, _ in self.load.events:
             # compute_metrics' condition, on the trace's last sample
             if not (0.0 < t_ev and t_ev + SETTLE_WINDOW <= self.t_end):

@@ -51,12 +51,6 @@ class SimTrace:
     def column(self, name: str) -> np.ndarray:
         return getattr(self, name.lower())
 
-    def __post_init__(self):
-        for name in TRACE_COLUMNS:
-            col = self.column(name)
-            if col.shape != self.t.shape or not np.all(np.isfinite(col)):
-                raise ValueError(f"bad trace column {name}")
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -163,9 +157,11 @@ def compute_metrics(trace: SimTrace, t_event: float,
     post = _rows_from(trace.t, t_event)
     pre = slice(post.start)
     f_pre = float(trace.f_g[pre].mean())
-    # the nadir is the extreme in the step's direction: the dip after a
-    # load increase, the peak after a decrease
-    i_nadir = post.start + int(np.argmax(np.abs(trace.f_g[post] - f_pre)))
+    # the nadir is the extreme in the direction f_g first moves: the dip
+    # after a load increase, the peak after a decrease, whatever later events
+    # do
+    f = trace.f_g[post]
+    i_nadir = post.start + int(np.argmax(np.sign(f[1] - f[0]) * (f - f_pre)))
     tail = _settled(trace.t)
     f_ss = float(trace.f_g[tail].mean())
     dv_ss = float(trace.v_dc[tail].mean() - trace.v_dc[pre].mean())

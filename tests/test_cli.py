@@ -288,6 +288,10 @@ BAD_OVERRIDES = [
     # simulation failure, gain-design and smallsignal 0
     ("scenario.events=[[30.0001,0.4]]", {"simulate": 3, "gain-design": 3,
                                          "smallsignal": 3}),
+    # events out of time order: the metrics measured from the 40 s event
+    # against a pre-event mean that held the 30 s response (exit 0)
+    ("scenario.events=[[40,0.1],[30,-0.2]]", {"simulate": 3, "gain-design": 3,
+                                              "smallsignal": 3}),
 ]
 
 
@@ -401,6 +405,27 @@ def test_a_load_decrease_reports_its_peak(command, modes, capsys):
         f, t = DECREASE_PEAKS[name]
         assert doc[name]["nadir_hz"] == pytest.approx(f, abs=5e-6)
         assert doc[name]["t_nadir_s"] == t
+
+
+# +0.1 pu at 20 s, then -0.2 pu at 30 s: (f_g's dip after the first event in
+# Hz, its time) per mode.
+TWO_EVENT_DIPS = {"GFM_FR": (49.93546, 20.728),
+                  "GFM_MPPT": (49.91951, 21.0),
+                  "GFL_MPPT": (49.91638, 21.016)}
+
+
+@pytest.mark.parametrize("command, modes", [
+    ("simulate", {"GFM_FR"}), ("compare", set(TWO_EVENT_DIPS))])
+def test_two_events_report_the_first_events_dip(command, modes, capsys):
+    # the nadir was the largest |f_g - f_pre| after the first event: the
+    # second event's peak (50.07983 Hz at 30.723 s for GFM_FR)
+    rc = cli.main([command, "--set", "scenario.events=[[20,0.1],[30,-0.2]]"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and set(doc) == modes
+    for name in modes:
+        f, t = TWO_EVENT_DIPS[name]
+        assert doc[name]["nadir_hz"] == pytest.approx(f, abs=5e-6)
+        assert doc[name]["t_nadir_s"] == pytest.approx(t, abs=1e-9)
 
 
 def test_compare_at_eta_1_passes(capsys):

@@ -79,6 +79,8 @@ def test_probe_list_covers_every_mode_and_the_pure_kernel():
     for cmd in ("simulate", "compare"):
         assert probes[f"{cmd}-decrease"][0][:3] == \
             [cmd, "--set", "scenario.events=[[30,-0.05]]"]
+        assert probes[f"{cmd}-two-events"][0][:3] == \
+            [cmd, "--set", "scenario.events=[[20,0.1],[30,-0.2]]"]
     assert probes["pure_fallback"][0][-2:] == ["--out", "pure.csv"]
     assert probes["pure_fallback-compare"][0] == \
         ["compare", "--set", "scenario.dt=0.001", "--out", "cmp.csv"]
@@ -188,6 +190,8 @@ def test_probe_list_has_failures_on_both_kernels():
             "scenario.events=[[1.0,0.4]]", "--set", "sg.t_g=5e-324"]
     assert probes["fail-t_g-tiny"] == (tiny, False)
     assert probes["fail-t_g-tiny-pure"] == (tiny, True)
+    assert probes["fail-events-unordered"] == \
+        (["simulate", "--set", "scenario.events=[[40,0.1],[30,-0.2]]"], False)
 
 
 def test_child_peak_rss_is_its_own_not_the_parents(tmp_path):

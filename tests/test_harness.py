@@ -270,16 +270,6 @@ def test_trace_p_gsc_and_f_gsc_bit_identical_to_scalar_equations(
     assert tr.f_gsc.tobytes() == np.array(f_gsc).tobytes()
 
 
-def test_trace_validation_rejects_nonfinite():
-    tr = synthetic_trace()
-    bad = tr.v_dc.copy()
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        SimTrace(t=tr.t, f_g=tr.f_g, f_gsc=tr.f_gsc, v_dc=bad,
-                 omega_r=tr.omega_r, beta=tr.beta, p_wt=tr.p_wt,
-                 p_gsc=tr.p_gsc, p_g=tr.p_g)
-
-
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(duration=-1.0)
@@ -296,6 +286,10 @@ def test_scenario_validation():
     for bad in ({"duration": 31.0}, {"duration": 32.0, "sample_dt": 1.5e-3}):
         with pytest.raises(ValueError, match="events"):
             Scenario(load=late, **bad)
+    # events come in time order; equal times sum into one step
+    with pytest.raises(ValueError, match="events must be in time order"):
+        Scenario(load=LoadProfile(events=((40.0, 0.1), (30.0, -0.2))))
+    Scenario(load=LoadProfile(events=((30.0, 0.4), (30.0, 0.1))))
     # the compiled kernel counts the RK4 steps and the stride in C ints; with
     # no event a 1e7 s sample_dt ran on the pure kernel and raised an
     # OverflowError on the compiled one

@@ -10,8 +10,8 @@ import pytest
 import windgfm
 from windgfm._kernel import _ode_py
 from windgfm._kernel.layout import (
-    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_CP0, P_CPMAX, P_PCONST, P_TG,
-    ROW, STATES,
+    MODE_GFL_MPPT, N_OUT, N_PARAMS, N_STATES, P_CP0, P_CPMAX, P_PCONST,
+    P_PSCALE, P_TG, ROW, STATES,
 )
 from windgfm.harness import Scenario, gains_for_scenario, run_scenario
 from windgfm.plant import Mode, find_equilibrium
@@ -68,7 +68,11 @@ def reference_simulate(x0, params, mode, dt, n_steps, stride, base_load,
             out[row, 1:1 + N_STATES] = x
             row += 1
     if n_steps % stride == 0:
-        out[row - 1, 1 + N_STATES:] = _deriv(x, n_steps * dt, *args)[N_STATES:]
+        k = _deriv(x, n_steps * dt, *args)
+        # the row rule: a row only from a finite state and derivative call
+        if not all(math.isfinite(v) for v in x + k):
+            raise FloatingPointError(-1, n_steps * dt + dt)
+        out[row - 1, 1 + N_STATES:] = k[N_STATES:]
     return out[:row]
 
 
@@ -311,6 +315,33 @@ def test_nan_cp_diverges_on_both_kernels(packed, ode_cy):
         assert e.value.args == (-1, 5e-4)
 
 
+def test_last_row_fails_as_a_step_does(packed, ode_cy):
+    # the row rule: with no step, the last row's derivative call is the
+    # run's only one, and where it or the state is not finite the run fails
+    # as a step whose first stage is not finite does, at the end of the step
+    # that would leave the row.  At beta = -3000 deg the pure kernel raised
+    # OverflowError and the compiled one wrote a NaN P_wt.
+    x0, p_arr = packed
+    x = x0.copy()
+    x[S["beta"]] = -3000.0
+    for kernel in (_ode_py, ode_cy):
+        assert kernel_result(kernel.simulate, x, p_arr, 2, H, 0, 1,
+                             2.0) == (-1, H)
+    # where no math raises the no-skip reference fails alike: an infinite
+    # wind power, and a NaN rho_1, which GFL_MPPT holds, so no derivative
+    # reads it (the compiled kernel wrote it into the row)
+    inf_power = p_arr.copy()
+    inf_power[P_PSCALE] = math.inf
+    nan_rho = x0.copy()
+    nan_rho[S["rho_1"]] = math.nan
+    for args in ((x0, inf_power, 2, H, 0, 1, 2.0),
+                 (nan_rho, p_arr, MODE_GFL_MPPT, H, 0, 1, 2.0)):
+        ref = kernel_result(reference_simulate, *args)
+        assert ref == (-1, H)
+        assert kernel_result(_ode_py.simulate, *args) == ref
+        assert kernel_result(ode_cy.simulate, *args) == ref
+
+
 def test_simulate_sampling_layout(packed):
     x0, p_arr = packed
     out = as_array(_ode_py.simulate(x0, p_arr, 2, 1e-3, 100, 10, 2.0, (), ()))
@@ -392,9 +423,10 @@ def test_kernels_fail_alike_from_extreme_states(plant, surface, ode_cy):
     # float range or from the rule's edges, some with a parameter so drawn
     # too, and from a state off its pitch setpoint with each parameter at
     # each edge: any parameter but the Cp surface's, which the config fixes,
-    # t_dc and t_servo at 0.0 and -0.0 among them.  Where the pure kernel's
-    # math raises, the compiled one carries inf or NaN into the new state,
-    # so the two give the same rows or the same failure
+    # t_dc and t_servo at 0.0 and -0.0 among them; and with no step, where
+    # the last row's derivative call is the only one.  Where the pure
+    # kernel's math raises, the compiled one carries inf or NaN into the new
+    # state or the row, so the two give the same rows or the same failure
     rng = np.random.default_rng(26)
     edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e6, -1e6, 3000.0,
              -3000.0, 5e-324]
@@ -420,10 +452,12 @@ def test_kernels_fail_alike_from_extreme_states(plant, surface, ode_cy):
             if rng.random() < 0.2:
                 p[rng.choice(free)] = draw()
             cases.append((x, p))
-        for (x, p), mode in itertools.product(cases, (0, 1, 2)):
-            args = (x, p, mode, H, 1, 1, 2.0, (0.0,), (0.4,))
-            assert kernel_result(_ode_py.simulate, *args) == \
-                kernel_result(ode_cy.simulate, *args)
+        for (x, p), mode, n in itertools.product(cases, (0, 1, 2), (1, 0)):
+            args = (x, p, mode, H, n, 1, 2.0, (0.0,), (0.4,))
+            res = kernel_result(_ode_py.simulate, *args)
+            assert res == kernel_result(ode_cy.simulate, *args)
+            # the state rule and the row rule: every row returned is finite
+            assert type(res) is tuple or np.isfinite(as_array(res)).all()
 
 
 @pytest.mark.parametrize("stride", [1, 7])

@@ -84,6 +84,12 @@ def probes(pure_args: list) -> dict:
         **{f"{cmd}-decrease": ([cmd, "--set", "scenario.events=[[30,-0.05]]",
                                 "--out", f"{cmd}.csv"], False)
            for cmd in ("simulate", "compare")},
+        # two events: the nadir is the first event's dip, not the second's
+        # peak
+        **{f"{cmd}-two-events": ([cmd, "--set",
+                                  "scenario.events=[[20,0.1],[30,-0.2]]",
+                                  "--out", f"{cmd}.csv"], False)
+           for cmd in ("simulate", "compare")},
         # long runs: the settled tail after the load step, and compare's
         # three 240 s runs, the largest peak resident set of any probe
         "simulate-240s": (["simulate", "--set", "scenario.duration=240",
@@ -116,6 +122,10 @@ def probes(pure_args: list) -> dict:
         # +3 pu step, and sin(inf) in an RK4 stage on both kernels
         "fail-step-3pu": (["simulate", "--set", "scenario.events=[[30,3]]"],
                           False),
+        # a config error: events out of time order
+        "fail-events-unordered": (["simulate", "--set",
+                                   "scenario.events=[[40,0.1],[30,-0.2]]"],
+                                  False),
         **{f"fail-t_g-tiny{'-pure' if pure else ''}": (
             ["simulate", "--set", "scenario.duration=3", "--set",
              "scenario.events=[[1.0,0.4]]", "--set", "sg.t_g=5e-324"], pure)
